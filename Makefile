@@ -31,7 +31,8 @@ lint:
 bench-smoke:
 	$(GO) test -run=NONE -bench=GlobalIndex -benchtime=1x ./internal/core/...
 	$(GO) test -run=NONE -bench='Quantile|OpTimer' -benchtime=1x ./internal/obs/...
-	$(GO) test -run=NONE -bench='EngineSchedule|EngineCancelHeavy' -benchtime=1x ./internal/sim/...
+	$(GO) test -run=NONE -bench='EngineSchedule|EngineCancelHeavy|EngineDeepHeap' -benchtime=1x ./internal/sim/...
+	$(GO) test -run=NONE -bench=DrawOSSFaults -benchtime=1x ./internal/failure/...
 	$(GO) test -run=NONE -bench=BB -benchtime=1x ./internal/bb/...
 	$(GO) test -run=NONE -bench=Rebuild -benchtime=1x ./internal/pfs/... ./internal/workload/...
 	$(GO) test -run=NONE -bench=Declustered -benchtime=1x ./internal/placement/...

@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"repro/internal/archive"
@@ -128,6 +129,7 @@ func main() {
 	report := flag.String("report", "", "write a latency/SLO dashboard (exact quantiles, stage attribution, bottlenecks) to this file, or '-' for stdout; enables per-op stage timers")
 	timeseries := flag.String("timeseries", "", "write sim-time series as CSV to this file; enables windowed sampling")
 	tsWindow := flag.Float64("ts-window", 0.1, "sim-time series window in seconds (with -timeseries)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the experiments to this file")
 	flag.IntVar(&probeShards, "shards", 0, "run simulation-backed experiments on a sharded cluster (0 = single engine); outputs are byte-identical for any value")
 	flag.IntVar(&scalePods, "scale-pods", 8, "scale experiment: number of file-system pods")
 	flag.IntVar(&scaleRanks, "scale-ranks", 32, "scale experiment: checkpointing ranks per pod")
@@ -162,10 +164,12 @@ func main() {
 	if *trace != "" {
 		probeTr = obs.NewTracer()
 	}
+	stopProfile := startCPUProfile(*cpuprofile)
 	for _, f := range run {
 		experiments[f]()
 		fmt.Println()
 	}
+	stopProfile()
 	if *metrics != "" {
 		if err := writeFile(*metrics, probeReg.WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "writing metrics: %v\n", err)
@@ -188,6 +192,30 @@ func main() {
 	if *trace != "" {
 		if err := writeFile(*trace, probeTr.WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// startCPUProfile starts a runtime/pprof CPU profile written to path and
+// returns the function that stops it; an empty path profiles nothing.
+// Inspect the file with go tool pprof.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.StartCPUProfile(f)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cpu profile: %v\n", err)
+		os.Exit(1)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "cpu profile: %v\n", err)
 			os.Exit(1)
 		}
 	}
@@ -964,7 +992,7 @@ func figBB() {
 		fr.BB.LostBytes, fr.BB.TornDrains)
 	fmt.Printf("byte accounting: absorbed %d = drained %d + lost %d + dropped %d\n",
 		fr.BB.AbsorbedBytes, fr.BB.DrainedBytes, fr.BB.LostBytes, fr.BB.DroppedDrainBytes)
-	if fr.BB.AbsorbedBytes != fr.BB.DrainedBytes+fr.BB.LostBytes+fr.BB.DroppedDrainBytes {
+	if fr.BB.AbsorbedBytes != fr.BB.DrainedBytes+fr.BB.LostBytes+fr.BB.DroppedDrainBytes+fr.BB.TornBytes {
 		panic("bb: byte accounting identity violated")
 	}
 	if fr.BB.LostBytes == 0 {

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/bb"
@@ -57,6 +58,30 @@ func writeOut(path, what string, write func(io.Writer) error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "writing %s: %v\n", what, err)
 		os.Exit(1)
+	}
+}
+
+// startCPUProfile starts a runtime/pprof CPU profile written to path and
+// returns the function that stops it; an empty path profiles nothing.
+// Inspect the file with go tool pprof.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.StartCPUProfile(f)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cpu profile: %v\n", err)
+		os.Exit(1)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "cpu profile: %v\n", err)
+			os.Exit(1)
+		}
 	}
 }
 
@@ -393,6 +418,7 @@ func main() {
 		timeseries = flag.String("timeseries", "", "write sim-time series as CSV to this file; enables windowed sampling")
 		tsWindow   = flag.Float64("ts-window", 0.1, "sim-time series window in seconds (with -timeseries)")
 		trace      = flag.String("trace", "", "write a Chrome trace-event file (Perfetto/chrome://tracing) to this file")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
 	)
 	flag.Parse()
 
@@ -428,6 +454,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -bb-mode %q (off, back, through)\n", *bbMode)
 		os.Exit(2)
 	}
+
+	defer startCPUProfile(*cpuprofile)()
 
 	var reg *obs.Registry
 	var tr *obs.Tracer

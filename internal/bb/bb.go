@@ -207,7 +207,10 @@ type Stats struct {
 
 	// TornDrains counts drains interrupted mid-wire by the node's
 	// crash; their landing extents are marked corrupt in the FS.
+	// TornBytes is their size: torn data counts as neither drained nor
+	// lost, so absorbed = drained + lost + dropped + torn.
 	TornDrains int64
+	TornBytes  int64
 
 	// Stalls counts writes that waited for buffer capacity
 	// (backpressure); StallTime is their total wait.

@@ -317,6 +317,10 @@ func TestTornDrainMarksCorruption(t *testing.T) {
 	if st.TornDrains == 0 {
 		t.Fatalf("crash mid-drain tore nothing: %+v", st)
 	}
+	if st.AbsorbedBytes != st.DrainedBytes+st.LostBytes+st.DroppedDrainBytes+st.TornBytes {
+		t.Fatalf("byte identity violated after a torn drain: absorbed %d != drained %d + lost %d + dropped %d + torn %d",
+			st.AbsorbedBytes, st.DrainedBytes, st.LostBytes, st.DroppedDrainBytes, st.TornBytes)
+	}
 	ints := r.fs.IntegrityStats()
 	if ints.Injected == 0 {
 		t.Fatalf("torn drain injected no corruption: %+v", ints)

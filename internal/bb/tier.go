@@ -317,6 +317,7 @@ func (t *Tier) issueDrain(n *node, rec *record, epoch, attempt int, backoff sim.
 		n.client.WriteOp(rec.f, rec.off, rec.size, nil, func(err error) {
 			if n.epoch != epoch {
 				t.stats.TornDrains++
+				t.stats.TornBytes += rec.size
 				t.cTorn.Inc()
 				if err == nil {
 					t.fs.CorruptExtent(rec.f.Name(), rec.off, rec.size)

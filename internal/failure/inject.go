@@ -138,8 +138,10 @@ func DrawOSSFaultsDetailed(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burst
 		down = 0
 	}
 	events := make([][]plannedEvent, spec.Servers)
+	var st stream // one register, reseeded per server (see stream.go)
+	r := rand.New(&st)
 	for i := 0; i < spec.Servers; i++ {
-		r := rand.New(rand.NewSource(seed + int64(i)))
+		st.reset(seed + int64(i))
 		for t := d.Sample(r); t < spec.Horizon; t += d.Sample(r) {
 			events[i] = append(events[i], plannedEvent{at: sim.Time(t), down: down})
 			if down <= 0 {
@@ -152,7 +154,11 @@ func DrawOSSFaultsDetailed(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burst
 	}
 	var bs BurstStats
 	if spec.Bursts.MTBB > 0 {
-		bs = drawBursts(spec, seed, events)
+		// The burst stream's seed is decorrelated from the per-server
+		// streams (seed+i) by a fixed xor, so arming bursts never
+		// perturbs the independent draw.
+		st.reset(seed ^ 0x6273747273) // "bstrs"
+		bs = drawBursts(spec, r, events)
 	}
 	plan := sim.NewFaultPlan()
 	for i := 0; i < spec.Servers; i++ {
@@ -164,11 +170,9 @@ func DrawOSSFaultsDetailed(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burst
 	return plan, bs
 }
 
-// drawBursts merges correlated burst crashes into the per-server event
-// lists, keeping each list sorted and overlap-free. The burst stream's
-// seed is decorrelated from the per-server streams (which use seed+i) by
-// a fixed xor, so arming bursts never perturbs the independent draw.
-func drawBursts(spec OSSFaultSpec, seed int64, events [][]plannedEvent) BurstStats {
+// drawBursts merges correlated burst crashes, drawn from r, into the
+// per-server event lists, keeping each list sorted and overlap-free.
+func drawBursts(spec OSSFaultSpec, r *rand.Rand, events [][]plannedEvent) BurstStats {
 	var bs BurstStats
 	size := spec.Bursts.Size
 	if size < 2 {
@@ -184,7 +188,6 @@ func drawBursts(spec OSSFaultSpec, seed int64, events [][]plannedEvent) BurstSta
 	if bdown < 0 {
 		bdown = 0
 	}
-	r := rand.New(rand.NewSource(seed ^ 0x6273747273)) // "bstrs"
 	for t := r.ExpFloat64() * spec.Bursts.MTBB; t < spec.Horizon; t += r.ExpFloat64() * spec.Bursts.MTBB {
 		bs.Bursts++
 		members := make(map[int]bool, size)

@@ -83,8 +83,10 @@ func DrawLSE(spec LSESpec, seed int64) [][]disk.CorruptionEvent {
 	scale := spec.MTBC / stats.Weibull{Shape: spec.Shape, Scale: 1}.Mean()
 	d := stats.Weibull{Shape: spec.Shape, Scale: scale}
 	out := make([][]disk.CorruptionEvent, spec.Disks)
+	var st stream // one register, reseeded per drive (see stream.go)
+	r := rand.New(&st)
 	for i := 0; i < spec.Disks; i++ {
-		r := rand.New(rand.NewSource(seed + int64(i)))
+		st.reset(seed + int64(i))
 		var evs []disk.CorruptionEvent
 		for t := d.Sample(r); t < spec.Horizon; t += d.Sample(r) {
 			ev := disk.CorruptionEvent{

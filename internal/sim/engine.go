@@ -44,26 +44,16 @@ func (t Time) String() string {
 	}
 }
 
-// An event is a callback scheduled at a virtual timestamp. seq breaks ties
-// so that events scheduled earlier at the same timestamp run first. gen
+// An event is a callback scheduled on the engine's queue; its timestamp
+// and tie-breaking sequence number live in its heap slot (heap.go). gen
 // distinguishes incarnations of a recycled event struct: the engine keeps
 // dispatched and cancelled events on a free list, and gen is bumped on
 // every recycle so a stale EventID held by the model can never cancel the
-// slot's next occupant.
+// struct's next occupant.
 type event struct {
-	at   Time
-	seq  uint64
 	fn   func()
 	dead bool
 	gen  uint32
-}
-
-// lessThan is the engine's dispatch order: time, then insertion order.
-func (a *event) lessThan(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // EventID identifies a scheduled event so it can be cancelled (e.g. a TCP
@@ -86,7 +76,7 @@ const compactMinDead = 32
 type Engine struct {
 	now    Time
 	seq    uint64
-	queue  minHeap[*event]
+	queue  eventHeap
 	free   []*event // recycled event structs, reused by At
 	dead   int      // cancelled events still occupying heap slots
 	nsteps uint64
@@ -173,12 +163,12 @@ func (e *Engine) At(t Time, fn func()) EventID {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.dead = t, e.seq, fn, false
+		ev.fn, ev.dead = fn, false
 	} else {
-		ev = &event{at: t, seq: e.seq, fn: fn}
+		ev = &event{fn: fn}
 	}
+	e.queue.push(slot{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	e.queue.push(ev)
 	e.live++
 	if e.queue.len() > e.depth {
 		e.depth = e.queue.len()
@@ -221,16 +211,14 @@ func (e *Engine) Cancel(id EventID) {
 func (e *Engine) compact() {
 	s := e.queue.s
 	kept := s[:0]
-	for _, ev := range s {
-		if ev.dead {
-			e.recycle(ev)
+	for _, x := range s {
+		if x.ev.dead {
+			e.recycle(x.ev)
 			continue
 		}
-		kept = append(kept, ev)
+		kept = append(kept, x)
 	}
-	for i := len(kept); i < len(s); i++ {
-		s[i] = nil
-	}
+	clear(s[len(kept):])
 	e.queue.s = kept
 	e.queue.reinit()
 	e.dead = 0
@@ -245,7 +233,7 @@ func (e *Engine) Run() Time { return e.RunUntil(Infinity) }
 // earlier than the next pending event and deadline is finite).
 func (e *Engine) RunUntil(deadline Time) Time {
 	for e.queue.len() > 0 {
-		next := e.queue.peek()
+		next := e.queue.s[0]
 		if next.at > deadline {
 			if deadline < Infinity {
 				e.now = deadline
@@ -253,9 +241,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			return e.now
 		}
 		e.queue.pop()
-		if next.dead {
+		if next.ev.dead {
 			e.dead--
-			e.recycle(next)
+			e.recycle(next.ev)
 			continue
 		}
 		e.dispatch(next)
@@ -273,28 +261,29 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // have been merged in.
 func (e *Engine) runBefore(w Time) {
 	for e.queue.len() > 0 {
-		next := e.queue.peek()
+		next := e.queue.s[0]
 		if next.at >= w {
 			return
 		}
 		e.queue.pop()
-		if next.dead {
+		if next.ev.dead {
 			e.dead--
-			e.recycle(next)
+			e.recycle(next.ev)
 			continue
 		}
 		e.dispatch(next)
 	}
 }
 
-func (e *Engine) dispatch(ev *event) {
+func (e *Engine) dispatch(x slot) {
 	// Marking the event dead makes a late Cancel of a fired event a
 	// no-op and keeps the live count exact; recycling before the call
 	// lets fn's own scheduling reuse the struct (the generation bump
 	// keeps the old EventID inert).
+	ev := x.ev
 	ev.dead = true
 	e.live--
-	e.now = ev.at
+	e.now = x.at
 	e.nsteps++
 	e.cDispatched.Inc()
 	fn := ev.fn
@@ -306,13 +295,13 @@ func (e *Engine) dispatch(ev *event) {
 // dead corpses off the top of the heap on the way.
 func (e *Engine) nextAt() (Time, bool) {
 	for e.queue.len() > 0 {
-		next := e.queue.peek()
-		if !next.dead {
+		next := e.queue.s[0]
+		if !next.ev.dead {
 			return next.at, true
 		}
 		e.queue.pop()
 		e.dead--
-		e.recycle(next)
+		e.recycle(next.ev)
 	}
 	return 0, false
 }

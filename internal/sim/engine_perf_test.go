@@ -125,3 +125,91 @@ func BenchmarkEngineCancelHeavy(b *testing.B) {
 		e.RunUntil(e.Now() + 1e-4)
 	}
 }
+
+// TestServerSteadyStateAllocs pins the request free list: once warm, a
+// Submit→finish cycle allocates nothing — neither the request nor its
+// completion closure — whether the request starts at once or queues.
+func TestServerSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	s := NewServer(e, 2)
+	done := func(Time) {}
+	const submits = 8
+	cycle := func() {
+		for i := 0; i < submits; i++ {
+			s.Submit(Time(1+i%3)*1e-4, done)
+		}
+		e.Run()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(20, cycle) / submits; avg != 0 {
+		t.Fatalf("steady-state Submit allocates %.2f times per request, want 0", avg)
+	}
+}
+
+// TestServerResubmitFromDoneReusesRequest: finish recycles a request
+// before its done runs, so a done that re-submits gets the same struct
+// back. The re-submission must carry its own service time and callback,
+// and the queue must be untouched: a done runs before the next waiter is
+// admitted, so the re-submission takes the slot its predecessor freed
+// and the waiters then follow in arrival order.
+func TestServerResubmitFromDoneReusesRequest(t *testing.T) {
+	e := NewEngine()
+	s := NewServer(e, 1)
+	type completion struct {
+		name string
+		at   Time
+	}
+	var got []completion
+	record := func(name string) func(Time) {
+		return func(at Time) { got = append(got, completion{name, at}) }
+	}
+	s.Submit(1, func(at Time) {
+		record("a")(at)
+		s.Submit(0.25, record("d"))
+	})
+	s.Submit(2, record("b"))
+	s.Submit(3, record("c"))
+	e.Run()
+	want := []completion{{"a", 1}, {"d", 1.25}, {"b", 3.25}, {"c", 6.25}}
+	if len(got) != len(want) {
+		t.Fatalf("completions = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("completions = %v, want %v", got, want)
+		}
+	}
+	if s.Served() != 4 || s.QueueLen() != 0 {
+		t.Fatalf("Served() = %d, QueueLen() = %d, want 4, 0", s.Served(), s.QueueLen())
+	}
+}
+
+// BenchmarkEngineDeepHeap is the hold model at the depth of one shard
+// carrying a whole rebuild-figure population: 64k pending events, each
+// dispatch rescheduling itself at a pseudo-random future time, so every
+// operation is a pop and a push on a 16-level heap. An op is one
+// dispatched event.
+func BenchmarkEngineDeepHeap(b *testing.B) {
+	const depth = 1 << 16
+	e := NewEngine()
+	x := uint64(88172645463325252)
+	delay := func() Time { // xorshift64: uniform in [0, 2), mean 1
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return Time(x>>11) / (1 << 52)
+	}
+	var hold func()
+	hold = func() { e.Schedule(delay(), hold) }
+	for i := 0; i < depth; i++ {
+		e.Schedule(delay(), hold)
+	}
+	// Warm up: run one mean delay so the free list and queue settle.
+	e.RunUntil(1)
+	start := e.Steps()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for e.Steps()-start < uint64(b.N) {
+		e.RunUntil(e.Now() + 1.0/depth*64)
+	}
+}

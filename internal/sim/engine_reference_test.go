@@ -1,11 +1,13 @@
 package sim
 
 // The pre-rewrite event loop, preserved verbatim in spirit for
-// benchmarking: container/heap with boxed push/pop, one allocation per
-// scheduled event, lazy deletion with no compaction. The Benchmark*
-// pairs in engine_perf_test.go measure the rewrite against this
-// baseline; the speedups quoted in EXPERIMENTS.md come from these
-// benchmarks, so keep the reference faithful.
+// benchmarking and as the dispatch-order oracle: container/heap with
+// boxed push/pop, one allocation per scheduled event, lazy deletion with
+// no compaction. The Benchmark* pairs in engine_perf_test.go measure the
+// rewrite against this baseline (the speedups quoted in EXPERIMENTS.md
+// come from these benchmarks), and TestEngineMatchesBoxedReference
+// checks that the engine dispatches in exactly its order, so keep the
+// reference faithful.
 
 import (
 	"container/heap"
@@ -125,3 +127,69 @@ func BenchmarkBoxedEngineCancelHeavy(b *testing.B) {
 }
 
 func (e *boxedEngine) Now() Time { return e.now }
+
+// dispatchOrder drives one engine through a seeded storm of tied
+// timestamps, nested scheduling, mass cancellation (enough to trigger
+// the engine's compaction) and cancels from inside callbacks, and
+// returns the order in which event ids fired.
+func dispatchOrder(schedule func(Time, func()) (cancel func()), run func()) []int {
+	var order []int
+	x := uint64(88172645463325252)
+	rnd := func(n int) int {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int(x % uint64(n))
+	}
+	var cancels []func()
+	var spawn func(depth int)
+	spawn = func(depth int) {
+		id := len(cancels)
+		cancels = append(cancels, schedule(Time(rnd(8))*0.5, func() {
+			order = append(order, id)
+			if depth < 3 {
+				for k := rnd(3); k > 0; k-- {
+					spawn(depth + 1)
+				}
+			}
+			if rnd(4) == 0 {
+				cancels[rnd(len(cancels))]()
+			}
+		}))
+	}
+	for i := 0; i < 2000; i++ {
+		spawn(0)
+	}
+	for i := 0; i < 1500; i++ {
+		cancels[rnd(len(cancels))]()
+	}
+	run()
+	return order
+}
+
+// TestEngineMatchesBoxedReference: the engine's heap, free list and
+// compaction must not change which event runs next. Any correct
+// (at, seq) priority queue dispatches in the reference's order.
+func TestEngineMatchesBoxedReference(t *testing.T) {
+	e := NewEngine()
+	got := dispatchOrder(func(d Time, fn func()) func() {
+		id := e.Schedule(d, fn)
+		return func() { e.Cancel(id) }
+	}, func() { e.Run() })
+	ref := &boxedEngine{}
+	want := dispatchOrder(func(d Time, fn func()) func() {
+		ev := ref.Schedule(d, fn)
+		return func() { ref.Cancel(ev) }
+	}, func() { ref.Run() })
+	if len(got) < 1000 {
+		t.Fatalf("storm dispatched only %d events", len(got))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("engine dispatched %d events, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch %d: engine ran event %d, reference %d", i, got[i], want[i])
+		}
+	}
+}

@@ -1,60 +1,62 @@
 package sim
 
-// An inlined generic binary min-heap. container/heap costs an interface
-// method call for every Less/Swap/Len plus an interface{} boxing
-// allocation on every Push and Pop; at millions of events per run that
-// overhead dominates the engine. Instantiating this heap at a concrete
-// pointer type devirtualizes every comparison, so the compiler inlines
-// lessThan into the sift loops and Push/Pop allocate nothing beyond the
-// amortized backing-slice growth.
-
-// heapOrdered is the element constraint: a strict-weak "less than" on
-// the element's own type. For *event this is the (at, seq) total order.
-type heapOrdered[E any] interface {
-	lessThan(E) bool
+// eventHeap is the engine's event queue: a binary min-heap over the
+// (at, seq) dispatch order. Each slot carries its event's key inline
+// beside the event pointer, so the sift loops compare keys in place
+// without dereferencing an event, and the comparison is a method on a
+// concrete type the compiler inlines. (container/heap costs an interface
+// call per Less/Swap plus a boxing allocation per Push; a generic heap
+// instantiated at *event shares the pointer GC shape, so its
+// comparisons become dictionary calls.) Push and pop allocate nothing
+// beyond the amortized growth of the backing slice.
+type eventHeap struct {
+	s []slot
 }
 
-// minHeap is a binary min-heap over a slice. The zero value is an empty
-// heap ready for use.
-type minHeap[E heapOrdered[E]] struct {
-	s []E
+// slot is one queued event with its dispatch key.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *event
 }
 
-func (h *minHeap[E]) len() int { return len(h.s) }
+// before is the engine's dispatch order: time, then insertion order.
+func (a *slot) before(b *slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
 
-// peek returns the minimum element; the heap must be non-empty.
-func (h *minHeap[E]) peek() E { return h.s[0] }
+func (h *eventHeap) len() int { return len(h.s) }
 
-func (h *minHeap[E]) push(x E) {
+func (h *eventHeap) push(x slot) {
 	h.s = append(h.s, x)
 	h.up(len(h.s) - 1)
 }
 
-// pop removes and returns the minimum element; the heap must be
-// non-empty. The vacated slot is zeroed so popped elements do not leak
-// through the backing array.
-func (h *minHeap[E]) pop() E {
+// pop removes the minimum slot; the heap must be non-empty. The vacated
+// slot is zeroed so popped events do not leak through the backing
+// array.
+func (h *eventHeap) pop() {
 	s := h.s
-	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	var zero E
-	s[n] = zero
+	s[n] = slot{}
 	h.s = s[:n]
 	if n > 1 {
 		h.down(0)
 	}
-	return top
 }
 
-// up sifts the element at index i toward the root. It moves holes, not
-// pairs: the element is held in a register and written once.
-func (h *minHeap[E]) up(i int) {
+// up sifts the slot at index i toward the root. It moves holes, not
+// pairs: the slot is held aside and written once.
+func (h *eventHeap) up(i int) {
 	s := h.s
 	x := s[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !x.lessThan(s[p]) {
+		if !x.before(&s[p]) {
 			break
 		}
 		s[i] = s[p]
@@ -63,8 +65,8 @@ func (h *minHeap[E]) up(i int) {
 	s[i] = x
 }
 
-// down sifts the element at index i toward the leaves.
-func (h *minHeap[E]) down(i int) {
+// down sifts the slot at index i toward the leaves.
+func (h *eventHeap) down(i int) {
 	s := h.s
 	n := len(s)
 	x := s[i]
@@ -74,10 +76,10 @@ func (h *minHeap[E]) down(i int) {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && s[r].lessThan(s[l]) {
+		if r := l + 1; r < n && s[r].before(&s[l]) {
 			m = r
 		}
-		if !s[m].lessThan(x) {
+		if !s[m].before(&x) {
 			break
 		}
 		s[i] = s[m]
@@ -89,7 +91,7 @@ func (h *minHeap[E]) down(i int) {
 // reinit re-establishes the heap invariant over the whole slice after
 // the caller has edited it in place (compaction filters dead events).
 // O(n), cheaper than n pushes.
-func (h *minHeap[E]) reinit() {
+func (h *eventHeap) reinit() {
 	for i := len(h.s)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}

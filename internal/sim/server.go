@@ -11,6 +11,7 @@ type Server struct {
 	cap     int
 	busy    int
 	waiting []*request
+	free    []*request // recycled requests, reused by Submit
 
 	// Busy time accounting for utilization reporting.
 	busySince  Time
@@ -25,10 +26,15 @@ type Server struct {
 	hService *obs.Histogram
 }
 
+// A request is one Submit in flight. Requests are recycled through the
+// server's free list; finish is the completion callback, bound to the
+// request once when it is first allocated, so a warm Submit allocates
+// neither a request nor a closure.
 type request struct {
 	service Time
 	arrived Time
 	done    func(Time)
+	finish  func()
 }
 
 // NewServer returns a FIFO server with the given concurrency (capacity >= 1).
@@ -57,7 +63,16 @@ func (s *Server) Instrument(name string) {
 // Submit enqueues a request requiring the given service time; done (if
 // non-nil) is invoked at completion with the completion timestamp.
 func (s *Server) Submit(service Time, done func(Time)) {
-	r := &request{service: service, arrived: s.eng.Now(), done: done}
+	var r *request
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		r = &request{}
+		r.finish = func() { s.finish(r) }
+	}
+	r.service, r.arrived, r.done = service, s.eng.Now(), done
 	if s.busy < s.cap {
 		s.start(r, s.eng.Now())
 		return
@@ -76,17 +91,22 @@ func (s *Server) start(r *request, at Time) {
 		s.busySince = at
 	}
 	s.busy++
-	s.eng.At(at+r.service, func() { s.finish(r) })
+	s.eng.At(at+r.service, r.finish)
 }
 
+// finish completes r. The request is recycled before done runs, so a
+// done that re-submits reuses it.
 func (s *Server) finish(r *request) {
 	s.busy--
 	s.served++
 	if s.busy == 0 {
 		s.busyTotal += s.eng.Now() - s.busySince
 	}
-	if r.done != nil {
-		r.done(s.eng.Now())
+	done := r.done
+	r.done = nil
+	s.free = append(s.free, r)
+	if done != nil {
+		done(s.eng.Now())
 	}
 	if len(s.waiting) > 0 && s.busy < s.cap {
 		next := s.waiting[0]
