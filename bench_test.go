@@ -134,7 +134,7 @@ func BenchmarkFig9Incast(b *testing.B) {
 			p.SRUBytes = 64 << 10
 			p.Rounds = 2
 			p.MinRTO = sim.Time(minRTO)
-			goodput = incast.Run(p).GoodputBps
+			goodput = incast.Run(p, nil, nil).GoodputBps
 		}
 		b.ReportMetric(goodput*8/1e6, "Mbps")
 	}
@@ -218,7 +218,7 @@ func BenchmarkFig14FlashDegradation(b *testing.B) {
 		b.Run(spec.Name, func(b *testing.B) {
 			var deg float64
 			for i := 0; i < b.N; i++ {
-				res := flash.SustainedRandomWrite(spec, 1.0, 60, 1, 99)
+				res := flash.SustainedRandomWrite(spec, 1.0, 60, 1, 99, nil, "")
 				deg = res[0].IOPS / res[len(res)-1].IOPS
 			}
 			b.ReportMetric(deg, "degradation-x")
@@ -260,7 +260,7 @@ func BenchmarkRestart(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			var bw float64
 			for i := 0; i < b.N; i++ {
-				bw = workload.RunRestart(pfs.PanFSLike(8), spec, kind).Bandwidth
+				bw = workload.RunRestart(pfs.PanFSLike(8), spec, kind, nil, nil).Bandwidth
 			}
 			b.ReportMetric(bw/1e6, "MB/s")
 		})
@@ -414,7 +414,7 @@ func BenchmarkAblationHostdirs(b *testing.B) {
 				res := workload.Run(pfs.PanFSLike(8), workload.Spec{
 					Ranks: 128, BytesPerRank: 256 << 10, RecordSize: 47008,
 					Pattern: workload.PLFSPattern, PLFSHostdirs: hd, PLFSIndexFlushEvery: 64,
-				})
+				}, nil, nil)
 				setup = float64(res.SetupElapsed)
 				total = float64(res.SetupElapsed + res.Elapsed)
 			}
@@ -451,7 +451,7 @@ func BenchmarkAblationRTOmin(b *testing.B) {
 				p.SRUBytes = 64 << 10
 				p.Rounds = 2
 				p.MinRTO = sim.Time(rto)
-				goodput = incast.Run(p).GoodputBps
+				goodput = incast.Run(p, nil, nil).GoodputBps
 			}
 			b.ReportMetric(goodput*8/1e6, "Mbps")
 		})
@@ -507,7 +507,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 					spec.CompressRatio = ratio
 					spec.CompressBW = 500e6
 				}
-				elapsed = float64(workload.Run(pfs.PanFSLike(8), spec).Elapsed)
+				elapsed = float64(workload.Run(pfs.PanFSLike(8), spec, nil, nil).Elapsed)
 			}
 			b.ReportMetric(elapsed*1e3, "ckpt-ms")
 		})

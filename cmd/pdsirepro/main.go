@@ -345,15 +345,15 @@ func fig8() {
 		"file system", "N-1 direct MB/s", "PLFS MB/s", "N-N MB/s", "speedup")
 	for _, cfg := range pfs.AllPresets(8) {
 		base := workload.Spec{Ranks: 32, BytesPerRank: 4 << 20, RecordSize: 47008, Pattern: workload.N1Strided}
-		direct := workload.RunProbed(cfg, base, probeReg, probeTr)
+		direct := workload.Run(cfg, base, probeReg, probeTr)
 		viaSpec := base
 		viaSpec.Pattern = workload.PLFSPattern
 		viaSpec.PLFSHostdirs = 32
 		viaSpec.PLFSIndexFlushEvery = 64
-		viaPLFS := workload.RunProbed(cfg, viaSpec, probeReg, probeTr)
+		viaPLFS := workload.Run(cfg, viaSpec, probeReg, probeTr)
 		nnSpec := base
 		nnSpec.Pattern = workload.NN
-		nn := workload.RunProbed(cfg, nnSpec, probeReg, probeTr)
+		nn := workload.Run(cfg, nnSpec, probeReg, probeTr)
 		var ratio float64
 		if direct.Bandwidth > 0 {
 			ratio = viaPLFS.Bandwidth / direct.Bandwidth
@@ -370,9 +370,9 @@ func fig9() {
 	header("Figure 9 — TCP incast: goodput vs number of synchronized senders")
 	counts := []int{1, 2, 4, 8, 16, 32, 48, 64}
 	fmt.Printf("%8s %20s %20s %22s\n", "senders", "200ms RTO (Mbps)", "1ms RTO (Mbps)", "1ms+random (Mbps)")
-	slow := incast.SweepProbed(counts, nil, probeReg, probeTr)
-	fast := incast.SweepProbed(counts, func(p *incast.Params) { p.MinRTO = 1e-3 }, probeReg, probeTr)
-	rnd := incast.SweepProbed(counts, func(p *incast.Params) { p.MinRTO = 1e-3; p.RTORandomize = true }, probeReg, probeTr)
+	slow := incast.Sweep(counts, nil, probeReg, probeTr)
+	fast := incast.Sweep(counts, func(p *incast.Params) { p.MinRTO = 1e-3 }, probeReg, probeTr)
+	rnd := incast.Sweep(counts, func(p *incast.Params) { p.MinRTO = 1e-3; p.RTORandomize = true }, probeReg, probeTr)
 	for i, n := range counts {
 		fmt.Printf("%8d %20.1f %20.1f %22.1f\n",
 			n, slow[i].GoodputBps*8/1e6, fast[i].GoodputBps*8/1e6, rnd[i].GoodputBps*8/1e6)
@@ -451,7 +451,7 @@ func fig13() {
 func fig14() {
 	header("Figure 14 — sustained 4K random write IOPS over time per device")
 	for i, spec := range flash.AllTable1Devices() {
-		res := flash.SustainedRandomWriteProbed(spec, 1.0, 60, 5, 99,
+		res := flash.SustainedRandomWrite(spec, 1.0, 60, 5, 99,
 			probeReg, fmt.Sprintf("flash.dev%02d", i))
 		fmt.Printf("%-32s ", spec.Name)
 		for _, w := range res {
@@ -549,9 +549,9 @@ func figRestart() {
 		Ranks: 16, BytesPerRank: 4 << 20, RecordSize: 47008,
 		Pattern: workload.PLFSPattern, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 	}
-	uni := workload.RunRestartProbed(cfg, spec, workload.UniformRestart, probeReg, probeTr)
-	sh := workload.RunRestartProbed(cfg, spec, workload.ShiftedRestart, probeReg, probeTr)
-	direct := workload.RunRestartProbed(cfg, workload.Spec{
+	uni := workload.RunRestart(cfg, spec, workload.UniformRestart, probeReg, probeTr)
+	sh := workload.RunRestart(cfg, spec, workload.ShiftedRestart, probeReg, probeTr)
+	direct := workload.RunRestart(cfg, workload.Spec{
 		Ranks: 16, BytesPerRank: 4 << 20, RecordSize: 47008, Pattern: workload.N1Strided,
 	}, workload.UniformRestart, probeReg, probeTr)
 	fmt.Printf("%-34s %12s %14s\n", "scenario", "time (s)", "MB/s moved")
@@ -733,7 +733,8 @@ func figFaults() {
 	cfg := pfs.PanFSLike(4)
 	cfg.FailTimeout = sim.Time(5e-3)
 	cfg.LeaseExpiry = sim.Time(20e-3)
-	cfg.RebuildTime = sim.Time(0.25)
+	// 2+1 is the widest code that leaves 4 servers a rebuild spare.
+	cfg.Redundancy = pfs.Redundancy{K: 2, M: 1}
 	spec := workload.Spec{Ranks: 8, BytesPerRank: 2 << 20, RecordSize: 1 << 18, Pattern: workload.NN}
 
 	// The healthy capture time is the Daly model's delta.
@@ -783,7 +784,7 @@ func figFaults() {
 			tau, model.Utilization(tau), res.Utilization, slowdown,
 			res.Faults.Crashes, res.Retries, res.DroppedOps)
 	}
-	fmt.Println("\nshape check: crashes stretch checkpoints well past the healthy capture")
+	fmt.Println("\nshape check: crashes stretch checkpoints past the healthy capture")
 	fmt.Println("time (retry backoff + failover timeouts); short intervals checkpoint too")
 	fmt.Println("often and lose utilization exactly as the analytic curve predicts, while")
 	fmt.Println("the analytic model additionally charges lost work the retrying simulator")
@@ -798,11 +799,16 @@ func figFaults() {
 // silently into the application — the measured count is compared to the
 // analytic expectation servers x residual/MTBC, where residual is the
 // dwell left after the last scrub pass. With checksums on every mismatch
-// is detected and repaired from a parity neighbour: silent reads must be
-// exactly zero.
+// is detected and repaired from the unit's 2+1 group: silent reads must
+// be exactly zero.
 func figIntegrity() {
 	header("Integrity — silent corruption vs scrub cadence and checksums")
 	base := pfs.PanFSLike(4)
+	// One-record parity regions keep the group units out of the 128 KiB
+	// per drive that DrawLSE targets; at the 8 MiB default a drive whose
+	// first allocation is a parity region absorbs every event there, and
+	// reads never see them.
+	base.Redundancy = pfs.Redundancy{K: 2, M: 1, UnitBytes: 4 << 10}
 	spec := workload.Spec{Ranks: 4, BytesPerRank: 1 << 18, RecordSize: 4096, Pattern: workload.N1Strided}
 	const (
 		expose = sim.Time(3600) // dwell between checkpoint and read-back
@@ -848,7 +854,7 @@ func figIntegrity() {
 	}
 	fmt.Println("shape check: silent corruption tracks the analytic exposure window —")
 	fmt.Println("shrinking ~linearly with scrub cadence — and drops to exactly zero the")
-	fmt.Println("moment read-path checksums are on (every mismatch repaired from parity)")
+	fmt.Println("moment read-path checksums are on (every mismatch repaired from its group)")
 }
 
 // figScale: the sharded-engine scale experiment — many file-system pods
@@ -886,23 +892,17 @@ func figScale() {
 		sw := obs.StartStopwatch()
 		res := workload.RunScale(s, reg)
 		wall := sw.Elapsed().Seconds()
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			panic(err)
+		snap := snapshotJSON(reg)
+		row := func(status string) {
+			fmt.Printf("%8d %12d %12.3f %11.3f %8.2fx %10s\n",
+				shards, res.Events, float64(res.WallClock), wall, refWall/wall, status)
 		}
-		status := "reference"
 		if refSnap == nil {
-			refSnap, refWall = buf.Bytes(), wall
-		} else if bytes.Equal(buf.Bytes(), refSnap) {
-			status = "identical"
-		} else {
-			status = "DIVERGED"
+			refSnap, refWall = snap, wall
+			row("reference")
+			continue
 		}
-		fmt.Printf("%8d %12d %12.3f %11.3f %8.2fx %10s\n",
-			shards, res.Events, float64(res.WallClock), wall, refWall/wall, status)
-		if status == "DIVERGED" {
-			panic("scale: snapshot diverged across shard counts")
-		}
+		checkSnapshot("scale", refSnap, snap, row)
 	}
 	fmt.Println("\nshape check: every sweep point serializes the same snapshot byte for")
 	fmt.Println("byte; speedup tracks available cores (flat when GOMAXPROCS/cores pin")
@@ -1013,26 +1013,46 @@ func figBB() {
 			RetryBackoff: sim.Time(2e-3),
 			Shards:       shards,
 		}, reg, nil)
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			panic(err)
-		}
-		return buf.Bytes()
+		return snapshotJSON(reg)
 	}
-	s1, s4 := snap(1), snap(4)
-	status := "identical"
-	if !bytes.Equal(s1, s4) {
-		status = "DIVERGED"
-	}
-	fmt.Printf("\nshard determinism: 1-shard vs 4-shard snapshot %s (%d bytes)\n", status, len(s1))
-	if status == "DIVERGED" {
-		panic("bb: snapshot diverged across shard counts")
-	}
+	checkShards("bb", snap(1), snap(4))
 
 	fmt.Println("\nshape check: write-back holds the visible checkpoint near the flash")
 	fmt.Println("absorb time until the buffer fills or the drain loses the race with")
 	fmt.Println("the next round; write-through only re-orders the same wire time; a")
 	fmt.Println("node crash forfeits exactly the un-drained dirty bytes")
+}
+
+// snapshotJSON serializes a registry's metrics snapshot for a
+// determinism check.
+func snapshotJSON(reg *obs.Registry) []byte {
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// checkSnapshot is the figures' determinism check: it compares a run's
+// snapshot with the reference byte for byte, prints the verdict through
+// report, and panics after printing if the two diverged.
+func checkSnapshot(fig string, ref, got []byte, report func(status string)) {
+	status := "identical"
+	if !bytes.Equal(ref, got) {
+		status = "DIVERGED"
+	}
+	report(status)
+	if status == "DIVERGED" {
+		panic(fig + ": snapshot diverged across shard counts")
+	}
+}
+
+// checkShards runs checkSnapshot on a 1-shard and a 4-shard snapshot of
+// the same run and prints the verdict as one line.
+func checkShards(fig string, s1, s4 []byte) {
+	checkSnapshot(fig, s1, s4, func(status string) {
+		fmt.Printf("\nshard determinism: 1-shard vs 4-shard snapshot %s (%d bytes)\n", status, len(s1))
+	})
 }
 
 // figDiag: peer-comparison diagnosis.
@@ -1157,21 +1177,9 @@ func figRebuild() {
 		s.Shards = nshards
 		reg := obs.NewRegistry()
 		workload.RunRebuild(s, reg)
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			panic(err)
-		}
-		return buf.Bytes()
+		return snapshotJSON(reg)
 	}
-	s1, s4 := snap(1), snap(4)
-	status := "identical"
-	if !bytes.Equal(s1, s4) {
-		status = "DIVERGED"
-	}
-	fmt.Printf("\nshard determinism: 1-shard vs 4-shard snapshot %s (%d bytes)\n", status, len(s1))
-	if status == "DIVERGED" {
-		panic("rebuild: snapshot diverged across shard counts")
-	}
+	checkShards("rebuild", snap(1), snap(4))
 
 	fmt.Println("\nshape check: more parity (larger m) cuts the loss probability at the")
 	fmt.Println("same storm; declustering over the full population fans each rebuild")

@@ -403,7 +403,7 @@ func main() {
 		downtime   = flag.Float64("downtime", 0.5, "crash downtime in seconds (0 = permanent failure)")
 		faultSeed  = flag.Int64("fault-seed", 42, "seed for the deterministic fault draw")
 		ckpts      = flag.Int("checkpoints", 4, "compute+checkpoint rounds under -mtbf")
-		ecK        = flag.Int("ec-k", 0, "erasure coding: data fragments per redundancy group (0 = legacy parity-neighbour model)")
+		ecK        = flag.Int("ec-k", 0, "erasure coding: data fragments per redundancy group (0 = unprotected: no redundancy)")
 		ecM        = flag.Int("ec-m", 0, "erasure coding: parity fragments per group (with -ec-k)")
 		ecRatio    = flag.Float64("ec-declustering", 1, "erasure coding: declustering window as a fraction of the server population, in (0,1]")
 		shards     = flag.Int("shards", 0, "run the simulation on a sharded cluster of this many event queues (0 = single engine); outputs are byte-identical for any value")
@@ -509,7 +509,7 @@ func main() {
 		for _, r := range []int{8, 16, 32, 64, 128} {
 			row := []float64{}
 			for _, p := range []workload.Pattern{workload.N1Strided, workload.N1Segmented, workload.NN, workload.PLFSPattern} {
-				res := workload.RunProbed(cfg, workload.Spec{
+				res := workload.Run(cfg, workload.Spec{
 					Ranks: r, BytesPerRank: *mbEach << 20, RecordSize: *record,
 					Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 				}, reg, tr)
@@ -539,7 +539,7 @@ func main() {
 		runBuffered(cfg, bbCfg, p, *ranks, *mbEach, *record, *computeSec, *ckpts, *shards, reg, tr)
 		return
 	}
-	res := workload.RunProbed(cfg, workload.Spec{
+	res := workload.Run(cfg, workload.Spec{
 		Ranks: *ranks, BytesPerRank: *mbEach << 20, RecordSize: *record,
 		Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 	}, reg, tr)

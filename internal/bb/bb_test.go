@@ -367,6 +367,10 @@ func TestForeignAndBogusTargetsIgnored(t *testing.T) {
 	r.tier.CrashTarget("oss0")
 	r.tier.CrashTarget("bb99")
 	r.tier.CrashTarget("mds")
+	// Aliases of a real node: only the exact NodeTarget spelling names one.
+	r.tier.CrashTarget("bb00")
+	r.tier.CrashTarget("bb+0")
+	r.tier.CrashTarget("bb0junk")
 	r.tier.RecoverTarget("bb99")
 	if st := r.tier.Stats(); st.Crashes != 0 || st.Recoveries != 0 {
 		t.Fatalf("foreign targets counted: %+v", st)

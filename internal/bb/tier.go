@@ -381,9 +381,11 @@ func (t *Tier) loseRecord(n *node, rec *record) {
 }
 
 // nodeByTarget resolves a NodeTarget name, or nil for foreign targets.
+// Only the exact NodeTarget spelling names a node, so aliases such as
+// "bb01" cannot slip overlapping windows past FaultPlan.Validate.
 func (t *Tier) nodeByTarget(target string) *node {
 	var i int
-	if n, err := fmt.Sscanf(target, "bb%d", &i); err != nil || n != 1 {
+	if _, err := fmt.Sscanf(target, "bb%d", &i); err != nil || NodeTarget(i) != target {
 		return nil
 	}
 	if i < 0 || i >= len(t.nodes) {

@@ -12,7 +12,7 @@ import (
 // ReadErr carries an obs.OpTimer through its pieces and folds it into
 // exact per-stage quantiles at completion; when sim-time series are
 // enabled, a periodic sampler records per-OSS utilization, queue
-// depths, in-flight ops, and rebuild activity on a fixed window grid.
+// depths, in-flight ops, and running rebuilds on a fixed window grid.
 // Neither exists on a default registry — disabled runs schedule the
 // same events and serialize byte-identical snapshots.
 
@@ -46,12 +46,23 @@ func (fs *FS) armSeries(reg *obs.Registry, window float64) {
 		for _, e := range series {
 			e.util.Observe(t, e.s.dq.Utilization())
 			e.qd.Observe(t, float64(e.s.dq.QueueLen()))
-			if e.s.down || e.s.rebuildUntil > now {
+			if fs.rebuilding(e.s) {
 				rebuilding++
 			}
 		}
 		tsRebuild.Observe(t, float64(rebuilding))
 	})
+}
+
+// rebuilding reports whether s's crash has a rebuild still running: its
+// incident has chains pending and no recovery cancelled it. A server that
+// stays down after its rebuild finished is not rebuilding.
+func (fs *FS) rebuilding(s *server) bool {
+	if fs.red == nil {
+		return false
+	}
+	inc := fs.red.incidents[s.idx]
+	return inc != nil && inc.pending > 0 && !inc.cancelled
 }
 
 // StartWriteOp returns a stage timer for one logical write operation,

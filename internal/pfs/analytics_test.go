@@ -102,7 +102,9 @@ func TestAnalyticsSeriesPopulated(t *testing.T) {
 
 func TestAnalyticsDegradedReadAttributed(t *testing.T) {
 	eng, reg := analyticsEngine(1e-3)
-	fs := New(eng, faultConfig(4))
+	cfg := faultConfig(4)
+	cfg.Redundancy = Redundancy{K: 2, M: 1}
+	fs := New(eng, cfg)
 	cl := fs.NewClient(0)
 	var f *File
 	cl.Create("/d", func(h *File) {
@@ -122,6 +124,40 @@ func TestAnalyticsDegradedReadAttributed(t *testing.T) {
 	}
 	if q := reg.Snapshot().Quantiles["pfs.read.stage.degraded_s"]; q.Sum <= 0 {
 		t.Fatalf("degraded stage sum = %v, want > 0", q.Sum)
+	}
+}
+
+func TestRebuildActiveSeriesCountsRunningRebuilds(t *testing.T) {
+	// A permanent 4+1 crash: the series shows the rebuild while its chains
+	// run and drops back to zero once it completes, though the server
+	// stays down for good.
+	eng, reg := analyticsEngine(1e-3)
+	fs := New(eng, ecConfig(6, 4, 1))
+	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), 0, 0))
+	// Keep the sampler ticking well past the rebuild.
+	eng.At(1, func() {})
+	eng.Run()
+	st := fs.RebuildStats()
+	if st.Completed != 1 || st.MaxDuration >= 0.9 {
+		t.Fatalf("rebuild lifecycle %+v, want one completed well before t=1", st)
+	}
+	if !fs.servers[0].down {
+		t.Fatal("crashed server came back; the scenario needs it down")
+	}
+	ts := reg.Snapshot().Series["pfs.rebuild.active"]
+	sawRebuild := false
+	for i, v := range ts.Values {
+		at := ts.Times[i]
+		switch {
+		case at+ts.WindowSec <= float64(st.MaxDuration) && v > 0:
+			sawRebuild = true
+		case at > float64(st.MaxDuration) && v != 0:
+			t.Fatalf("pfs.rebuild.active = %v at t=%v, after the rebuild completed at %v",
+				v, at, st.MaxDuration)
+		}
+	}
+	if !sawRebuild {
+		t.Fatalf("pfs.rebuild.active never above 0 during the rebuild: %v", ts.Values)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -15,32 +14,28 @@ import (
 // the acknowledgment they were waiting for died with the server, pay the
 // client's RPC timeout, and error back. Stripe locks held by a failed write
 // linger for the DLM lease period before waiters may proceed. Reads of the
-// dead server's stripes are reconstructed from parity by a surviving
-// neighbour at DegradedPenalty× the nominal disk cost, and stay degraded
-// through the post-recovery rebuild window. All of it is ordinary
-// deterministic event traffic: same plan, same seed, same trajectory.
+// dead server's stripes are reconstructed from the piece's k+m group
+// (redundancy.go) or, on an unprotected file system, fail the same way.
+// All of it is ordinary deterministic event traffic: same plan, same
+// seed, same trajectory.
 
 // ErrServerDown is returned by WriteErr/ReadErr completions when the
 // operation's object storage server crashed before acknowledging, or —
-// for reads — when no surviving server can reconstruct the data.
+// for reads — when no redundancy group can reconstruct the data.
 var ErrServerDown = errors.New("pfs: object storage server down")
 
 // FaultStats aggregates the failure layer's activity over a run.
+// Rebuild activity is in RebuildStats.
 type FaultStats struct {
 	// Crashes and Recoveries count state transitions actually applied
 	// (redundant plan events against an already-down target do not count).
 	Crashes    int64
 	Recoveries int64
 
-	// Rebuilds counts post-recovery parity rebuilds started; RebuildBusy
-	// is their total simulated duration.
-	Rebuilds    int64
-	RebuildBusy sim.Time
-
 	// FailedOps counts client operations that errored on a dead server.
 	FailedOps int64
 
-	// DegradedReads counts reads served from parity reconstruction.
+	// DegradedReads counts reads reconstructed from k group survivors.
 	DegradedReads int64
 
 	// LeaseExpiries counts stripe locks reclaimed from failed writers
@@ -65,9 +60,12 @@ func (fs *FS) InjectFaults(plan *sim.FaultPlan) error {
 }
 
 // serverByTarget resolves an OSSTarget name, or nil for foreign targets.
+// Only the exact OSSTarget spelling names a server: FaultPlan.Validate
+// checks overlaps per target string, so an alias such as "oss01" for
+// "oss1" would let two overlapping windows hit one server.
 func (fs *FS) serverByTarget(target string) *server {
 	var i int
-	if n, err := fmt.Sscanf(target, "oss%d", &i); err != nil || n != 1 {
+	if _, err := fmt.Sscanf(target, "oss%d", &i); err != nil || OSSTarget(i) != target {
 		return nil
 	}
 	if i < 0 || i >= len(fs.servers) {
@@ -95,8 +93,7 @@ func (fs *FS) CrashTarget(target string) {
 }
 
 // RecoverTarget implements sim.FaultSink: the named server returns to
-// service and, when RebuildTime is set, spends it reconstructing objects
-// from parity — reads in that window still pay the degraded penalty.
+// service with its data intact, so any rebuild of its groups stands down.
 func (fs *FS) RecoverTarget(target string) {
 	srv := fs.serverByTarget(target)
 	if srv == nil || !srv.down {
@@ -106,17 +103,7 @@ func (fs *FS) RecoverTarget(target string) {
 	fs.faults.Recoveries++
 	fs.cRecoveries.Inc()
 	if fs.red != nil {
-		// Under erasure coding recovery means the declustered rebuild
-		// stands down (the data is back); the penalty-window model below
-		// belongs to the legacy parity-neighbour layer only.
 		fs.ecOnRecover(srv)
-		return
-	}
-	if rb := fs.Cfg.RebuildTime; rb > 0 {
-		srv.rebuildUntil = fs.eng.Now() + rb
-		fs.faults.Rebuilds++
-		fs.faults.RebuildBusy += rb
-		fs.cRebuilds.Inc()
 	}
 }
 
@@ -127,16 +114,6 @@ func (fs *FS) failTimeout() sim.Time {
 		return fs.Cfg.FailTimeout
 	}
 	return sim.Time(25e-3)
-}
-
-// degradedPenalty is the parity-reconstruction disk-cost multiplier
-// (Config.DegradedPenalty, default 4: read the surviving stripe units
-// plus parity, then XOR).
-func (fs *FS) degradedPenalty() float64 {
-	if fs.Cfg.DegradedPenalty > 0 {
-		return fs.Cfg.DegradedPenalty
-	}
-	return 4
 }
 
 // failOp errors one client operation against a dead server: the client
@@ -169,62 +146,4 @@ func (fs *FS) expireLease(key stripeKey) {
 	fs.faults.LeaseExpiries++
 	fs.cLeaseExp.Inc()
 	fs.eng.Schedule(fs.Cfg.LeaseExpiry, func() { fs.release(key) })
-}
-
-// survivor walks the placement ring from the dead server and returns the
-// first live one (its parity group in a real deployment), or nil when the
-// whole array is down.
-func (fs *FS) survivor(down *server) *server {
-	n := len(fs.servers)
-	for i := 1; i < n; i++ {
-		s := fs.servers[(down.idx+i)%n]
-		if !s.down {
-			return s
-		}
-	}
-	return nil
-}
-
-// readDegraded serves a piece whose home server is down: a surviving
-// neighbour reads the remaining stripe fragments plus parity from its own
-// disk, reconstructs the data, and ships it — DegradedPenalty× the
-// nominal disk cost on the neighbour's queues.
-func (fs *FS) readDegraded(alt, home *server, st *fileState, p subOp, ot *obs.OpTimer, done func(error)) {
-	key := stripeKey{file: st.id, unit: p.unit}
-	diskOff, ok := home.extent[key]
-	if !ok {
-		// Hole: nothing to reconstruct.
-		enq := fs.eng.Now()
-		alt.dq.Submit(0, func(at sim.Time) {
-			ot.Add(obs.StageQueue, float64(at-enq))
-			done(nil)
-		})
-		return
-	}
-	base, det := alt.dsk.AccessTimed(diskOff+p.offIn, p.size)
-	svc := sim.Time(float64(base) * fs.degradedPenalty())
-	ot.Add(obs.StageDiskSeek, det.SeekSec)
-	ot.Add(obs.StageDiskRotation, det.RotationSec)
-	ot.Add(obs.StageDiskTransfer, det.TransferSec)
-	ot.Add(obs.StageDegraded, float64(svc-base))
-	alt.bytesRead += p.size
-	alt.cOps.Inc()
-	alt.cBytesR.Add(p.size)
-	epoch := alt.epoch
-	enq := fs.eng.Now()
-	alt.dq.Submit(svc, func(at sim.Time) {
-		ot.Add(obs.StageQueue, float64(at-enq-svc))
-		if alt.epoch != epoch {
-			// The neighbour died mid-reconstruction too.
-			fs.failOp(done)
-			return
-		}
-		xfer := sim.Time(float64(p.size) / fs.Cfg.ServerNetBW)
-		enq2 := fs.eng.Now()
-		alt.nic.Submit(xfer, func(at2 sim.Time) {
-			ot.Add(obs.StageNet, float64(xfer))
-			ot.Add(obs.StageQueue, float64(at2-enq2-xfer))
-			done(nil)
-		})
-	})
 }

@@ -9,12 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// faultConfig is testConfig with lease/rebuild semantics made visible.
+// faultConfig is testConfig with timeout and lease semantics made
+// visible.
 func faultConfig(servers int) Config {
 	c := testConfig(servers)
 	c.FailTimeout = sim.Time(10e-3)
 	c.LeaseExpiry = sim.Time(50e-3)
-	c.RebuildTime = sim.Time(1)
 	return c
 }
 
@@ -78,19 +78,15 @@ func TestCrashMidWriteFailsInFlightOp(t *testing.T) {
 	}
 }
 
-// diskBoundConfig removes the network bottleneck so disk-level penalties
-// (parity reconstruction) dominate the measured latency.
-func diskBoundConfig(servers int) Config {
-	c := faultConfig(servers)
-	c.ClientNetBW = 1e12
-	c.ServerNetBW = 1e12
-	return c
-}
-
 func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 	run := func(crash bool) (elapsed sim.Time, err error) {
 		eng := sim.NewEngine()
-		cfg := diskBoundConfig(4)
+		// No network bottleneck, so the k-survivor decode's disk reads
+		// dominate the measured latency.
+		cfg := faultConfig(4)
+		cfg.ClientNetBW = 1e12
+		cfg.ServerNetBW = 1e12
+		cfg.Redundancy = Redundancy{K: 2, M: 1}
 		fs := New(eng, cfg)
 		cl := fs.NewClient(0)
 		var f *File
@@ -101,7 +97,7 @@ func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 		eng.Run()
 		if crash {
 			// Crash one server after the write; reads of its stripes must
-			// be reconstructed by a neighbour.
+			// be reconstructed from k survivors of their groups.
 			fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), eng.Now(), 0))
 		}
 		start := eng.Now()
@@ -125,48 +121,36 @@ func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 	}
 }
 
-func TestReadDuringRebuildPaysPenaltyThenRecovers(t *testing.T) {
+func TestUnprotectedReadOfDownServerFails(t *testing.T) {
+	// With no redundancy nothing can serve a down server's stripes: the
+	// read fails like any op against it, after the RPC timeout.
 	eng := sim.NewEngine()
-	cfg := diskBoundConfig(2)
-	fs := New(eng, cfg)
+	fs := New(eng, faultConfig(4))
 	cl := fs.NewClient(0)
 	var f *File
 	cl.Create("/f", func(h *File) {
 		f = h
-		cl.Write(h, 0, 2<<20, nil)
+		cl.Write(h, 0, fs.Cfg.StripeUnit, nil)
 	})
 	eng.Run()
-
-	// Crash and recover server 0; it rebuilds for RebuildTime.
-	at := eng.Now()
-	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), at, sim.Time(10e-3)))
-	eng.RunUntil(at + sim.Time(20e-3)) // past recovery, inside rebuild
-
-	timeRead := func() sim.Time {
-		start := eng.Now()
-		var elapsed sim.Time
-		cl.ReadErr(f, 0, 2<<20, func(err error) {
-			if err != nil {
-				t.Fatalf("read failed: %v", err)
-			}
-			elapsed = eng.Now() - start
-		})
-		eng.Run()
-		return elapsed
+	home := fs.serverFor(f.st, 0).idx
+	start := eng.Now()
+	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(home), start, 0))
+	var gotErr error
+	var doneAt sim.Time
+	cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) {
+		gotErr = err
+		doneAt = eng.Now()
+	})
+	eng.Run()
+	if !errors.Is(gotErr, ErrServerDown) {
+		t.Fatalf("err = %v, want ErrServerDown", gotErr)
 	}
-	during := timeRead()
-	if fs.FaultStats().DegradedReads == 0 {
-		t.Fatal("rebuild-window read not counted as degraded")
+	if elapsed := doneAt - start; elapsed > fs.Cfg.RPCLatency+fs.Cfg.FailTimeout {
+		t.Fatalf("failure reported after %v, later than RPC + the %v timeout", elapsed, fs.Cfg.FailTimeout)
 	}
-	// Push past the rebuild window and measure the same read again.
-	eng.RunUntil(at + cfg.RebuildTime + 1)
-	after := timeRead()
-	if during <= after {
-		t.Fatalf("rebuild-window read (%v) not slower than post-rebuild read (%v)", during, after)
-	}
-	st := fs.FaultStats()
-	if st.Rebuilds != 1 || st.RebuildBusy != cfg.RebuildTime {
-		t.Fatalf("rebuild stats = %+v, want 1 rebuild of %v", st, cfg.RebuildTime)
+	if st := fs.FaultStats(); st.DegradedReads != 0 || st.FailedOps != 1 {
+		t.Fatalf("stats = %+v, want 1 failed op and no degraded reads", st)
 	}
 }
 
@@ -217,9 +201,7 @@ func TestLeaseExpiryDelaysNextWriter(t *testing.T) {
 
 func TestRecoveredServerServesWrites(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := faultConfig(2)
-	cfg.RebuildTime = 0
-	fs := New(eng, cfg)
+	fs := New(eng, faultConfig(2))
 	fs.InjectFaults(sim.NewFaultPlan().
 		Add(OSSTarget(0), 0, sim.Time(100e-3)).
 		Add(OSSTarget(1), 0, sim.Time(100e-3)))
@@ -268,7 +250,10 @@ func TestUnknownFaultTargetsIgnored(t *testing.T) {
 	fs := New(eng, faultConfig(2))
 	fs.InjectFaults(sim.NewFaultPlan().
 		Add("mds", 0, 0).        // foreign subsystem
-		Add(OSSTarget(7), 0, 0)) // out of range
+		Add(OSSTarget(7), 0, 0). // out of range
+		Add("oss01", 0, 0).      // aliases of real servers: only the
+		Add("oss+1", 0, 0).      // exact OSSTarget spelling names one
+		Add("oss1junk", 0, 0))
 	eng.Run()
 	if st := fs.FaultStats(); st.Crashes != 0 {
 		t.Fatalf("foreign targets crashed %d servers", st.Crashes)

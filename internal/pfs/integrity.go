@@ -15,23 +15,24 @@ import (
 // by failure.DrawLSE) marks extents rotten over sim-time; what happens
 // next depends on who looks. With Config.Checksums on, every read
 // verifies its stripe unit's crc32c and a mismatch triggers the repair
-// path: reconstruct the unit from a parity neighbour (the PR 3 degraded-
-// read machinery) at DegradedPenalty× cost, rewrite it in place, and
-// deliver the repaired data — the application never sees the corruption.
-// With checksums off the corrupt bytes flow silently into the read, and
-// only the pfs.integrity.silent_reads counter knows. A background Scrub
-// pass sweeps every stored extent (always verifying — a scrub is an
-// explicit integrity pass, independent of the read path's Checksums
-// flag), repairing what it finds, so the window in which a latent error
-// can meet a read shrinks with the scrub interval — the trade the
-// integrity experiment in cmd/pdsirepro measures. With no corruption
-// injected the whole layer is inert: nil corruptors answer without
-// allocating, no integrity metrics are registered, and the event
+// path: reconstruct the unit from k live members of its redundancy group,
+// rewrite it in place, and deliver the repaired data — the application
+// never sees the corruption. A unit with no group (an unprotected file
+// system) or too few live members cannot be repaired, and the read fails
+// with ErrCorruptData. With checksums off the corrupt bytes flow silently
+// into the read, and only the pfs.integrity.silent_reads counter knows.
+// A background Scrub pass sweeps every stored extent (always verifying —
+// a scrub is an explicit integrity pass, independent of the read path's
+// Checksums flag), repairing what it finds, so the window in which a
+// latent error can meet a read shrinks with the scrub interval — the
+// trade the integrity experiment in cmd/pdsirepro measures. With no
+// corruption injected the whole layer is inert: nil corruptors answer
+// without allocating, no integrity metrics are registered, and the event
 // trajectory is byte-identical to a build without it.
 
 // ErrCorruptData is returned by ReadErr completions when a checksum
-// mismatch cannot be repaired — no surviving neighbour is available to
-// reconstruct the stripe unit from parity.
+// mismatch cannot be repaired: the stripe unit belongs to no redundancy
+// group, or fewer than k of its group's other members are live.
 var ErrCorruptData = errors.New("pfs: unrecoverable corrupt data")
 
 // IntegrityStats aggregates the integrity layer's activity over a run.
@@ -42,9 +43,9 @@ type IntegrityStats struct {
 	// Detected counts checksum mismatches found, on reads or by Scrub.
 	Detected int64
 
-	// Repaired counts stripe-unit repairs completed (reconstruct from a
-	// neighbour + rewrite in place); Unrecoverable counts mismatches with
-	// no surviving neighbour to reconstruct from.
+	// Repaired counts stripe-unit repairs completed (reconstruct from k
+	// group members + rewrite in place); Unrecoverable counts mismatches
+	// with no group, or too few live members, to reconstruct from.
 	Repaired      int64
 	Unrecoverable int64
 
@@ -193,61 +194,18 @@ func (fs *FS) detectAndRepair(s *server, gid int, diskOff, size int64, done func
 	})
 }
 
-// repairUnit reconstructs the unit at diskOff on s and rewrites it in
-// place on the home drive, clearing the latent corruption. Under
-// redundancy (gid >= 0) the reconstruction reads from k live members of
-// the unit's group; otherwise a parity neighbour rebuilds it at
-// DegradedPenalty× the nominal disk cost on the neighbour's queues. done
-// receives ErrCorruptData when no one survives to reconstruct from,
-// ErrServerDown if a server dies mid-repair, else nil.
+// repairUnit reconstructs the unit at diskOff on s from k parallel
+// fragment reads of its redundancy group gid (-1 when unprotected), then
+// rewrites it in place on the home drive, clearing the latent
+// corruption. done receives ErrCorruptData when there is no group or
+// fewer than k live members to reconstruct from, ErrServerDown if a
+// server dies mid-repair, else nil.
 func (fs *FS) repairUnit(s *server, gid int, diskOff, size int64, done func(error)) {
-	if fs.red != nil && gid >= 0 {
-		fs.repairFromGroup(s, gid, diskOff, size, done)
-		return
+	var readers []liveMember
+	if gid >= 0 {
+		readers = fs.ecLiveMembers(gid, fs.red.groups[gid].slotOf(s.idx), fs.red.cfg.K)
 	}
-	alt := fs.survivor(s)
-	if alt == nil {
-		fs.integrity.Unrecoverable++
-		fs.cIntUnrecov.Inc()
-		done(ErrCorruptData)
-		return
-	}
-	svc := sim.Time(float64(alt.dsk.Access(diskOff, size)) * fs.degradedPenalty())
-	aepoch := alt.epoch
-	alt.dq.Submit(svc, func(sim.Time) {
-		if alt.epoch != aepoch {
-			fs.failOp(done)
-			return
-		}
-		wsvc := s.dsk.Access(diskOff, size)
-		sepoch := s.epoch
-		s.dq.Submit(wsvc, func(sim.Time) {
-			if s.epoch != sepoch {
-				fs.failOp(done)
-				return
-			}
-			s.corr.Repair(diskOff, size, fs.eng.Now())
-			fs.integrity.Repaired++
-			fs.cIntRepaired.Inc()
-			done(nil)
-		})
-	})
-}
-
-// repairFromGroup is repairUnit's erasure-coded path: k parallel
-// fragment reads from the unit's redundancy group, then an in-place
-// rewrite on the home drive.
-func (fs *FS) repairFromGroup(s *server, gid int, diskOff, size int64, done func(error)) {
-	red := fs.red
-	slot := -1
-	for i, idx := range red.groups[gid].members {
-		if int(idx) == s.idx {
-			slot = i
-			break
-		}
-	}
-	readers := fs.ecLiveMembers(gid, slot, red.cfg.K)
-	if len(readers) < red.cfg.K {
+	if gid < 0 || len(readers) < fs.red.cfg.K {
 		fs.integrity.Unrecoverable++
 		fs.cIntUnrecov.Inc()
 		done(ErrCorruptData)
@@ -305,7 +263,7 @@ type ScrubReport struct {
 }
 
 // Scrub sweeps every stored stripe unit on every server, verifying
-// checksums and repairing mismatches from parity neighbours — the
+// checksums and repairing mismatches from redundancy groups — the
 // background media scrub that bounds how long a latent sector error can
 // lie in wait. Servers sweep in parallel; each server walks its extents
 // in deterministic (file, unit) order at normal disk cost on its own

@@ -12,16 +12,39 @@ import (
 	"repro/internal/sim"
 )
 
-// intConfig is testConfig with read-path checksum verification on.
+// intConfig is testConfig with read-path checksum verification on. It
+// is unprotected: a mismatch has no group to be repaired from.
 func intConfig(servers int) Config {
 	c := testConfig(servers)
 	c.Checksums = true
 	return c
 }
 
+// ecIntConfig is a 2+1 erasure-coded deployment with read-path checksums
+// on: the smallest group that can repair a unit, plus a rebuild spare.
+func ecIntConfig() Config {
+	c := ecConfig(4, 2, 1)
+	c.Checksums = true
+	return c
+}
+
+// unitCorruption is a corruption schedule with one event over the first
+// 512 bytes of f's stripe unit, on whichever server placement put it.
+func unitCorruption(fs *FS, f *File, unit int64, at sim.Time) [][]disk.CorruptionEvent {
+	s, _ := fs.dataServer(f.st, unit)
+	events := make([][]disk.CorruptionEvent, len(fs.servers))
+	events[s.idx] = []disk.CorruptionEvent{{
+		Offset: s.extent[stripeKey{file: f.st.id, unit: unit}],
+		Length: 512,
+		At:     at,
+		Mode:   disk.MediaError,
+	}}
+	return events
+}
+
 // writeUnits creates /f and writes n full stripe units synchronously,
-// returning the handle. Unit u of file 0 lands on server u%servers at
-// disk offset 0 of that server (first extent allocated there).
+// returning the handle. On an unprotected file system unit u of file 0
+// lands on server u%servers, and the first one there at disk offset 0.
 func writeUnits(t *testing.T, eng *sim.Engine, fs *FS, n int) *File {
 	t.Helper()
 	cl := fs.NewClient(0)
@@ -39,11 +62,9 @@ func writeUnits(t *testing.T, eng *sim.Engine, fs *FS, n int) *File {
 
 func TestChecksumReadDetectsAndRepairs(t *testing.T) {
 	eng := sim.NewEngine()
-	fs := New(eng, intConfig(2))
-	f := writeUnits(t, eng, fs, 1) // unit 0 on server 0, disk offset 0
-	if err := fs.InjectCorruption([][]disk.CorruptionEvent{
-		{{Offset: 0, Length: 512, At: 1, Mode: disk.MediaError}},
-	}); err != nil {
+	fs := New(eng, ecIntConfig())
+	f := writeUnits(t, eng, fs, 1)
+	if err := fs.InjectCorruption(unitCorruption(fs, f, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	cl := fs.NewClient(1)
@@ -103,15 +124,21 @@ func TestChecksumsOffReadsCorruptBytesSilently(t *testing.T) {
 
 func TestChecksumMismatchWithNoSurvivorIsUnrecoverable(t *testing.T) {
 	eng := sim.NewEngine()
-	fs := New(eng, intConfig(2))
+	fs := New(eng, ecIntConfig())
 	f := writeUnits(t, eng, fs, 1)
-	if err := fs.InjectCorruption([][]disk.CorruptionEvent{
-		{{Offset: 0, Length: 512, At: 1}},
-	}); err != nil {
+	if err := fs.InjectCorruption(unitCorruption(fs, f, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// The only other server is permanently down before the read.
-	if err := fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(1), sim.Time(1.5), 0)); err != nil {
+	// Both other members of the unit's group are permanently down before
+	// the read, so nothing is left to reconstruct from.
+	home, gid := fs.dataServer(f.st, 0)
+	plan := sim.NewFaultPlan()
+	for _, m := range fs.red.groups[gid].members {
+		if int(m) != home.idx {
+			plan.Add(OSSTarget(int(m)), sim.Time(1.5), 0)
+		}
+	}
+	if err := fs.InjectFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	cl := fs.NewClient(1)
@@ -126,6 +153,33 @@ func TestChecksumMismatchWithNoSurvivorIsUnrecoverable(t *testing.T) {
 	st := fs.IntegrityStats()
 	if st.Detected != 1 || st.Unrecoverable != 1 || st.Repaired != 0 {
 		t.Fatalf("stats = %+v, want one unrecoverable", st)
+	}
+}
+
+func TestUnprotectedCorruptionIsUnrecoverable(t *testing.T) {
+	// Checksums catch the rot, but with no redundancy group there is
+	// nothing to rebuild the unit from, even with every server healthy.
+	eng := sim.NewEngine()
+	fs := New(eng, intConfig(2))
+	f := writeUnits(t, eng, fs, 1)
+	if err := fs.InjectCorruption(unitCorruption(fs, f, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	cl := fs.NewClient(1)
+	gotErr := errors.New("read never completed")
+	eng.At(2, func() {
+		cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) { gotErr = err })
+	})
+	eng.Run()
+	if !errors.Is(gotErr, ErrCorruptData) {
+		t.Fatalf("err = %v, want ErrCorruptData", gotErr)
+	}
+	st := fs.IntegrityStats()
+	if st.Detected != 1 || st.Unrecoverable != 1 || st.Repaired != 0 {
+		t.Fatalf("stats = %+v, want one unrecoverable", st)
+	}
+	if fs.UnrepairedCorruption() != 1 {
+		t.Fatal("an unrecoverable unit was marked repaired")
 	}
 }
 
@@ -166,15 +220,20 @@ func TestScrubRepairRestoresCleanContents(t *testing.T) {
 	const units = 8
 	for seed := int64(1); seed <= 5; seed++ {
 		eng := sim.NewEngine()
-		fs := New(eng, intConfig(4))
+		fs := New(eng, ecIntConfig())
 		f := writeUnits(t, eng, fs, units)
-		// Random events confined to allocated disk space: each server
-		// holds units/4 extents starting at disk offset 0.
+		// Random events confined to allocated disk space: each server's
+		// extents (data units and group-unit regions) tile [0, next).
 		r := rand.New(rand.NewSource(seed))
-		events := make([][]disk.CorruptionEvent, 4)
-		allocated := int64(units/4) * fs.Cfg.StripeUnit
+		events := make([][]disk.CorruptionEvent, len(fs.servers))
+		extents := 0
 		total := 0
 		for s := range events {
+			extents += len(fs.servers[s].extent)
+			allocated := fs.servers[s].next
+			if allocated == 0 {
+				continue
+			}
 			for k := 0; k < 1+r.Intn(4); k++ {
 				off := (r.Int63n(allocated / 512)) * 512
 				length := int64(512 * (1 + r.Intn(4)))
@@ -196,8 +255,8 @@ func TestScrubRepairRestoresCleanContents(t *testing.T) {
 		if fs.UnrepairedCorruption() != 0 {
 			t.Fatalf("seed %d: %d events survived the scrub", seed, fs.UnrepairedCorruption())
 		}
-		if rep.Units != units || rep.Unrecoverable != 0 {
-			t.Fatalf("seed %d: report = %+v, want %d units all repairable", seed, rep, units)
+		if rep.Units != int64(extents) || rep.Unrecoverable != 0 {
+			t.Fatalf("seed %d: report = %+v, want %d extents all repairable", seed, rep, extents)
 		}
 		if rep.Detected == 0 || rep.Detected != rep.Repaired {
 			t.Fatalf("seed %d: report = %+v, want detected==repaired>0", seed, rep)
@@ -226,10 +285,26 @@ func TestScrubRepairRestoresCleanContents(t *testing.T) {
 // pfs.integrity.* counters account for every injected event that a read
 // or scrub encountered.
 func TestNoCorruptionReachesReadsUnflagged(t *testing.T) {
-	const units = 16
+	// 32 units are enough for file 0's stripe-unit pairs to reach every
+	// group, so every drive holds extents the draw can land in.
+	const units = 32
+	eng := sim.NewEngine()
+	reg := obs.NewRegistry()
+	eng.Instrument(reg, nil)
+	fs := New(eng, ecIntConfig())
+	f := writeUnits(t, eng, fs, units)
+	capacity := fs.servers[0].next
+	for _, s := range fs.servers {
+		if s.next < capacity {
+			capacity = s.next
+		}
+	}
+	if capacity == 0 {
+		t.Fatal("a server holds no extents; the draw would land outside any unit")
+	}
 	spec := failure.LSESpec{
-		Disks:         4,
-		CapacityBytes: int64(units/4) * PanFSLike(4).StripeUnit,
+		Disks:         len(fs.servers),
+		CapacityBytes: capacity,
 		MTBC:          2,
 		Shape:         1.0,
 		TornFraction:  0.25,
@@ -243,12 +318,6 @@ func TestNoCorruptionReachesReadsUnflagged(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("draw produced no corruption")
 	}
-
-	eng := sim.NewEngine()
-	reg := obs.NewRegistry()
-	eng.Instrument(reg, nil)
-	fs := New(eng, intConfig(4))
-	f := writeUnits(t, eng, fs, units)
 	if err := fs.InjectCorruption(events); err != nil {
 		t.Fatal(err)
 	}

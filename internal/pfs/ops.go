@@ -369,8 +369,9 @@ func (c *Client) Read(f *File, off, size int64, done func()) {
 }
 
 // ReadErr is Read with failure reporting. A piece whose home server is
-// down is reconstructed from parity by a surviving neighbour at degraded
-// cost; done receives ErrServerDown only when no server can serve it.
+// down is reconstructed from k survivors of its redundancy group at
+// degraded cost; done receives ErrServerDown when there is no group to
+// reconstruct from, and ErrDataLoss when the group lost more than m.
 // When op timers are enabled the read carries a stage timer, observed
 // into the pfs.read quantiles on success.
 func (c *Client) ReadErr(f *File, off, size int64, done func(error)) {
@@ -441,42 +442,26 @@ func (c *Client) ReadOp(f *File, off, size int64, ot *obs.OpTimer, done func(err
 	}
 }
 
-// readPiece routes one read piece: to the home server when healthy (at
-// penalty cost while it rebuilds), to redundancy reconstruction when it
-// is down — k-survivor decode under erasure coding, a neighbour's parity
-// otherwise — or to a timeout error when nothing can serve it.
+// readPiece routes one read piece: to the home server when healthy, to
+// k-survivor reconstruction from its group when the home is down, or —
+// unprotected — to the timeout error of any op against a dead server.
 func (fs *FS) readPiece(st *fileState, p subOp, ot *obs.OpTimer, done func(error)) {
 	srv, gid := fs.dataServer(st, p.unit)
-	if srv.down {
-		if gid >= 0 {
-			fs.readReconstruct(gid, srv, p, ot, done)
-			return
-		}
-		alt := fs.survivor(srv)
-		if alt == nil {
-			fs.failOp(done)
-			return
-		}
-		fs.faults.DegradedReads++
-		fs.cDegraded.Inc()
-		fs.readDegraded(alt, srv, st, p, ot, done)
-		return
+	switch {
+	case !srv.down:
+		srv.read(fs, st, p, gid, ot, done)
+	case gid >= 0:
+		fs.readReconstruct(gid, srv, p, ot, done)
+	default:
+		fs.failOp(done)
 	}
-	if srv.rebuildUntil > fs.eng.Now() {
-		fs.faults.DegradedReads++
-		fs.cDegraded.Inc()
-		srv.read(fs, st, p, fs.degradedPenalty(), gid, ot, done)
-		return
-	}
-	srv.read(fs, st, p, 1, gid, ot, done)
 }
 
-// read serves one piece from the server's own disk; penalty > 1 models
-// parity reconstruction during the post-recovery rebuild window, and gid
-// (-1 without redundancy) routes checksum repairs through the piece's
-// redundancy group. done receives a non-nil error when the server
-// crashes mid-operation.
-func (s *server) read(fs *FS, st *fileState, p subOp, penalty float64, gid int, ot *obs.OpTimer, done func(error)) {
+// read serves one piece from the server's own disk; gid (-1 when
+// unprotected) routes checksum repairs through the piece's redundancy
+// group. done receives a non-nil error when the server crashes
+// mid-operation.
+func (s *server) read(fs *FS, st *fileState, p subOp, gid int, ot *obs.OpTimer, done func(error)) {
 	key := stripeKey{file: st.id, unit: p.unit}
 	diskOff, ok := s.extent[key]
 	if !ok {
@@ -492,13 +477,6 @@ func (s *server) read(fs *FS, st *fileState, p subOp, penalty float64, gid int, 
 	ot.Add(obs.StageDiskSeek, det.SeekSec)
 	ot.Add(obs.StageDiskRotation, det.RotationSec)
 	ot.Add(obs.StageDiskTransfer, det.TransferSec)
-	if penalty > 1 {
-		base := svc
-		svc = sim.Time(float64(svc) * penalty)
-		// The extra reconstruction reads beyond the nominal service time
-		// are the degraded-mode cost.
-		ot.Add(obs.StageDegraded, float64(svc-base))
-	}
 	s.bytesRead += p.size
 	s.cOps.Inc()
 	s.cBytesR.Add(p.size)

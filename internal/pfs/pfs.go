@@ -14,19 +14,19 @@
 //
 // Servers can also fail: InjectFaults arms a sim.FaultPlan so object
 // storage servers crash and recover mid-run. A down server times out
-// in-flight and new operations (ErrServerDown after FailTimeout), holds
-// its stripe locks until the LeaseExpiry lease lapses, and keeps its data
-// readable through redundancy. By default that redundancy is the legacy
-// single-parity model — a surviving neighbour reconstructs reads at a
-// DegradedPenalty cost until the RebuildTime window after recovery drains.
-// With Config.Redundancy set it generalizes to k+m erasure-coded groups
-// with declustered placement (see redundancy.go): degraded reads
-// reconstruct from any k surviving group members at cost proportional to
-// the group width, a crash fans real rebuild traffic out across the
-// population's disk queues, and overlapping failures beyond m surface as
-// typed, counted data-loss events (ErrDataLoss, pfs.loss.*) rather than
-// silent reads. With no plan injected the fault machinery is inert and
-// the event trajectory is byte-identical to a build without it.
+// in-flight and new operations (ErrServerDown after FailTimeout) and
+// holds its stripe locks until the LeaseExpiry lease lapses. Whether its
+// data stays readable depends on Config.Redundancy. The zero value is
+// unprotected: a read of a down server's stripe fails like any other op
+// against it, and a checksum mismatch cannot be repaired. With k+m set,
+// data lives in erasure-coded groups with declustered placement (see
+// redundancy.go): degraded reads reconstruct from any k surviving group
+// members at cost proportional to the group width, a crash fans real
+// rebuild traffic out across the population's disk queues, and
+// overlapping failures beyond m surface as typed, counted data-loss
+// events (ErrDataLoss, pfs.loss.*) rather than silent reads. With no
+// plan injected the fault machinery is inert and the event trajectory is
+// byte-identical to a build without it.
 package pfs
 
 import (
@@ -113,29 +113,19 @@ type Config struct {
 	// may touch the stripe. Zero reclaims immediately.
 	LeaseExpiry sim.Time
 
-	// RebuildTime is how long a recovered server spends reconstructing
-	// its objects from parity; reads of its stripes stay degraded until
-	// the rebuild completes. Zero means recovery is instant.
-	RebuildTime sim.Time
-
-	// DegradedPenalty multiplies the disk service time of reads that
-	// must reconstruct data from parity (server down or rebuilding):
-	// the surviving stripes plus parity are read and XOR-combined. Zero
-	// defaults to 4.
-	DegradedPenalty float64
-
 	// Checksums enables per-stripe-unit crc32c verification on every
 	// read: a mismatch against injected corruption (InjectCorruption)
-	// triggers parity reconstruction and an in-place rewrite instead of
-	// returning rotten bytes. Off, corrupt reads succeed silently (the
-	// pfs.integrity.silent_reads counter is the only witness). With no
-	// corruption injected the flag changes nothing.
+	// triggers reconstruction from the unit's redundancy group and an
+	// in-place rewrite instead of returning rotten bytes, or fails the
+	// read with ErrCorruptData when there is no group to rebuild from.
+	// Off, corrupt reads succeed silently (the pfs.integrity.silent_reads
+	// counter is the only witness). With no corruption injected the flag
+	// changes nothing.
 	Checksums bool
 
-	// Redundancy generalizes the failure model from the implicit single-
-	// parity neighbour to k+m erasure-coded redundancy groups with
+	// Redundancy places data in k+m erasure-coded redundancy groups with
 	// declustered placement and real rebuild traffic (see the Redundancy
-	// type). The zero value keeps the legacy model, byte-identically.
+	// type). The zero value leaves data unprotected.
 	Redundancy Redundancy
 }
 
@@ -249,11 +239,9 @@ type server struct {
 
 	// Fault state. epoch increments on every crash so that operations in
 	// flight when the server dies can detect, at completion time, that
-	// their acknowledgment was lost. rebuildUntil marks the end of the
-	// post-recovery parity rebuild window.
-	down         bool
-	epoch        int
-	rebuildUntil sim.Time
+	// their acknowledgment was lost.
+	down  bool
+	epoch int
 
 	// corr tracks this server's drive-level latent corruption; nil (the
 	// common case) means the drive never lies.
@@ -302,7 +290,7 @@ type FS struct {
 	integrity IntegrityStats
 
 	// red is the k+m redundancy layer (see redundancy.go); nil with the
-	// zero Redundancy config, leaving the legacy parity-neighbour model.
+	// zero Redundancy config, which leaves data unprotected.
 	red *redState
 
 	// File-system-wide instrument handles (nil when uninstrumented).
@@ -315,7 +303,6 @@ type FS struct {
 	// Fault instrument handles (nil when uninstrumented).
 	cCrashes    *obs.Counter
 	cRecoveries *obs.Counter
-	cRebuilds   *obs.Counter
 	cFailedOps  *obs.Counter
 	cDegraded   *obs.Counter
 	cLeaseExp   *obs.Counter
@@ -403,11 +390,9 @@ func (fs *FS) instrument() {
 	fs.hLockWait = reg.Histogram(fs.metric("pfs.lock.wait_s"), obs.TimeBuckets())
 	fs.cCrashes = reg.Counter(fs.metric("pfs.faults.crashes"))
 	fs.cRecoveries = reg.Counter(fs.metric("pfs.faults.recoveries"))
-	fs.cRebuilds = reg.Counter(fs.metric("pfs.faults.rebuilds"))
 	fs.cFailedOps = reg.Counter(fs.metric("pfs.faults.failed_ops"))
 	fs.cDegraded = reg.Counter(fs.metric("pfs.faults.degraded_reads"))
 	fs.cLeaseExp = reg.Counter(fs.metric("pfs.faults.lease_expiries"))
-	reg.GaugeFunc(fs.metric("pfs.faults.rebuild_busy_s"), func() float64 { return float64(fs.faults.RebuildBusy) })
 	for i, s := range fs.servers {
 		name := fs.metric(fmt.Sprintf("pfs.oss%02d", i))
 		s.nic.Instrument(name + ".nic")

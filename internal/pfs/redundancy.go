@@ -10,13 +10,13 @@ import (
 	"repro/internal/sim"
 )
 
-// This file generalizes the failure model from a single parity neighbour
-// to k+m Reed-Solomon-style redundancy groups with declustered placement
-// — the layer the report's petascale reliability argument turns on. The
-// population is carved into redundancy groups of width k+m whose members
-// a placement.Declustered window hash spreads over the cluster, so every
-// drive's rebuild partners fan out across (a configurable fraction of)
-// the whole population. A crash starts a real rebuild: every group the
+// This file is the redundancy model: k+m Reed-Solomon-style redundancy
+// groups with declustered placement — the layer the report's petascale
+// reliability argument turns on. The population is carved into
+// redundancy groups of width k+m whose members a placement.Declustered
+// window hash spreads over the cluster, so every drive's rebuild
+// partners fan out across (a configurable fraction of) the whole
+// population. A crash starts a real rebuild: every group the
 // dead drive belonged to re-creates its share onto a spare by reading
 // chunks from k surviving members — ordinary disk-queue traffic that
 // competes with foreground checkpoints and reads, which is where
@@ -24,8 +24,8 @@ import (
 // any k survivors at a cost proportional to the group width, and the
 // (m+1)-th overlapping failure inside a group is a counted, typed data-
 // loss event (ErrDataLoss, pfs.loss.*) — never a silent read, never a
-// panic. With the zero Redundancy value none of this exists and every
-// event trajectory is byte-identical to the parity-neighbour model.
+// panic. With the zero Redundancy value none of this exists: data is
+// unprotected, and a down server's reads fail with ErrServerDown.
 
 // ErrDataLoss is returned by ReadErr completions when more than m
 // members of the piece's redundancy group are concurrently failed —
@@ -33,9 +33,8 @@ import (
 var ErrDataLoss = errors.New("pfs: data loss: redundancy group lost more than m members")
 
 // Redundancy configures k+m erasure-coded redundancy groups with
-// declustered placement. The zero value disables the layer entirely,
-// keeping the legacy single-parity-neighbour model and its exact event
-// trajectories.
+// declustered placement. The zero value disables the layer entirely and
+// leaves data unprotected.
 type Redundancy struct {
 	// K is the number of data fragments per group; M the number of
 	// redundancy fragments. A group survives any M concurrent member
@@ -183,6 +182,16 @@ func (g *ecGroup) has(idx int32) bool {
 	return false
 }
 
+// slotOf returns the slot server idx holds in the group, or -1.
+func (g *ecGroup) slotOf(idx int) int {
+	for slot, m := range g.members {
+		if int(m) == idx {
+			return slot
+		}
+	}
+	return -1
+}
+
 func (g *ecGroup) reservedHas(idx int32) bool {
 	for _, r := range g.reserved {
 		if r == idx {
@@ -268,8 +277,8 @@ func newRedState(cfg Config) *redState {
 }
 
 // armRedundancy registers the pfs.rebuild.* and pfs.loss.* instruments.
-// Called from instrument() only when the layer is enabled, so legacy
-// configurations register exactly the pre-redundancy metric set.
+// Called from instrument() only when the layer is enabled, so
+// unprotected configurations register none of them.
 func (fs *FS) armRedundancy(reg *obs.Registry) {
 	red := fs.red
 	red.cRebStarted = reg.Counter(fs.metric("pfs.rebuild.started"))
@@ -323,8 +332,8 @@ func (red *redState) groupOf(fileID int, unit int64) (gid, slot int) {
 }
 
 // dataServer resolves the server storing a file's stripe unit and its
-// redundancy group (-1 without redundancy, where placement stays the
-// legacy rotation). With redundancy the group map is authoritative, so a
+// redundancy group (-1 when unprotected, where placement is the plain
+// stripe rotation). With redundancy the group map is authoritative, so a
 // rebuilt slot's traffic follows the member replacement to the spare.
 func (fs *FS) dataServer(st *fileState, unit int64) (*server, int) {
 	if fs.red == nil {
@@ -437,14 +446,7 @@ func (fs *FS) readReconstruct(gid int, home *server, p subOp, ot *obs.OpTimer, d
 		fs.lossRead(done)
 		return
 	}
-	homeSlot := -1
-	for slot, idx := range g.members {
-		if int(idx) == home.idx {
-			homeSlot = slot
-			break
-		}
-	}
-	readers := fs.ecLiveMembers(gid, homeSlot, red.cfg.K)
+	readers := fs.ecLiveMembers(gid, g.slotOf(home.idx), red.cfg.K)
 	if len(readers) < red.cfg.K {
 		fs.failOp(done)
 		return
@@ -653,13 +655,7 @@ func (fs *FS) ecPickSpare(gid, deadIdx int) *server {
 func (fs *FS) rebuildGroup(inc *ecIncident, gid int, done func(completed bool)) {
 	red := fs.red
 	g := &red.groups[gid]
-	slot := -1
-	for i, idx := range g.members {
-		if int(idx) == inc.server {
-			slot = i
-			break
-		}
-	}
+	slot := g.slotOf(inc.server)
 	if slot < 0 {
 		fs.eng.Schedule(0, func() { done(false) })
 		return

@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -45,11 +46,15 @@ func TestRedundancyValidate(t *testing.T) {
 }
 
 func TestRedundancyZeroValueInert(t *testing.T) {
-	// The zero Redundancy keeps the legacy parity-neighbour model: no
-	// group state, no rebuild accounting, and the crash path untouched.
+	// The zero Redundancy is unprotected: no group state, no rebuild or
+	// loss accounting or instruments, however the servers fail.
 	eng := sim.NewEngine()
+	reg := obs.NewRegistry()
+	eng.Instrument(reg, nil)
 	fs := New(eng, faultConfig(4))
-	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), 0, sim.Time(10e-3)))
+	fs.InjectFaults(sim.NewFaultPlan().
+		Add(OSSTarget(0), 0, sim.Time(10e-3)).
+		Add(OSSTarget(1), 0, 0))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
 		cl.WriteErr(f, 0, 1<<20, func(error) {})
@@ -63,6 +68,11 @@ func TestRedundancyZeroValueInert(t *testing.T) {
 	}
 	if ls := fs.LossStats(); ls != (LossStats{}) {
 		t.Fatalf("zero-value redundancy accumulated loss stats %+v", ls)
+	}
+	for name := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "pfs.rebuild.") || strings.HasPrefix(name, "pfs.loss.") {
+			t.Fatalf("zero-value redundancy registered %s", name)
+		}
 	}
 }
 

@@ -229,17 +229,11 @@ type Program struct {
 // RunPrograms executes arbitrary per-rank programs against a fresh file
 // system built from cfg: all creates complete (a barrier), then every rank
 // runs its op sequence, and Elapsed covers the write phase. TotalBytes
-// sums op sizes.
-func RunPrograms(cfg pfs.Config, progs []Program) Result {
-	return RunProgramsProbed(cfg, progs, nil, nil)
-}
-
-// RunProgramsProbed is RunPrograms with an observability probe: the
-// metrics registry and tracer (either may be nil) are attached to the
-// engine before the model is built, so every substrate's instruments
-// land in them. Runs are deterministic, so two probed runs of the same
-// programs produce byte-identical metrics snapshots.
-func RunProgramsProbed(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *obs.Tracer) Result {
+// sums op sizes. The metrics registry and tracer (either may be nil) are
+// attached to the engine before the model is built, so every substrate's
+// instruments land in them. Runs are deterministic, so two probed runs of
+// the same programs produce byte-identical metrics snapshots.
+func RunPrograms(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *obs.Tracer) Result {
 	eng := sim.NewEngine()
 	eng.Instrument(reg, tr)
 	fs := pfs.New(eng, cfg)
@@ -329,13 +323,8 @@ func RunProgramsProbed(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *o
 // and returns the timing result. The phase is: all ranks create their
 // files (the shared-file patterns create once), barrier, all ranks issue
 // their ops synchronously (each rank waits for its previous op), barrier.
-func Run(cfg pfs.Config, spec Spec) Result {
-	return RunProbed(cfg, spec, nil, nil)
-}
-
-// RunProbed is Run with a metrics registry and tracer attached (either
-// may be nil).
-func RunProbed(cfg pfs.Config, spec Spec, reg *obs.Registry, tr *obs.Tracer) Result {
+// The metrics registry and tracer may be nil.
+func Run(cfg pfs.Config, spec Spec, reg *obs.Registry, tr *obs.Tracer) Result {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
@@ -343,7 +332,7 @@ func RunProbed(cfg pfs.Config, spec Spec, reg *obs.Registry, tr *obs.Tracer) Res
 	for r := 0; r < spec.Ranks; r++ {
 		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
 	}
-	result := RunProgramsProbed(cfg, progs, reg, tr)
+	result := RunPrograms(cfg, progs, reg, tr)
 	result.Spec = spec
 	// Per-spec accounting: payload is BytesPerRank per rank (PLFS ops also
 	// include index bytes; report payload).
@@ -364,12 +353,12 @@ func Speedup(cfg pfs.Config, ranks int, bytesPerRank, recordSize int64) (direct,
 		RecordSize:   recordSize,
 		Pattern:      N1Strided,
 	}
-	direct = Run(cfg, base)
+	direct = Run(cfg, base, nil, nil)
 	p := base
 	p.Pattern = PLFSPattern
 	p.PLFSHostdirs = 32
 	p.PLFSIndexFlushEvery = 64
-	viaPLFS = Run(cfg, p)
+	viaPLFS = Run(cfg, p, nil, nil)
 	if direct.Bandwidth > 0 {
 		ratio = viaPLFS.Bandwidth / direct.Bandwidth
 	}

@@ -102,7 +102,7 @@ func newSimulation(shards int, reg *obs.Registry, tr *obs.Tracer) (*sim.Engine, 
 }
 
 // faulty reports whether any fault machinery is active; a non-faulty run
-// must stay byte-identical to RunProgramsProbed of the same phases, so
+// must stay byte-identical to RunPrograms of the same phases, so
 // even the fault counters are only registered when this is true.
 func (s FaultSpec) faulty() bool {
 	return s.Plan.Len() > 0 || s.MaxRetries > 0
@@ -169,7 +169,7 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 	}
 
 	// Fault-path instruments exist only on faulty runs so that a
-	// fault-free run's snapshot matches RunProgramsProbed exactly.
+	// fault-free run's snapshot matches RunPrograms exactly.
 	var cRetries, cDropped, cRounds *obs.Counter
 	if fspec.faulty() && reg != nil {
 		cRetries = reg.Counter("workload.ckpt.retries")

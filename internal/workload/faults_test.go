@@ -17,7 +17,6 @@ func goldenFaultSpec() (pfs.Config, FaultSpec) {
 	cfg := pfs.PanFSLike(4)
 	cfg.FailTimeout = sim.Time(5e-3)
 	cfg.LeaseExpiry = sim.Time(20e-3)
-	cfg.RebuildTime = sim.Time(0.2)
 	plan := failure.DrawOSSFaults(failure.OSSFaultSpec{
 		Servers:  4,
 		MTBF:     0.4,
@@ -71,7 +70,7 @@ func TestSameSeedFaultRunsProduceIdenticalMetrics(t *testing.T) {
 
 // TestNoFaultRunMatchesRunProgramsProbed is the zero-cost regression: a
 // RunFaults invocation with no plan and no retries must produce the same
-// metrics snapshot as RunProgramsProbed issuing the identical phase —
+// metrics snapshot as RunPrograms issuing the identical phase —
 // the fault layer's presence may not perturb a single event.
 func TestNoFaultRunMatchesRunProgramsProbed(t *testing.T) {
 	cfg, spec := goldenSpec()
@@ -89,7 +88,7 @@ func TestNoFaultRunMatchesRunProgramsProbed(t *testing.T) {
 		for r := 0; r < spec.Ranks; r++ {
 			progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
 		}
-		RunProgramsProbed(cfg, progs, reg, nil)
+		RunPrograms(cfg, progs, reg, nil)
 	})
 	faultless := snapshot(func(reg *obs.Registry) {
 		RunFaults(cfg, FaultSpec{Spec: spec, Checkpoints: 1}, reg, nil)

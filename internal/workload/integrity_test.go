@@ -11,12 +11,14 @@ import (
 	"repro/internal/sim"
 )
 
-// integrityFixture is a corruption-heavy run: events land well inside the
-// written region (capacity bound below bytes-per-server) and all arrive
-// during the hour-long dwell before read-back.
+// integrityFixture is a corruption-heavy run on 2+1 groups: events land
+// in the first 128 KiB of each drive and all arrive during the hour-long
+// dwell before read-back. One-record group units keep the parity regions
+// from covering that range.
 func integrityFixture(checksums bool, scrub sim.Time) (pfs.Config, IntegritySpec) {
 	cfg := pfs.PanFSLike(4)
 	cfg.Checksums = checksums
+	cfg.Redundancy = pfs.Redundancy{K: 2, M: 1, UnitBytes: 4 << 10}
 	events := failure.DrawLSE(failure.LSESpec{
 		Disks:         4,
 		CapacityBytes: 1 << 17,
@@ -55,8 +57,8 @@ func TestIntegrityChecksumsFlagOrRepairEverything(t *testing.T) {
 	if st.Detected != st.Repaired+st.Unrecoverable {
 		t.Fatalf("detection ledger unbalanced: %+v", st)
 	}
-	// All four servers stayed up, so parity reconstruction always had a
-	// surviving neighbour: nothing unrecoverable, nothing flagged.
+	// All four servers stayed up, so every group had k live members to
+	// reconstruct from: nothing unrecoverable, nothing flagged.
 	if st.Unrecoverable != 0 || res.FlaggedReads != 0 {
 		t.Fatalf("healthy cluster had unrecoverable units: %+v flagged=%d", st, res.FlaggedReads)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/failure"
 	"repro/internal/obs"
+	"repro/internal/pfs"
 	"repro/internal/sim"
 )
 
@@ -18,7 +19,8 @@ func analyticsRun(t *testing.T) (report, csv []byte) {
 	cfg, spec := goldenSpec()
 	cfg.FailTimeout = sim.Time(5e-3)
 	cfg.LeaseExpiry = sim.Time(20e-3)
-	cfg.RebuildTime = sim.Time(0.25)
+	// 2+1 groups so crashes launch rebuilds the report and series see.
+	cfg.Redundancy = pfs.Redundancy{K: 2, M: 1}
 	plan := failure.DrawOSSFaults(failure.OSSFaultSpec{
 		Servers:  cfg.NumServers,
 		MTBF:     2,
@@ -99,7 +101,6 @@ func TestAnalyticsRetriesChargeBackoff(t *testing.T) {
 	cfg, spec := goldenSpec()
 	cfg.FailTimeout = sim.Time(5e-3)
 	cfg.LeaseExpiry = sim.Time(20e-3)
-	cfg.RebuildTime = sim.Time(0.25)
 	plan := failure.DrawOSSFaults(failure.OSSFaultSpec{
 		Servers: cfg.NumServers, MTBF: 1, Shape: 1, Downtime: 0.05, Horizon: 10,
 	}, 7)

@@ -86,17 +86,12 @@ func restartPrograms(spec Spec, unit int64, kind RestartKind) []Program {
 
 // RunRestart measures the combined write+read phase and returns the
 // result; Bandwidth covers the full data volume moved (written + read).
-func RunRestart(cfg pfs.Config, spec Spec, kind RestartKind) Result {
-	return RunRestartProbed(cfg, spec, kind, nil, nil)
-}
-
-// RunRestartProbed is RunRestart with a metrics registry and tracer
-// attached (either may be nil).
-func RunRestartProbed(cfg pfs.Config, spec Spec, kind RestartKind, reg *obs.Registry, tr *obs.Tracer) Result {
+// The metrics registry and tracer may be nil.
+func RunRestart(cfg pfs.Config, spec Spec, kind RestartKind, reg *obs.Registry, tr *obs.Tracer) Result {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	res := RunProgramsProbed(cfg, restartPrograms(spec, cfg.StripeUnit, kind), reg, tr)
+	res := RunPrograms(cfg, restartPrograms(spec, cfg.StripeUnit, kind), reg, tr)
 	res.Spec = spec
 	return res
 }
