@@ -101,12 +101,6 @@ var (
 	probeTr  *obs.Tracer
 )
 
-// probeShards > 0 runs the simulation-backed fault/integrity
-// experiments on a sim.Cluster of that many shards; outputs are
-// byte-identical to the single-engine path for any value (the CI
-// shard-determinism smoke diffs them).
-var probeShards int
-
 // Scale-experiment knobs (the 'scale' experiment only).
 var (
 	scalePods   int
@@ -120,6 +114,7 @@ var (
 	rebuildDrives int
 	rebuildOSS    int
 	rebuildRounds int
+	rebuildShards int
 )
 
 func main() {
@@ -130,7 +125,6 @@ func main() {
 	timeseries := flag.String("timeseries", "", "write sim-time series as CSV to this file; enables windowed sampling")
 	tsWindow := flag.Float64("ts-window", 0.1, "sim-time series window in seconds (with -timeseries)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the experiments to this file")
-	flag.IntVar(&probeShards, "shards", 0, "run simulation-backed experiments on a sharded cluster (0 = single engine); outputs are byte-identical for any value")
 	flag.IntVar(&scalePods, "scale-pods", 8, "scale experiment: number of file-system pods")
 	flag.IntVar(&scaleRanks, "scale-ranks", 32, "scale experiment: checkpointing ranks per pod")
 	flag.IntVar(&scaleOSS, "scale-oss", 4, "scale experiment: object storage servers per pod")
@@ -138,6 +132,7 @@ func main() {
 	flag.IntVar(&rebuildDrives, "rebuild-drives", 10240, "rebuild experiment: simulated drive population at the large sweep scale")
 	flag.IntVar(&rebuildOSS, "rebuild-oss", 64, "rebuild experiment: object storage servers (drives) per pod")
 	flag.IntVar(&rebuildRounds, "rebuild-rounds", 3, "rebuild experiment: foreground checkpoint rounds per pod")
+	flag.IntVar(&rebuildShards, "rebuild-shards", 1, "rebuild experiment: event-queue shards the pods are spread over; outputs are byte-identical for any value")
 	flag.Parse()
 	var run []string
 	if *figs == "all" {
@@ -738,7 +733,7 @@ func figFaults() {
 	spec := workload.Spec{Ranks: 8, BytesPerRank: 2 << 20, RecordSize: 1 << 18, Pattern: workload.NN}
 
 	// The healthy capture time is the Daly model's delta.
-	clean := workload.RunFaults(cfg, workload.FaultSpec{Spec: spec, Checkpoints: 1, Shards: probeShards}, probeReg, probeTr)
+	clean := workload.RunFaults(cfg, workload.FaultSpec{Spec: spec, Checkpoints: 1}, probeReg, probeTr)
 	delta := float64(clean.Elapsed)
 
 	const (
@@ -777,7 +772,6 @@ func figFaults() {
 			MaxRetries:   6,
 			RetryBackoff: sim.Time(5e-3),
 			MaxBackoff:   sim.Time(0.1),
-			Shards:       probeShards,
 		}, probeReg, probeTr)
 		slowdown := float64(res.Elapsed) / (delta * rounds)
 		fmt.Printf("%10.2f %15.3f %10.3f %14.2fx %10d %10d %10d\n",
@@ -826,7 +820,7 @@ func figIntegrity() {
 				TornFraction:  0.2,
 				Horizon:       float64(expose),
 			}, seed)
-			ispec := workload.IntegritySpec{Spec: spec, Events: events, Expose: expose, ScrubInterval: scrub, Shards: probeShards}
+			ispec := workload.IntegritySpec{Spec: spec, Events: events, Expose: expose, ScrubInterval: scrub}
 			cfgOff := base
 			cfgOff.Checksums = false
 			off := workload.RunIntegrity(cfgOff, ispec, probeReg, probeTr)
@@ -919,22 +913,21 @@ func figScale() {
 // interval for all three modes; the Daly section translates the
 // measured capture times into model utilization at the analytic
 // optimum. A final pass crashes a buffer node mid-drain (write-back
-// dirty data dies with the node) and pins byte-identical snapshots
-// across shard counts.
+// dirty data dies with the node) and checks the tier's byte accounting.
 func figBB() {
 	header("Burst buffer — flash logging between checkpoint and the striped FS")
 	cfg := pfs.PanFSLike(4)
 	spec := workload.Spec{Ranks: 8, BytesPerRank: 1 << 20, RecordSize: 1 << 18, Pattern: workload.NN}
 	const rounds = 3
 
-	run := func(bcfg *bb.Config, tau sim.Time, plan *sim.FaultPlan, shards int, reg *obs.Registry, tr *obs.Tracer) workload.FaultResult {
-		fspec := workload.FaultSpec{Spec: spec, Checkpoints: rounds, ComputeTime: tau, BB: bcfg, Shards: shards}
+	run := func(bcfg *bb.Config, tau sim.Time, plan *sim.FaultPlan) workload.FaultResult {
+		fspec := workload.FaultSpec{Spec: spec, Checkpoints: rounds, ComputeTime: tau, BB: bcfg}
 		if plan != nil {
 			fspec.Plan = plan
 			fspec.MaxRetries = 4
 			fspec.RetryBackoff = sim.Time(2e-3)
 		}
-		return workload.RunFaults(cfg, fspec, reg, tr)
+		return workload.RunFaults(cfg, fspec, probeReg, probeTr)
 	}
 	tier := func(m bb.Mode, pages int, drainBW float64) *bb.Config {
 		c := bb.DefaultConfig(2)
@@ -952,9 +945,9 @@ func figBB() {
 	for _, pages := range []int{1024, 8192} { // 4 and 32 MiB per node
 		for _, drainBW := range []float64{40e6, 200e6} {
 			for _, tau := range []sim.Time{0.02, 0.25} {
-				direct := run(nil, tau, nil, probeShards, probeReg, probeTr)
-				wt := run(tier(bb.WriteThrough, pages, drainBW), tau, nil, probeShards, probeReg, probeTr)
-				wb := run(tier(bb.WriteBack, pages, drainBW), tau, nil, probeShards, probeReg, probeTr)
+				direct := run(nil, tau, nil)
+				wt := run(tier(bb.WriteThrough, pages, drainBW), tau, nil)
+				wb := run(tier(bb.WriteBack, pages, drainBW), tau, nil)
 				fmt.Printf("%9d %11.0f %8.2f %9.2fms %9.2fms %9.2fms %8d %8.2f\n",
 					int64(pages)*4096>>20, drainBW/1e6, float64(tau),
 					ms(direct), ms(wt), ms(wb), wb.BB.Stalls, wb.BB.PeakOccupancy)
@@ -970,8 +963,8 @@ func figBB() {
 	// shrinks delta, which both shortens the optimal interval and lifts
 	// the utilization ceiling — the reason machine rooms bolt flash
 	// between the compute fabric and the disk array.
-	deltaDirect := float64(run(nil, 0.25, nil, probeShards, probeReg, probeTr).Elapsed) / rounds
-	deltaWB := float64(run(tier(bb.WriteBack, 8192, 200e6), 0.25, nil, probeShards, probeReg, probeTr).Elapsed) / rounds
+	deltaDirect := float64(run(nil, 0.25, nil).Elapsed) / rounds
+	deltaWB := float64(run(tier(bb.WriteBack, 8192, 200e6), 0.25, nil).Elapsed) / rounds
 	const mtti, restart = 2.0, 0.5
 	mDirect := failure.Daly{Delta: deltaDirect, Restart: restart, MTTI: mtti}
 	mWB := failure.Daly{Delta: deltaWB, Restart: restart, MTTI: mtti}
@@ -986,36 +979,17 @@ func figBB() {
 	// the un-drained bytes; a drain torn mid-flight surfaces as injected
 	// corruption for the FS checksums to catch.
 	fr := run(tier(bb.WriteBack, 8192, 10e6), sim.Time(0.1),
-		sim.NewFaultPlan().Add(bb.NodeTarget(0), 0.35, 0.2),
-		probeShards, probeReg, probeTr)
+		sim.NewFaultPlan().Add(bb.NodeTarget(0), 0.35, 0.2))
 	fmt.Printf("\ncrash bb0 at t=0.35 s behind a 10 MB/s drain: lost %d dirty bytes, %d torn drains\n",
 		fr.BB.LostBytes, fr.BB.TornDrains)
-	fmt.Printf("byte accounting: absorbed %d = drained %d + lost %d + dropped %d\n",
-		fr.BB.AbsorbedBytes, fr.BB.DrainedBytes, fr.BB.LostBytes, fr.BB.DroppedDrainBytes)
+	fmt.Printf("byte accounting: absorbed %d = drained %d + lost %d + dropped %d + torn %d\n",
+		fr.BB.AbsorbedBytes, fr.BB.DrainedBytes, fr.BB.LostBytes, fr.BB.DroppedDrainBytes, fr.BB.TornBytes)
 	if fr.BB.AbsorbedBytes != fr.BB.DrainedBytes+fr.BB.LostBytes+fr.BB.DroppedDrainBytes+fr.BB.TornBytes {
 		panic("bb: byte accounting identity violated")
 	}
 	if fr.BB.LostBytes == 0 {
 		panic("bb: write-back crash lost no dirty data")
 	}
-
-	// Determinism: the same buffered, fault-injected run must serialize
-	// a byte-identical snapshot on one shard and on four.
-	snap := func(shards int) []byte {
-		reg := obs.NewRegistry()
-		workload.RunFaults(cfg, workload.FaultSpec{
-			Spec:         spec,
-			Checkpoints:  rounds,
-			ComputeTime:  sim.Time(0.02),
-			BB:           tier(bb.WriteBack, 1024, 40e6),
-			Plan:         sim.NewFaultPlan().Add(bb.NodeTarget(1), 0.2, 0.15).Add(pfs.OSSTarget(0), 0.4, 0.1),
-			MaxRetries:   4,
-			RetryBackoff: sim.Time(2e-3),
-			Shards:       shards,
-		}, reg, nil)
-		return snapshotJSON(reg)
-	}
-	checkShards("bb", snap(1), snap(4))
 
 	fmt.Println("\nshape check: write-back holds the visible checkpoint near the flash")
 	fmt.Println("absorb time until the buffer fills or the drain loses the race with")
@@ -1047,14 +1021,6 @@ func checkSnapshot(fig string, ref, got []byte, report func(status string)) {
 	}
 }
 
-// checkShards runs checkSnapshot on a 1-shard and a 4-shard snapshot of
-// the same run and prints the verdict as one line.
-func checkShards(fig string, s1, s4 []byte) {
-	checkSnapshot(fig, s1, s4, func(status string) {
-		fmt.Printf("\nshard determinism: 1-shard vs 4-shard snapshot %s (%d bytes)\n", status, len(s1))
-	})
-}
-
 // figDiag: peer-comparison diagnosis.
 func figDiag() {
 	header("Diagnosis — peer comparison on a 20-server PVFS-like cluster (§4.2.6)")
@@ -1076,13 +1042,9 @@ func figDiag() {
 // reports the measured data-loss probability, rebuild time, and the
 // foreground p99 under the storm; quiet baselines isolate the
 // interference. Everything is in deterministic sim time, so the whole
-// table is byte-identical for any -shards value.
+// table is byte-identical for any -rebuild-shards value.
 func figRebuild() {
 	header("Rebuild — k+m erasure coding, declustered rebuild under a failure storm")
-	shards := probeShards
-	if shards < 1 {
-		shards = 1
-	}
 	base := workload.RebuildSpec{
 		Servers: rebuildOSS,
 		Faults: failure.OSSFaultSpec{
@@ -1098,7 +1060,7 @@ func figRebuild() {
 		WriteBytes:   1 << 20,
 		MaxRetries:   3,
 		RetryBackoff: sim.Time(5e-3),
-		Shards:       shards,
+		Shards:       rebuildShards,
 	}
 	red := func(k, m int, ratio float64) pfs.Redundancy {
 		return pfs.Redundancy{K: k, M: m, Declustering: ratio, UnitBytes: 256 << 10, ChunkBytes: 64 << 10}
@@ -1179,7 +1141,10 @@ func figRebuild() {
 		workload.RunRebuild(s, reg)
 		return snapshotJSON(reg)
 	}
-	checkShards("rebuild", snap(1), snap(4))
+	s1 := snap(1)
+	checkSnapshot("rebuild", s1, snap(4), func(status string) {
+		fmt.Printf("\nshard determinism: 1-shard vs 4-shard snapshot %s (%d bytes)\n", status, len(s1))
+	})
 
 	fmt.Println("\nshape check: more parity (larger m) cuts the loss probability at the")
 	fmt.Println("same storm; declustering over the full population fans each rebuild")

@@ -246,7 +246,7 @@ func runIndexBench(entries, writers, ingestWorkers int, reg *obs.Registry) index
 // rate over a one-hour dwell between write and read-back, optionally
 // swept by periodic scrubs, with read-path checksums toggled by -verify.
 func runCorrupt(cfg pfs.Config, p workload.Pattern, ranks int, mbEach, record int64,
-	ratePerHour, scrubSec float64, verify bool, seed int64, shards int, reg *obs.Registry, tr *obs.Tracer) {
+	ratePerHour, scrubSec float64, verify bool, seed int64, reg *obs.Registry, tr *obs.Tracer) {
 	const dwell = 3600.0 // seconds of exposure between checkpoint and read-back
 	cfg.Checksums = verify
 	perServer := int64(ranks) * (mbEach << 20) / int64(cfg.NumServers)
@@ -266,7 +266,6 @@ func runCorrupt(cfg pfs.Config, p workload.Pattern, ranks int, mbEach, record in
 		Events:        events,
 		Expose:        sim.Time(dwell),
 		ScrubInterval: sim.Time(scrubSec),
-		Shards:        shards,
 	}, reg, tr)
 	st := res.Stats
 	fmt.Printf("file system:   %s (%d servers), %.2f corruptions/drive-hour, checksums %v\n",
@@ -285,14 +284,14 @@ func runCorrupt(cfg pfs.Config, p workload.Pattern, ranks int, mbEach, record in
 // MTBF while the application alternates compute and checkpoint rounds,
 // retrying failed ops with capped backoff.
 func runFaulty(cfg pfs.Config, bcfg *bb.Config, p workload.Pattern, ranks int, mbEach, record int64,
-	mtbf, downtime, computeSec float64, ckpts int, seed int64, shards int, reg *obs.Registry, tr *obs.Tracer) {
+	mtbf, downtime, computeSec float64, ckpts int, seed int64, reg *obs.Registry, tr *obs.Tracer) {
 	spec := workload.Spec{
 		Ranks: ranks, BytesPerRank: mbEach << 20, RecordSize: record,
 		Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 	}
 	// A clean run sizes the fault horizon: compute plus a generous
 	// multiple of the healthy capture time per round.
-	clean := workload.RunFaults(cfg, workload.FaultSpec{Spec: spec, Checkpoints: 1, Shards: shards}, nil, nil)
+	clean := workload.RunFaults(cfg, workload.FaultSpec{Spec: spec, Checkpoints: 1}, nil, nil)
 	horizon := float64(ckpts) * (computeSec + 8*float64(clean.Elapsed) + downtime)
 	plan := failure.DrawOSSFaults(failure.OSSFaultSpec{
 		Servers:  cfg.NumServers,
@@ -310,7 +309,6 @@ func runFaulty(cfg pfs.Config, bcfg *bb.Config, p workload.Pattern, ranks int, m
 		RetryBackoff: sim.Time(5e-3),
 		MaxBackoff:   sim.Time(0.1),
 		BB:           bcfg,
-		Shards:       shards,
 	}, reg, tr)
 	fmt.Printf("file system:   %s (%d servers), per-server MTBF %.1f s, downtime %.1f s\n",
 		cfg.Name, cfg.NumServers, mtbf, downtime)
@@ -349,16 +347,16 @@ func printBBLines(bcfg *bb.Config, res workload.FaultResult) {
 // burst-buffer tier and reports the latency hiding against the same
 // rounds on the direct path.
 func runBuffered(cfg pfs.Config, bcfg *bb.Config, p workload.Pattern, ranks int, mbEach, record int64,
-	computeSec float64, ckpts, shards int, reg *obs.Registry, tr *obs.Tracer) {
+	computeSec float64, ckpts int, reg *obs.Registry, tr *obs.Tracer) {
 	spec := workload.Spec{
 		Ranks: ranks, BytesPerRank: mbEach << 20, RecordSize: record,
 		Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 	}
 	direct := workload.RunFaults(cfg, workload.FaultSpec{
-		Spec: spec, Checkpoints: ckpts, ComputeTime: sim.Time(computeSec), Shards: shards,
+		Spec: spec, Checkpoints: ckpts, ComputeTime: sim.Time(computeSec),
 	}, nil, nil)
 	res := workload.RunFaults(cfg, workload.FaultSpec{
-		Spec: spec, Checkpoints: ckpts, ComputeTime: sim.Time(computeSec), BB: bcfg, Shards: shards,
+		Spec: spec, Checkpoints: ckpts, ComputeTime: sim.Time(computeSec), BB: bcfg,
 	}, reg, tr)
 	fmt.Printf("file system:   %s (%d servers)\n", cfg.Name, cfg.NumServers)
 	printBBLines(bcfg, res)
@@ -406,7 +404,6 @@ func main() {
 		ecK        = flag.Int("ec-k", 0, "erasure coding: data fragments per redundancy group (0 = unprotected: no redundancy)")
 		ecM        = flag.Int("ec-m", 0, "erasure coding: parity fragments per group (with -ec-k)")
 		ecRatio    = flag.Float64("ec-declustering", 1, "erasure coding: declustering window as a fraction of the server population, in (0,1]")
-		shards     = flag.Int("shards", 0, "run the simulation on a sharded cluster of this many event queues (0 = single engine); outputs are byte-identical for any value")
 		bbMode     = flag.String("bb-mode", "off", "burst-buffer tier between ranks and the FS: off, back (write-back), through (write-through)")
 		bbNodes    = flag.Int("bb-nodes", 2, "burst-buffer node count (with -bb-mode)")
 		bbCapMB    = flag.Int64("bb-capacity-mb", 32, "flash capacity per burst-buffer node in MiB (with -bb-mode)")
@@ -528,15 +525,15 @@ func main() {
 		os.Exit(2)
 	}
 	if *corrupt > 0 {
-		runCorrupt(cfg, p, *ranks, *mbEach, *record, *corrupt, *scrubSec, *verify, *faultSeed, *shards, reg, tr)
+		runCorrupt(cfg, p, *ranks, *mbEach, *record, *corrupt, *scrubSec, *verify, *faultSeed, reg, tr)
 		return
 	}
 	if *mtbf > 0 {
-		runFaulty(cfg, bbCfg, p, *ranks, *mbEach, *record, *mtbf, *downtime, *computeSec, *ckpts, *faultSeed, *shards, reg, tr)
+		runFaulty(cfg, bbCfg, p, *ranks, *mbEach, *record, *mtbf, *downtime, *computeSec, *ckpts, *faultSeed, reg, tr)
 		return
 	}
 	if bbCfg != nil {
-		runBuffered(cfg, bbCfg, p, *ranks, *mbEach, *record, *computeSec, *ckpts, *shards, reg, tr)
+		runBuffered(cfg, bbCfg, p, *ranks, *mbEach, *record, *computeSec, *ckpts, reg, tr)
 		return
 	}
 	res := workload.Run(cfg, workload.Spec{

@@ -33,7 +33,7 @@
 // checksums catch it on read exactly like any other torn write.
 //
 // Determinism follows the repo contract: the tier lives on the same
-// engine (or cluster shard) as the file system, keeps all queues as
+// engine as the file system, keeps all queues as
 // FIFO slices, iterates no maps, and registers bb.* instruments only on
 // instrumented engines — a run without a tier is byte-identical to one
 // built before this package existed.

@@ -1,11 +1,10 @@
-//lint:allowfile goroutine -- sanctioned site: spans are emitted from parallel shard runners under a mutex
+//lint:allowfile goroutine -- sanctioned site: the tracer is safe for concurrent emitters under one mutex; simulations emit from a single engine thread
 
 package obs
 
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -23,25 +22,14 @@ type TraceEvent struct {
 	PID  int64          `json:"pid"`
 	TID  int64          `json:"tid"`
 	Args map[string]any `json:"args,omitempty"`
-
-	// laneSeq is the event's arrival index within its (PID, TID) lane,
-	// assigned under the tracer lock. Unexported, so it never reaches
-	// the JSON; it only breaks same-timestamp ties in ordered mode.
-	laneSeq uint64
 }
-
-// laneKey identifies one trace lane: a subsystem block and an actor
-// within it.
-type laneKey struct{ pid, tid int64 }
 
 // Tracer accumulates trace events. A nil *Tracer is the disabled tracer:
 // every method is a no-op, so probe sites cost one branch when tracing
 // is off.
 type Tracer struct {
-	mu      sync.Mutex
-	events  []TraceEvent
-	lanes   map[laneKey]uint64
-	ordered bool
+	mu     sync.Mutex
+	events []TraceEvent
 }
 
 // NewTracer returns an empty, enabled tracer.
@@ -82,31 +70,8 @@ func (t *Tracer) InstantArgs(cat, name string, tid int64, atSec float64, args ma
 }
 
 func (t *Tracer) append(e TraceEvent) {
-	k := laneKey{pid: e.PID, tid: e.TID}
 	t.mu.Lock()
-	if t.lanes == nil {
-		t.lanes = make(map[laneKey]uint64)
-	}
-	e.laneSeq = t.lanes[k]
-	t.lanes[k] = e.laneSeq + 1
 	t.events = append(t.events, e)
-	t.mu.Unlock()
-}
-
-// Ordered switches the tracer to deterministic write order: WriteJSON
-// sorts events by (timestamp, pid, tid, lane arrival index) instead of
-// using raw append order. Append order is already deterministic in a
-// single-threaded simulation, but a sim.Cluster appends from several
-// shard workers whose interleaving depends on scheduling; the sort
-// restores a canonical order — byte-identical across shard counts and
-// GOMAXPROCS — provided each lane is written from a single shard, which
-// is the cluster's lane-affinity contract. No-op on a nil tracer.
-func (t *Tracer) Ordered() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ordered = true
 	t.mu.Unlock()
 }
 
@@ -128,32 +93,14 @@ type traceFile struct {
 }
 
 // WriteJSON serializes the trace. Event order is append order, which is
-// deterministic in the single-threaded simulators; a tracer in ordered
-// mode (see Ordered) sorts by (timestamp, lane, lane sequence) instead.
-// A nil tracer writes a valid empty trace.
+// deterministic in the single-threaded simulators. A nil tracer writes
+// a valid empty trace.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	events := []TraceEvent{}
-	ordered := false
 	if t != nil {
 		t.mu.Lock()
 		events = append(events, t.events...)
-		ordered = t.ordered
 		t.mu.Unlock()
-	}
-	if ordered {
-		sort.Slice(events, func(i, j int) bool {
-			a, b := &events[i], &events[j]
-			if a.TS != b.TS {
-				return a.TS < b.TS
-			}
-			if a.PID != b.PID {
-				return a.PID < b.PID
-			}
-			if a.TID != b.TID {
-				return a.TID < b.TID
-			}
-			return a.laneSeq < b.laneSeq
-		})
 	}
 	buf, err := json.MarshalIndent(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"}, "", " ")
 	if err != nil {

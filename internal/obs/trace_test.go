@@ -83,49 +83,3 @@ func TestTracerDeterministicBytes(t *testing.T) {
 		t.Fatal("identical traces serialized to different bytes")
 	}
 }
-
-// TestTracerOrderedCanonicalizesAppendOrder: in ordered mode the write
-// order is (TS, PID, TID, per-lane arrival index), so traces built by
-// appending the same per-lane streams in different global interleavings
-// serialize identically — the property sim.Cluster relies on when shard
-// workers append concurrently.
-func TestTracerOrderedCanonicalizesAppendOrder(t *testing.T) {
-	build := func(lanesFirst bool) []byte {
-		tr := NewTracer()
-		tr.Ordered()
-		emit := func(tid int64) {
-			for i := 0; i < 5; i++ {
-				tr.Span("c", "op", tid, float64(i), float64(i)+0.25, nil)
-				tr.Instant("c", "mark", tid, float64(i)+0.5)
-			}
-		}
-		if lanesFirst {
-			emit(0)
-			emit(1)
-		} else {
-			emit(1)
-			emit(0)
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b := build(true), build(false)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("ordered traces differ by append interleaving:\n%s\nvs\n%s", a, b)
-	}
-	// Same-timestamp events within one lane must keep arrival order.
-	tr := NewTracer()
-	tr.Ordered()
-	tr.Instant("c", "first", 2, 1.0)
-	tr.Instant("c", "second", 2, 1.0)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if first := bytes.Index(buf.Bytes(), []byte("first")); first < 0 || bytes.Index(buf.Bytes(), []byte("second")) < first {
-		t.Fatalf("same-time lane events reordered: %s", buf.Bytes())
-	}
-}

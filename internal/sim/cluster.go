@@ -20,8 +20,8 @@ import (
 // [T, T+L) in parallel, because anything another shard sends during the
 // window arrives at or after T+L. Between windows the coordinator merges
 // staged sends in a shard-count-invariant order and runs sampler ticks,
-// so the observable trajectory — snapshots, traces, series, reports —
-// is byte-identical for any shard count and any GOMAXPROCS.
+// so the observable trajectory — snapshots, series, reports — is
+// byte-identical for any shard count and any GOMAXPROCS.
 //
 // Determinism contract, in exchange for which the Cluster promises
 // byte-identical output across shard counts and scheduling:
@@ -30,9 +30,9 @@ import (
 //     write shard j's model state except through Send.
 //   - Same-timestamp events on different shards must commute through
 //     any shared instruments: counters are atomic and commutative, but
-//     order-sensitive instruments (histograms, quantiles, time series,
-//     trace lanes) must be observed from a single shard each — give
-//     each domain its own metric-name prefix and trace lane.
+//     order-sensitive instruments (histograms, quantiles, time series)
+//     must be observed from a single shard each — give each domain its
+//     own metric-name prefix.
 //   - Send keys are stable entity names owned by a single sender, so
 //     the per-key sequence numbers that break merge ties do not depend
 //     on where the sender is placed.
@@ -52,14 +52,10 @@ type Cluster struct {
 
 	// Cluster-level sampling: ticks on a global grid, run at window
 	// barriers after every event before the tick time and before any
-	// event at it.
+	// event at it. sampleEvery is 0 until a sampler is armed.
 	sampleFns   []func(now Time)
 	sampleEvery Time
-	samplerOn   bool
 	nextTick    Time
-
-	metrics *obs.Registry
-	tracer  *obs.Tracer
 
 	cSends   *obs.Counter
 	cWindows *obs.Counter
@@ -102,7 +98,7 @@ func NewCluster(n int, lookahead Time) *Cluster {
 		hasNxt:    make([]bool, n),
 	}
 	for i := range c.shards {
-		c.shards[i] = NewEngine()
+		c.shards[i] = &Engine{cluster: c}
 		c.keyseq[i] = make(map[string]uint64)
 	}
 	return c
@@ -115,13 +111,6 @@ func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
 // NumShards reports the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// Lookahead reports the cluster's minimum cross-shard latency.
-func (c *Cluster) Lookahead() Time { return c.lookahead }
-
-// Now returns the global virtual time: the lower bound of the current
-// window while running, the time of the last event after Run returns.
-func (c *Cluster) Now() Time { return c.now }
-
 // Pending reports live events summed over all shards. Only meaningful
 // at window barriers (sampler ticks, or before/after Run).
 func (c *Cluster) Pending() int {
@@ -132,22 +121,18 @@ func (c *Cluster) Pending() int {
 	return total
 }
 
-// Instrument attaches a registry and/or tracer to every shard and
-// registers the cluster-wide aggregates. Shards share the sim.events_*
-// counters (atomic, so cross-shard increments commute); the pending and
-// clock gauges and the events-pending series are cluster-level so the
+// Instrument attaches a registry to every shard and registers the
+// cluster-wide aggregates. Shards share the sim.events_* counters
+// (atomic, so cross-shard increments commute); the pending and clock
+// gauges and the events-pending series are cluster-level so the
 // snapshot shape does not depend on the shard count. sim.queue_depth_max
 // becomes the high-water mark of total pending events measured at
 // window boundaries — the only instant the total is well defined under
-// parallel execution. The tracer is switched to ordered mode: events
-// sort on write by (timestamp, lane, lane sequence), which is invariant
-// as long as each lane is written from a single shard.
-func (c *Cluster) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	c.metrics = reg
-	c.tracer = tr
-	tr.Ordered()
+// parallel execution. Clusters are not traced: shard workers would
+// append to one trace in scheduling order.
+func (c *Cluster) Instrument(reg *obs.Registry) {
 	for _, sh := range c.shards {
-		sh.instrument(reg, tr)
+		sh.instrument(reg)
 	}
 	c.cSends = reg.Counter("sim.cluster.sends")
 	c.cWindows = reg.Counter("sim.cluster.windows")
@@ -160,23 +145,18 @@ func (c *Cluster) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// Metrics returns the attached registry (nil when uninstrumented).
-func (c *Cluster) Metrics() *obs.Registry { return c.metrics }
-
-// Tracer returns the attached tracer (nil when uninstrumented).
-func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
-
 // Sample registers fn to run on a global sampling grid, like
 // Engine.Sample but at cluster scope: a tick at time t runs at a window
 // barrier after every event before t and before any event at t, which
-// is the only tick placement that is invariant across shard counts. The
-// first call fixes the cadence; later calls join it. The sampler is
-// self-terminating: one final tick fires after the last event drains.
+// is the only tick placement that is invariant across shard counts.
+// Engine.Sample on a shard lands here. The first call fixes the
+// cadence; later calls join it. The sampler is self-terminating: one
+// final tick fires after the last event drains.
 func (c *Cluster) Sample(interval Time, fn func(now Time)) {
 	if fn == nil {
 		return
 	}
-	if c.samplerOn {
+	if c.sampleEvery > 0 {
 		c.sampleFns = append(c.sampleFns, fn)
 		return
 	}
@@ -186,15 +166,6 @@ func (c *Cluster) Sample(interval Time, fn func(now Time)) {
 	c.sampleFns = append(c.sampleFns, fn)
 	c.sampleEvery = interval
 	c.nextTick = interval
-	c.samplerOn = true
-}
-
-// SampleInterval returns the armed cadence (0 when sampling is off).
-func (c *Cluster) SampleInterval() Time {
-	if !c.samplerOn {
-		return 0
-	}
-	return c.sampleEvery
 }
 
 // Send schedules fn on shard dst at the sending shard's current time
@@ -248,8 +219,15 @@ func (c *Cluster) inject() {
 	c.injectBuf = buf[:0]
 }
 
+// runTick stands every shard at the tick instant — samplers read shard
+// clocks (utilization divides by Now), so no shard may lag behind
+// another that happened to host a later event — then samples. No event
+// is pending before at, so no clock moves backwards.
 func (c *Cluster) runTick(at Time) {
 	c.now = at
+	for _, sh := range c.shards {
+		sh.now = at
+	}
 	for _, f := range c.sampleFns {
 		f(at)
 	}
@@ -313,7 +291,7 @@ func (c *Cluster) Run() Time {
 			// single-engine sampler, which always fires once more after
 			// the model goes quiet) — and that tick may schedule new
 			// events, so loop back around.
-			if c.samplerOn && !finalTick {
+			if c.sampleEvery > 0 && !finalTick {
 				finalTick = true
 				c.runTick(c.nextTick)
 				c.nextTick += c.sampleEvery
@@ -324,7 +302,7 @@ func (c *Cluster) Run() Time {
 		finalTick = false
 
 		// Ticks strictly precede the window that contains their time.
-		if c.samplerOn && c.nextTick <= T {
+		if c.sampleEvery > 0 && c.nextTick <= T {
 			c.runTick(c.nextTick)
 			c.nextTick += c.sampleEvery
 			continue
@@ -332,7 +310,7 @@ func (c *Cluster) Run() Time {
 
 		c.now = T
 		w := T + c.lookahead // saturates past Infinity; min() below still bounds it
-		if c.samplerOn && c.nextTick < w {
+		if c.sampleEvery > 0 && c.nextTick < w {
 			w = c.nextTick
 		}
 

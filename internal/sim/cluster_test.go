@@ -10,14 +10,14 @@ import (
 )
 
 // clusterFixture runs a multi-domain model on a cluster with the given
-// shard count and returns the serialized snapshot, series CSV, and
-// trace. The model is deliberately chatty across domains: eight domains,
-// each with its own FIFO server, periodic local work, per-domain
-// instruments (prefixed names and a private trace lane), and a token
-// ring circulating through Cluster.Send with a stable per-domain key.
-// Everything observable must come out byte-identical for any shard
-// count and any GOMAXPROCS.
-func clusterFixture(t *testing.T, shards int) (snap, csv, trace []byte) {
+// shard count and returns the serialized snapshot and series CSV. The
+// model is deliberately chatty across domains: eight domains, each with
+// its own FIFO server, periodic local work, per-domain instruments
+// (prefixed names, a utilization series sampled through the shard's
+// Engine.Sample), and a token ring circulating through Cluster.Send
+// with a stable per-domain key. Everything observable must come out
+// byte-identical for any shard count and any GOMAXPROCS.
+func clusterFixture(t *testing.T, shards int) (snap, csv []byte) {
 	t.Helper()
 	const (
 		domains   = 8
@@ -26,9 +26,8 @@ func clusterFixture(t *testing.T, shards int) (snap, csv, trace []byte) {
 	)
 	reg := obs.NewRegistry()
 	reg.EnableTimeSeries(0.01)
-	tr := obs.NewTracer()
 	cl := NewCluster(shards, lookahead)
-	cl.Instrument(reg, tr)
+	cl.Instrument(reg)
 
 	type domain struct {
 		shard  int
@@ -51,6 +50,10 @@ func clusterFixture(t *testing.T, shards int) (snap, csv, trace []byte) {
 			cToken: reg.Counter(name + ".tokens"),
 			hSvc:   reg.Histogram(name+".latency_s", obs.TimeBuckets()),
 		}
+		// A shard-local sampler: it must tick on the cluster's grid, not
+		// in its shard's queue, and read a clock standing at the tick.
+		srv, util := doms[d].srv, reg.TimeSeries(name+".util")
+		eng.Sample(0.01, func(now Time) { util.Observe(float64(now), srv.Utilization()) })
 	}
 
 	for d := 0; d < domains; d++ {
@@ -64,7 +67,6 @@ func clusterFixture(t *testing.T, shards int) (snap, csv, trace []byte) {
 				dom.srv.Submit(0.003, func(done Time) {
 					dom.cDone.Inc()
 					dom.hSvc.Observe(float64(done - start))
-					tr.Span("dom", fmt.Sprintf("job%02d", k), int64(d), float64(start), float64(done), nil)
 				})
 			})
 		}
@@ -93,32 +95,29 @@ func clusterFixture(t *testing.T, shards int) (snap, csv, trace []byte) {
 
 	cl.Run()
 
-	var sb, cb, tb bytes.Buffer
+	var sb, cb bytes.Buffer
 	if err := reg.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.WriteSeriesCSV(&cb); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteJSON(&tb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.Bytes(), cb.Bytes(), tb.Bytes()
+	return sb.Bytes(), cb.Bytes()
 }
 
 // TestClusterByteIdenticalAcrossShardsAndProcs is the tentpole golden
-// property: snapshots, series, and traces from shard counts 1, 2, and 8
-// are byte-identical, at GOMAXPROCS 1 and 4 both.
+// property: snapshots and series from shard counts 1, 2, and 8 are
+// byte-identical, at GOMAXPROCS 1 and 4 both.
 func TestClusterByteIdenticalAcrossShardsAndProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var wantSnap, wantCSV, wantTrace []byte
+	var wantSnap, wantCSV []byte
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 2, 8} {
-			snap, csv, trace := clusterFixture(t, shards)
+			snap, csv := clusterFixture(t, shards)
 			if wantSnap == nil {
-				wantSnap, wantCSV, wantTrace = snap, csv, trace
-				if len(wantSnap) == 0 || len(wantCSV) == 0 || len(wantTrace) == 0 {
+				wantSnap, wantCSV = snap, csv
+				if len(wantSnap) == 0 || len(wantCSV) == 0 {
 					t.Fatal("fixture produced empty output")
 				}
 				continue
@@ -128,9 +127,6 @@ func TestClusterByteIdenticalAcrossShardsAndProcs(t *testing.T) {
 			}
 			if !bytes.Equal(csv, wantCSV) {
 				t.Errorf("procs=%d shards=%d: series CSV differs from baseline", procs, shards)
-			}
-			if !bytes.Equal(trace, wantTrace) {
-				t.Errorf("procs=%d shards=%d: trace differs from baseline", procs, shards)
 			}
 		}
 	}

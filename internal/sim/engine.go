@@ -94,10 +94,13 @@ type Engine struct {
 
 	// Periodic sampling state (see sampler.go). Armed only when a
 	// series-enabled registry is attached, so default runs schedule no
-	// extra events.
+	// extra events; sampleEvery is 0 until then.
 	sampleFns   []func(now Time)
 	sampleEvery Time
-	samplerOn   bool
+
+	// cluster is the Cluster this engine is a shard of, nil for a
+	// standalone engine. A shard samples on the cluster's grid.
+	cluster *Cluster
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -107,7 +110,8 @@ func NewEngine() *Engine { return &Engine{} }
 // nil). Resources created afterwards (Servers, file systems) pick the
 // probe up from the engine, so call this before building the model.
 func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	e.instrument(reg, tr)
+	e.tracer = tr
+	e.instrument(reg)
 	reg.GaugeFunc("sim.queue_depth_max", func() float64 { return float64(e.depth) })
 	reg.GaugeFunc("sim.pending", func() float64 { return float64(e.live) })
 	reg.GaugeFunc("sim.now_s", func() float64 { return float64(e.now) })
@@ -117,15 +121,14 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// instrument attaches the registry, tracer, and shared event counters
-// but not the whole-simulation gauges or the pending-events series. It
-// is the member-engine half of Instrument: a Cluster instruments each
+// instrument attaches the registry and shared event counters but not
+// the tracer, the whole-simulation gauges, or the pending-events series.
+// It is the member-engine half of Instrument: a Cluster instruments each
 // shard this way and registers cluster-wide aggregates itself, so a
 // snapshot carries one "sim.pending" gauge regardless of shard count and
 // the counters (atomic, commutative) accumulate across shards.
-func (e *Engine) instrument(reg *obs.Registry, tr *obs.Tracer) {
+func (e *Engine) instrument(reg *obs.Registry) {
 	e.metrics = reg
-	e.tracer = tr
 	e.cDispatched = reg.Counter("sim.events_dispatched")
 	e.cScheduled = reg.Counter("sim.events_scheduled")
 	e.cCancelled = reg.Counter("sim.events_cancelled")

@@ -18,11 +18,18 @@ package sim
 // and schedules the tick; later calls join the existing cadence (their
 // interval argument is ignored) so all series share one time grid.
 // No-op for a nil fn or, on the first call, a non-positive interval.
+// On a Cluster shard, fn joins the cluster's grid instead (see
+// Cluster.Sample): a tick in one shard's queue would stop when that
+// shard drains, making series depend on which domains share a shard.
 func (e *Engine) Sample(interval Time, fn func(now Time)) {
+	if e.cluster != nil {
+		e.cluster.Sample(interval, fn)
+		return
+	}
 	if fn == nil {
 		return
 	}
-	if e.samplerOn {
+	if e.sampleEvery > 0 {
 		e.sampleFns = append(e.sampleFns, fn)
 		return
 	}
@@ -31,7 +38,6 @@ func (e *Engine) Sample(interval Time, fn func(now Time)) {
 	}
 	e.sampleFns = append(e.sampleFns, fn)
 	e.sampleEvery = interval
-	e.samplerOn = true
 	var tick func()
 	tick = func() {
 		for _, f := range e.sampleFns {
@@ -48,10 +54,10 @@ func (e *Engine) Sample(interval Time, fn func(now Time)) {
 }
 
 // SampleInterval returns the armed sampling cadence (0 when sampling is
-// off).
+// off); a cluster shard reports the cluster's.
 func (e *Engine) SampleInterval() Time {
-	if !e.samplerOn {
-		return 0
+	if e.cluster != nil {
+		return e.cluster.sampleEvery
 	}
 	return e.sampleEvery
 }

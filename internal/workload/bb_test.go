@@ -126,38 +126,48 @@ func TestBufferCrashLosesDirtyDataUnderWorkload(t *testing.T) {
 	}
 }
 
-// TestBufferedRunShardInvariance is the golden determinism requirement
-// for the bb experiment: the same buffered, fault-injected run on a
-// 1-shard and a 4-shard cluster serializes byte-identical snapshots and
-// traces.
-func TestBufferedRunShardInvariance(t *testing.T) {
-	run := func(shards int) ([]byte, []byte) {
+// TestSameSeedBufferedRunsAreByteIdentical is the golden determinism
+// requirement for the bb experiment: two runs of the same buffered,
+// fault-injected checkpoint, with op timers and series on, serialize
+// byte-identical snapshots, series, and traces.
+func TestSameSeedBufferedRunsAreByteIdentical(t *testing.T) {
+	run := func() (snap, csv, trace []byte) {
 		cfg, fspec := bbFaultSpec()
-		fspec.Shards = shards
 		fspec.MaxRetries = 4
 		fspec.RetryBackoff = sim.Time(2e-3)
 		fspec.Plan = sim.NewFaultPlan().
 			Add(bb.NodeTarget(1), 0.2, 0.15).
 			Add(pfs.OSSTarget(0), 0.4, 0.1)
 		reg := obs.NewRegistry()
+		reg.EnableOpTimers()
+		reg.EnableTimeSeries(0.05)
 		tr := obs.NewTracer()
-		RunFaults(cfg, fspec, reg, tr)
-		var m, tb bytes.Buffer
+		res := RunFaults(cfg, fspec, reg, tr)
+		if res.BB.Crashes != 1 || res.Faults.Crashes != 1 {
+			t.Fatalf("plan not applied: bb crashes %d, oss crashes %d", res.BB.Crashes, res.Faults.Crashes)
+		}
+		var m, c, tb bytes.Buffer
 		if err := reg.WriteJSON(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.WriteSeriesCSV(&c); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.WriteJSON(&tb); err != nil {
 			t.Fatal(err)
 		}
-		return m.Bytes(), tb.Bytes()
+		return m.Bytes(), c.Bytes(), tb.Bytes()
 	}
-	m1, t1 := run(1)
-	m4, t4 := run(4)
-	if !bytes.Equal(m1, m4) {
-		t.Fatalf("bb snapshots diverge across shard counts:\n%s\nvs\n%s", firstDiff(m1, m4), "")
+	m1, c1, t1 := run()
+	m2, c2, t2 := run()
+	if !bytes.Equal(m1, m2) {
+		t.Fatalf("bb snapshots diverge across same-seed runs:\n%s", firstDiff(m1, m2))
 	}
-	if !bytes.Equal(t1, t4) {
-		t.Fatal("bb traces diverge across shard counts")
+	if !bytes.Equal(c1, c2) {
+		t.Fatal("bb series diverge across same-seed runs")
+	}
+	if !bytes.Equal(t1, t2) {
+		t.Fatal("bb traces diverge across same-seed runs")
 	}
 }
 

@@ -226,6 +226,99 @@ type Program struct {
 	Ops     []Op
 }
 
+// programs builds every rank's program for one checkpoint phase of spec.
+func programs(spec Spec, unit int64) []Program {
+	progs := make([]Program, spec.Ranks)
+	for r := range progs {
+		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, unit, r)}
+	}
+	return progs
+}
+
+// rankSet is the rank loop every single-file-system harness shares: one
+// client and one open-file cache per rank, kept across phases so a file
+// is opened once per run.
+type rankSet struct {
+	eng     *sim.Engine
+	progs   []Program
+	clients []*pfs.Client
+	handles []map[string]*pfs.File
+}
+
+// opStep issues op o of rank r on the open file h and calls next when
+// the rank may move on to its following op.
+type opStep func(r int, h *pfs.File, o Op, next func())
+
+func newRankSet(eng *sim.Engine, fs *pfs.FS, progs []Program) *rankSet {
+	rs := &rankSet{
+		eng:     eng,
+		progs:   progs,
+		clients: make([]*pfs.Client, len(progs)),
+		handles: make([]map[string]*pfs.File, len(progs)),
+	}
+	for r := range progs {
+		rs.clients[r] = fs.NewClient(r)
+		rs.handles[r] = make(map[string]*pfs.File)
+	}
+	return rs
+}
+
+// create issues every rank's creates and calls start once all of them
+// have completed (at once when there are none).
+func (rs *rankSet) create(start func()) {
+	var n int
+	for _, p := range rs.progs {
+		n += len(p.Creates)
+	}
+	if n == 0 {
+		start()
+		return
+	}
+	created := sim.NewBarrier(rs.eng, n, func(sim.Time) { start() })
+	for r, p := range rs.progs {
+		for _, name := range p.Creates {
+			rs.clients[r].Create(name, func(*pfs.File) { created.Arrive() })
+		}
+	}
+}
+
+// phase runs every rank's ops concurrently, each rank in program order:
+// open the file on first use, spend the op's CPU time (e.g.
+// compression), then step. done receives the phase's elapsed time once
+// the last rank finishes.
+func (rs *rankSet) phase(step opStep, done func(elapsed sim.Time)) {
+	start := rs.eng.Now()
+	finished := sim.NewBarrier(rs.eng, len(rs.progs), func(at sim.Time) { done(at - start) })
+	for r := range rs.progs {
+		ops, handles := rs.progs[r].Ops, rs.handles[r]
+		var issue func(i int)
+		issue = func(i int) {
+			if i == len(ops) {
+				finished.Arrive()
+				return
+			}
+			o := ops[i]
+			next := func() { issue(i + 1) }
+			perform := func(h *pfs.File) {
+				if o.CPU > 0 {
+					rs.eng.Schedule(o.CPU, func() { step(r, h, o, next) })
+					return
+				}
+				step(r, h, o, next)
+			}
+			if h, ok := handles[o.File]; ok {
+				perform(h)
+				return
+			}
+			rs.clients[r].Open(o.File, func(h *pfs.File) {
+				handles[o.File] = h
+				perform(h)
+			})
+		}
+		issue(0)
+	}
+}
+
 // RunPrograms executes arbitrary per-rank programs against a fresh file
 // system built from cfg: all creates complete (a barrier), then every rank
 // runs its op sequence, and Elapsed covers the write phase. TotalBytes
@@ -237,74 +330,19 @@ func RunPrograms(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *obs.Tra
 	eng := sim.NewEngine()
 	eng.Instrument(reg, tr)
 	fs := pfs.New(eng, cfg)
-
-	clients := make([]*pfs.Client, len(progs))
-	for r := range clients {
-		clients[r] = fs.NewClient(r)
-	}
+	rs := newRankSet(eng, fs, progs)
 
 	var result Result
-	var phaseStart sim.Time
-	runWrites := func() {
-		phaseStart = eng.Now()
-		result.SetupElapsed = phaseStart
-		finished := sim.NewBarrier(eng, len(progs), func(at sim.Time) {
-			result.Elapsed = at - phaseStart
-		})
-		for r := range progs {
-			r := r
-			ops := progs[r].Ops
-			handles := make(map[string]*pfs.File)
-			var issue func(i int)
-			issue = func(i int) {
-				if i == len(ops) {
-					finished.Arrive()
-					return
-				}
-				o := ops[i]
-				perform := func(h *pfs.File) {
-					// Compute (e.g. compression) precedes the I/O.
-					if o.Read {
-						clients[r].Read(h, o.Off, o.Size, func() { issue(i + 1) })
-					} else {
-						clients[r].Write(h, o.Off, o.Size, func() { issue(i + 1) })
-					}
-				}
-				withCPU := func(h *pfs.File) {
-					if o.CPU > 0 {
-						eng.Schedule(o.CPU, func() { perform(h) })
-						return
-					}
-					perform(h)
-				}
-				f, ok := handles[o.File]
-				if !ok {
-					clients[r].Open(o.File, func(h *pfs.File) {
-						handles[o.File] = h
-						withCPU(h)
-					})
-					return
-				}
-				withCPU(f)
+	rs.create(func() {
+		result.SetupElapsed = eng.Now()
+		rs.phase(func(r int, h *pfs.File, o Op, next func()) {
+			if o.Read {
+				rs.clients[r].Read(h, o.Off, o.Size, next)
+			} else {
+				rs.clients[r].Write(h, o.Off, o.Size, next)
 			}
-			issue(0)
-		}
-	}
-
-	var toCreate int
-	for r := range progs {
-		toCreate += len(progs[r].Creates)
-	}
-	if toCreate == 0 {
-		runWrites()
-	} else {
-		created := sim.NewBarrier(eng, toCreate, func(sim.Time) { runWrites() })
-		for r := range progs {
-			for _, name := range progs[r].Creates {
-				clients[r].Create(name, func(*pfs.File) { created.Arrive() })
-			}
-		}
-	}
+		}, func(elapsed sim.Time) { result.Elapsed = elapsed })
+	})
 
 	eng.Run()
 	for _, p := range progs {
@@ -328,11 +366,7 @@ func Run(cfg pfs.Config, spec Spec, reg *obs.Registry, tr *obs.Tracer) Result {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	progs := make([]Program, spec.Ranks)
-	for r := 0; r < spec.Ranks; r++ {
-		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
-	}
-	result := RunPrograms(cfg, progs, reg, tr)
+	result := RunPrograms(cfg, programs(spec, cfg.StripeUnit), reg, tr)
 	result.Spec = spec
 	// Per-spec accounting: payload is BytesPerRank per rank (PLFS ops also
 	// include index bytes; report payload).

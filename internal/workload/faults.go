@@ -51,15 +51,6 @@ type FaultSpec struct {
 	// plan drives both layers through one sim.FanoutSink). Nil keeps
 	// the direct path, byte-identical to a build without the tier.
 	BB *bb.Config
-
-	// Shards, when > 0, runs the simulation on a sim.Cluster of that
-	// many shards instead of a plain engine, with the whole file system
-	// on shard 0 (one file system is one shared-state domain; it cannot
-	// be split). The trajectory — and therefore every snapshot, trace,
-	// and series — is byte-identical for any positive shard count; the
-	// CI shard-determinism smoke pins that. Zero keeps the legacy
-	// single-engine path, whose golden snapshots predate the cluster.
-	Shards int
 }
 
 // Validate reports problems with the spec.
@@ -74,8 +65,6 @@ func (s FaultSpec) Validate() error {
 		return fmt.Errorf("workload: negative time in fault spec")
 	case s.MaxRetries < 0:
 		return fmt.Errorf("workload: MaxRetries %d < 0", s.MaxRetries)
-	case s.Shards < 0:
-		return fmt.Errorf("workload: Shards %d < 0", s.Shards)
 	}
 	if s.BB != nil {
 		if err := s.BB.Validate(); err != nil {
@@ -83,22 +72,6 @@ func (s FaultSpec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// newSimulation builds the event substrate for a harness run: a plain
-// instrumented engine when shards == 0 (the legacy path every golden
-// snapshot pins), or shard 0 of a decoupled sim.Cluster — infinite
-// lookahead, since a single-domain model never sends — whose run
-// function drives the windowed coordinator.
-func newSimulation(shards int, reg *obs.Registry, tr *obs.Tracer) (*sim.Engine, func() sim.Time) {
-	if shards <= 0 {
-		eng := sim.NewEngine()
-		eng.Instrument(reg, tr)
-		return eng, eng.Run
-	}
-	cl := sim.NewCluster(shards, sim.Infinity)
-	cl.Instrument(reg, tr)
-	return cl.Shard(0), cl.Run
 }
 
 // faulty reports whether any fault machinery is active; a non-faulty run
@@ -150,7 +123,8 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 	if err := fspec.Validate(); err != nil {
 		panic(err)
 	}
-	eng, run := newSimulation(fspec.Shards, reg, tr)
+	eng := sim.NewEngine()
+	eng.Instrument(reg, tr)
 	fs := pfs.New(eng, cfg)
 	var tier *bb.Tier
 	if fspec.BB != nil {
@@ -178,16 +152,7 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 	}
 
 	spec := fspec.Spec
-	progs := make([]Program, spec.Ranks)
-	for r := 0; r < spec.Ranks; r++ {
-		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
-	}
-	clients := make([]*pfs.Client, len(progs))
-	handles := make([]map[string]*pfs.File, len(progs))
-	for r := range clients {
-		clients[r] = fs.NewClient(r)
-		handles[r] = make(map[string]*pfs.File)
-	}
+	rs := newRankSet(eng, fs, programs(spec, cfg.StripeUnit))
 
 	result := FaultResult{Checkpoints: fspec.Checkpoints, ComputeTime: fspec.ComputeTime}
 	maxBackoff := fspec.MaxBackoff
@@ -195,95 +160,62 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		maxBackoff = fspec.RetryBackoff
 	}
 
-	runPhase := func(phaseDone func(elapsed sim.Time)) {
-		phaseStart := eng.Now()
-		finished := sim.NewBarrier(eng, len(progs), func(at sim.Time) {
-			phaseDone(at - phaseStart)
-		})
-		for r := range progs {
-			r := r
-			ops := progs[r].Ops
-			var issue func(i int)
-			issue = func(i int) {
-				if i == len(ops) {
-					finished.Arrive()
-					return
-				}
-				o := ops[i]
-				perform := func(h *pfs.File) {
-					attempt := 0
-					backoff := fspec.RetryBackoff
-					// One stage timer spans the whole logical op — every
-					// attempt's stages plus the backoff between them — and is
-					// observed once, on final success. Dropped ops never fold
-					// in, so the quantiles describe completed operations. Nil
-					// (one branch per probe) unless op timers are enabled.
-					var ot *obs.OpTimer
-					if o.Read {
-						ot = fs.StartReadOp()
-					} else {
-						ot = fs.StartWriteOp()
-					}
-					var try func()
-					complete := func(err error) {
-						if err == nil {
-							if o.Read {
-								fs.FinishReadOp(ot)
-							} else {
-								fs.FinishWriteOp(ot)
-							}
-							issue(i + 1)
-							return
-						}
-						if attempt < fspec.MaxRetries {
-							attempt++
-							result.Retries++
-							cRetries.Inc()
-							d := backoff
-							if backoff *= 2; backoff > maxBackoff {
-								backoff = maxBackoff
-							}
-							ot.Add(obs.StageBackoff, float64(d))
-							eng.Schedule(d, try)
-							return
-						}
-						// Persistent failure: abandon the op and move on —
-						// the degraded checkpoint is accounted, not hung.
-						result.DroppedOps++
-						cDropped.Inc()
-						issue(i + 1)
-					}
-					try = func() {
-						switch {
-						case o.Read:
-							clients[r].ReadOp(h, o.Off, o.Size, ot, complete)
-						case tier != nil:
-							tier.WriteOp(r, h, o.Off, o.Size, ot, complete)
-						default:
-							clients[r].WriteOp(h, o.Off, o.Size, ot, complete)
-						}
-					}
-					try()
-				}
-				withCPU := func(h *pfs.File) {
-					if o.CPU > 0 {
-						eng.Schedule(o.CPU, func() { perform(h) })
-						return
-					}
-					perform(h)
-				}
-				f, ok := handles[r][o.File]
-				if !ok {
-					clients[r].Open(o.File, func(h *pfs.File) {
-						handles[r][o.File] = h
-						withCPU(h)
-					})
-					return
-				}
-				withCPU(f)
-			}
-			issue(0)
+	// step retries a failed op with capped exponential backoff and drops
+	// it, counted, once MaxRetries is spent.
+	step := func(r int, h *pfs.File, o Op, next func()) {
+		attempt := 0
+		backoff := fspec.RetryBackoff
+		// One stage timer spans the whole logical op — every attempt's
+		// stages plus the backoff between them — and is observed once, on
+		// final success. Dropped ops never fold in, so the quantiles
+		// describe completed operations. Nil (one branch per probe)
+		// unless op timers are enabled.
+		var ot *obs.OpTimer
+		if o.Read {
+			ot = fs.StartReadOp()
+		} else {
+			ot = fs.StartWriteOp()
 		}
+		var try func()
+		complete := func(err error) {
+			if err == nil {
+				if o.Read {
+					fs.FinishReadOp(ot)
+				} else {
+					fs.FinishWriteOp(ot)
+				}
+				next()
+				return
+			}
+			if attempt < fspec.MaxRetries {
+				attempt++
+				result.Retries++
+				cRetries.Inc()
+				d := backoff
+				if backoff *= 2; backoff > maxBackoff {
+					backoff = maxBackoff
+				}
+				ot.Add(obs.StageBackoff, float64(d))
+				eng.Schedule(d, try)
+				return
+			}
+			// Persistent failure: abandon the op and move on — the
+			// degraded checkpoint is accounted, not hung.
+			result.DroppedOps++
+			cDropped.Inc()
+			next()
+		}
+		try = func() {
+			switch {
+			case o.Read:
+				rs.clients[r].ReadOp(h, o.Off, o.Size, ot, complete)
+			case tier != nil:
+				tier.WriteOp(r, h, o.Off, o.Size, ot, complete)
+			default:
+				rs.clients[r].WriteOp(h, o.Off, o.Size, ot, complete)
+			}
+		}
+		try()
 	}
 
 	round := 0
@@ -295,7 +227,7 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		}
 		begin := func() {
 			cRounds.Inc()
-			runPhase(func(elapsed sim.Time) {
+			rs.phase(step, func(elapsed sim.Time) {
 				result.Elapsed += elapsed
 				round++
 				startRound()
@@ -307,27 +239,12 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 			begin()
 		}
 	}
-
-	var toCreate int
-	for r := range progs {
-		toCreate += len(progs[r].Creates)
-	}
-	startAll := func() {
+	rs.create(func() {
 		result.SetupElapsed = eng.Now()
 		startRound()
-	}
-	if toCreate == 0 {
-		startAll()
-	} else {
-		created := sim.NewBarrier(eng, toCreate, func(sim.Time) { startAll() })
-		for r := range progs {
-			for _, name := range progs[r].Creates {
-				clients[r].Create(name, func(*pfs.File) { created.Arrive() })
-			}
-		}
-	}
+	})
 
-	run()
+	eng.Run()
 	result.Spec = spec
 	result.TotalBytes = int64(spec.Ranks) * spec.BytesPerRank * int64(fspec.Checkpoints)
 	if result.Elapsed > 0 {

@@ -70,31 +70,47 @@ func TestSameSeedFaultRunsProduceIdenticalMetrics(t *testing.T) {
 
 // TestNoFaultRunMatchesRunProgramsProbed is the zero-cost regression: a
 // RunFaults invocation with no plan and no retries must produce the same
-// metrics snapshot as RunPrograms issuing the identical phase —
-// the fault layer's presence may not perturb a single event.
+// metrics snapshot, series, and trace as RunPrograms issuing the
+// identical phase, with op timers, series, and tracing all on — the
+// fault layer's presence may not perturb a single event, and both
+// harnesses must drive the shared rank loop identically.
 func TestNoFaultRunMatchesRunProgramsProbed(t *testing.T) {
 	cfg, spec := goldenSpec()
-	snapshot := func(run func(reg *obs.Registry)) []byte {
+	capture := func(run func(reg *obs.Registry, tr *obs.Tracer)) (snap, csv, trace []byte) {
 		reg := obs.NewRegistry()
-		run(reg)
-		var m bytes.Buffer
+		reg.EnableOpTimers()
+		reg.EnableTimeSeries(0.01)
+		tr := obs.NewTracer()
+		run(reg, tr)
+		var m, c, tb bytes.Buffer
 		if err := reg.WriteJSON(&m); err != nil {
 			t.Fatal(err)
 		}
-		return m.Bytes()
-	}
-	base := snapshot(func(reg *obs.Registry) {
-		progs := make([]Program, spec.Ranks)
-		for r := 0; r < spec.Ranks; r++ {
-			progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
+		if err := reg.WriteSeriesCSV(&c); err != nil {
+			t.Fatal(err)
 		}
-		RunPrograms(cfg, progs, reg, nil)
+		if err := tr.WriteJSON(&tb); err != nil {
+			t.Fatal(err)
+		}
+		return m.Bytes(), c.Bytes(), tb.Bytes()
+	}
+	baseSnap, baseCSV, baseTrace := capture(func(reg *obs.Registry, tr *obs.Tracer) {
+		RunPrograms(cfg, programs(spec, cfg.StripeUnit), reg, tr)
 	})
-	faultless := snapshot(func(reg *obs.Registry) {
-		RunFaults(cfg, FaultSpec{Spec: spec, Checkpoints: 1}, reg, nil)
+	snap, csv, trace := capture(func(reg *obs.Registry, tr *obs.Tracer) {
+		RunFaults(cfg, FaultSpec{Spec: spec, Checkpoints: 1}, reg, tr)
 	})
-	if !bytes.Equal(base, faultless) {
-		t.Fatalf("disabled fault layer perturbed the run:\n%s\nvs\n%s", base, faultless)
+	if !bytes.Equal(baseSnap, snap) {
+		t.Fatalf("disabled fault layer perturbed the run:\n%s", firstDiff(baseSnap, snap))
+	}
+	if !bytes.Equal(baseCSV, csv) {
+		t.Fatal("disabled fault layer perturbed the series")
+	}
+	if !bytes.Equal(baseTrace, trace) {
+		t.Fatal("disabled fault layer perturbed the trace")
+	}
+	if len(baseCSV) == 0 || len(baseTrace) == 0 {
+		t.Fatal("empty series or trace output")
 	}
 }
 

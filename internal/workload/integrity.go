@@ -32,12 +32,6 @@ type IntegritySpec struct {
 	// ScrubInterval, when > 0, runs a full Scrub pass every interval
 	// throughout the dwell window.
 	ScrubInterval sim.Time
-
-	// Shards, when > 0, runs the simulation on a sim.Cluster of that
-	// many shards with the file system on shard 0 (see
-	// FaultSpec.Shards); output is byte-identical for any positive
-	// count. Zero keeps the legacy single-engine path.
-	Shards int
 }
 
 // Validate reports problems with the spec.
@@ -47,9 +41,6 @@ func (s IntegritySpec) Validate() error {
 	}
 	if s.Expose < 0 || s.ScrubInterval < 0 {
 		return fmt.Errorf("workload: negative time in integrity spec")
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("workload: Shards %d < 0", s.Shards)
 	}
 	return nil
 }
@@ -87,74 +78,40 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 	if err := ispec.Validate(); err != nil {
 		panic(err)
 	}
-	eng, run := newSimulation(ispec.Shards, reg, tr)
+	eng := sim.NewEngine()
+	eng.Instrument(reg, tr)
 	fs := pfs.New(eng, cfg)
 	if err := fs.InjectCorruption(ispec.Events); err != nil {
 		panic(err)
 	}
 
 	spec := ispec.Spec
-	progs := make([]Program, spec.Ranks)
-	for r := 0; r < spec.Ranks; r++ {
-		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
-	}
-	clients := make([]*pfs.Client, len(progs))
-	handles := make([]map[string]*pfs.File, len(progs))
-	for r := range clients {
-		clients[r] = fs.NewClient(r)
-		handles[r] = make(map[string]*pfs.File)
-	}
+	rs := newRankSet(eng, fs, programs(spec, cfg.StripeUnit))
 
 	var result IntegrityResult
 
-	// runPhase issues every rank's ops concurrently; reads report errors
-	// into FlaggedReads rather than aborting (a flagged checkpoint record
-	// is an outcome to measure, not a harness failure).
-	runPhase := func(read bool, phaseDone func(elapsed sim.Time)) {
-		phaseStart := eng.Now()
-		finished := sim.NewBarrier(eng, len(progs), func(at sim.Time) {
-			phaseDone(at - phaseStart)
-		})
-		for r := range progs {
-			r := r
-			ops := progs[r].Ops
-			var issue func(i int)
-			issue = func(i int) {
-				if i == len(ops) {
-					finished.Arrive()
-					return
+	// step issues each op as a read or a write; errors count into
+	// FlaggedReads rather than aborting (a flagged checkpoint record is
+	// an outcome to measure, not a harness failure).
+	step := func(read bool) opStep {
+		return func(r int, h *pfs.File, o Op, next func()) {
+			complete := func(err error) {
+				if err != nil {
+					result.FlaggedReads++
 				}
-				o := ops[i]
-				perform := func(h *pfs.File) {
-					complete := func(err error) {
-						if err != nil {
-							result.FlaggedReads++
-						}
-						issue(i + 1)
-					}
-					if read {
-						clients[r].ReadErr(h, o.Off, o.Size, complete)
-					} else {
-						clients[r].WriteErr(h, o.Off, o.Size, complete)
-					}
-				}
-				f, ok := handles[r][o.File]
-				if !ok {
-					clients[r].Open(o.File, func(h *pfs.File) {
-						handles[r][o.File] = h
-						perform(h)
-					})
-					return
-				}
-				perform(f)
+				next()
 			}
-			issue(0)
+			if read {
+				rs.clients[r].ReadErr(h, o.Off, o.Size, complete)
+			} else {
+				rs.clients[r].WriteErr(h, o.Off, o.Size, complete)
+			}
 		}
 	}
 
 	readBack := func() {
 		result.UnrepairedAtRead = fs.UnrepairedCorruption()
-		runPhase(true, func(elapsed sim.Time) {
+		rs.phase(step(true), func(elapsed sim.Time) {
 			result.ReadElapsed = elapsed
 		})
 	}
@@ -175,30 +132,15 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 		}
 	}
 
-	startWrites := func() {
+	rs.create(func() {
 		result.Write.SetupElapsed = eng.Now()
-		runPhase(false, func(elapsed sim.Time) {
+		rs.phase(step(false), func(elapsed sim.Time) {
 			result.Write.Elapsed = elapsed
 			afterWrites()
 		})
-	}
+	})
 
-	var toCreate int
-	for r := range progs {
-		toCreate += len(progs[r].Creates)
-	}
-	if toCreate == 0 {
-		startWrites()
-	} else {
-		created := sim.NewBarrier(eng, toCreate, func(sim.Time) { startWrites() })
-		for r := range progs {
-			for _, name := range progs[r].Creates {
-				clients[r].Create(name, func(*pfs.File) { created.Arrive() })
-			}
-		}
-	}
-
-	run()
+	eng.Run()
 	result.Write.Spec = spec
 	result.Write.TotalBytes = int64(spec.Ranks) * spec.BytesPerRank
 	if result.Write.Elapsed > 0 {

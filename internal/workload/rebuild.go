@@ -156,15 +156,15 @@ type rebuildPod struct {
 }
 
 // RunRebuild executes the rebuild-storm population. The registry
-// snapshot is byte-identical for any spec.Shards >= 1 and any
-// GOMAXPROCS; pods are fully independent, so the cluster runs with
+// snapshot and its time series are byte-identical for any spec.Shards
+// >= 1 and any GOMAXPROCS; pods are fully independent, so the cluster runs with
 // unbounded lookahead.
 func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 	cl := sim.NewCluster(spec.Shards, sim.Infinity)
-	cl.Instrument(reg, nil)
+	cl.Instrument(reg)
 
 	pods := make([]*rebuildPod, spec.Pods)
 	result := RebuildResult{Pods: spec.Pods, Servers: spec.Servers, Drives: spec.Pods * spec.Servers}

@@ -32,23 +32,39 @@ func rebuildSpec(shards int) RebuildSpec {
 	}
 }
 
+// TestRunRebuildShardCountInvariant: the storm's result, snapshot, and
+// time series are identical on 1 and 3 shards, with series off and on.
 func TestRunRebuildShardCountInvariant(t *testing.T) {
-	run := func(shards int) (RebuildResult, string) {
+	run := func(shards int, series bool) (RebuildResult, string, string) {
 		reg := obs.NewRegistry()
+		if series {
+			reg.EnableTimeSeries(0.1)
+		}
 		res := RunRebuild(rebuildSpec(shards), reg)
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
+		var snap, csv bytes.Buffer
+		if err := reg.WriteJSON(&snap); err != nil {
 			t.Fatal(err)
 		}
-		return res, buf.String()
+		if err := reg.WriteSeriesCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		return res, snap.String(), csv.String()
 	}
-	r1, s1 := run(1)
-	r3, s3 := run(3)
-	if s1 != s3 {
-		t.Fatal("metrics snapshot differs between 1 and 3 shards")
-	}
-	if r1 != r3 {
-		t.Fatalf("results differ across shard counts:\n1: %+v\n3: %+v", r1, r3)
+	for _, series := range []bool{false, true} {
+		r1, s1, c1 := run(1, series)
+		r3, s3, c3 := run(3, series)
+		if s1 != s3 {
+			t.Fatalf("series=%v: metrics snapshot differs between 1 and 3 shards", series)
+		}
+		if c1 != c3 {
+			t.Fatalf("series=%v: series CSV differs between 1 and 3 shards", series)
+		}
+		if series && c1 == "" {
+			t.Fatal("series-on run recorded no series")
+		}
+		if r1 != r3 {
+			t.Fatalf("series=%v: results differ across shard counts:\n1: %+v\n3: %+v", series, r1, r3)
+		}
 	}
 }
 

@@ -41,10 +41,7 @@ func (k RestartKind) String() string {
 // by `spec` (same geometry); writeFirst embeds the write ops so the files
 // exist with allocated extents before reads.
 func restartPrograms(spec Spec, unit int64, kind RestartKind) []Program {
-	progs := make([]Program, spec.Ranks)
-	for r := 0; r < spec.Ranks; r++ {
-		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, unit, r)}
-	}
+	progs := programs(spec, unit)
 	// Append the read phase to each rank's program.
 	for r := 0; r < spec.Ranks; r++ {
 		var reads []Op

@@ -114,16 +114,15 @@ type scalePod struct {
 }
 
 // RunScale executes the sharded many-pod experiment. The registry
-// snapshot is byte-identical for any spec.Shards >= 1 and any
-// GOMAXPROCS; time-series sampling and tracing stay off here because
-// per-engine samplers and per-pod trace lanes are engine-local (see
-// DESIGN.md on sharding limitations).
+// snapshot and its time series are byte-identical for any spec.Shards
+// >= 1 and any GOMAXPROCS. The run is not traced: a cluster takes no
+// tracer (see DESIGN.md on sharding limitations).
 func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 	cl := sim.NewCluster(spec.Shards, spec.InterPodLatency)
-	cl.Instrument(reg, nil)
+	cl.Instrument(reg)
 
 	wspec := Spec{
 		Ranks:        spec.RanksPerPod,

@@ -21,49 +21,64 @@ func scaleFixtureSpec(shards int) ScaleSpec {
 	}
 }
 
-func runScaleFixture(t *testing.T, shards int) ([]byte, ScaleResult) {
+func runScaleFixture(t *testing.T, shards int, series bool) (snap, csv []byte, res ScaleResult) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	res := RunScale(scaleFixtureSpec(shards), reg)
-	var snap bytes.Buffer
-	if err := reg.WriteJSON(&snap); err != nil {
+	if series {
+		reg.EnableTimeSeries(0.1)
+	}
+	res = RunScale(scaleFixtureSpec(shards), reg)
+	var sb, cb bytes.Buffer
+	if err := reg.WriteJSON(&sb); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	return snap.Bytes(), res
+	if err := reg.WriteSeriesCSV(&cb); err != nil {
+		t.Fatalf("series: %v", err)
+	}
+	return sb.Bytes(), cb.Bytes(), res
 }
 
 // TestScaleByteIdenticalAcrossShardsAndProcs is the scale experiment's
-// determinism contract: the registry snapshot and every logical result
-// field are byte-identical for any shard count at any GOMAXPROCS.
+// determinism contract: the registry snapshot, the series CSV, and
+// every logical result field are byte-identical for any shard count at
+// any GOMAXPROCS, with series off and on.
 func TestScaleByteIdenticalAcrossShardsAndProcs(t *testing.T) {
-	refSnap, refRes := runScaleFixture(t, 1)
-	if refRes.WallClock <= 0 {
-		t.Fatalf("reference run did not advance: wall=%v", refRes.WallClock)
-	}
-	if got := len(refRes.RoundElapsed); got != refRes.Rounds {
-		t.Fatalf("RoundElapsed has %d entries, want %d", got, refRes.Rounds)
-	}
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, 2, 8} {
-			snap, res := runScaleFixture(t, shards)
-			if !bytes.Equal(snap, refSnap) {
-				t.Errorf("shards=%d procs=%d: snapshot differs from shards=1 reference", shards, procs)
-			}
-			if res.WallClock != refRes.WallClock {
-				t.Errorf("shards=%d procs=%d: wall %v != %v", shards, procs, res.WallClock, refRes.WallClock)
-			}
-			if res.Events != refRes.Events {
-				t.Errorf("shards=%d procs=%d: events %d != %d", shards, procs, res.Events, refRes.Events)
-			}
-			for i := range res.RoundElapsed {
-				if res.RoundElapsed[i] != refRes.RoundElapsed[i] {
-					t.Errorf("shards=%d procs=%d: round %d elapsed %v != %v",
-						shards, procs, i, res.RoundElapsed[i], refRes.RoundElapsed[i])
+	for _, series := range []bool{false, true} {
+		refSnap, refCSV, refRes := runScaleFixture(t, 1, series)
+		if refRes.WallClock <= 0 {
+			t.Fatalf("reference run did not advance: wall=%v", refRes.WallClock)
+		}
+		if got := len(refRes.RoundElapsed); got != refRes.Rounds {
+			t.Fatalf("RoundElapsed has %d entries, want %d", got, refRes.Rounds)
+		}
+		if series && len(refCSV) == 0 {
+			t.Fatal("series-on run recorded no series")
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			for _, shards := range []int{1, 2, 8} {
+				snap, csv, res := runScaleFixture(t, shards, series)
+				if !bytes.Equal(snap, refSnap) {
+					t.Errorf("series=%v shards=%d procs=%d: snapshot differs from shards=1 reference", series, shards, procs)
+				}
+				if !bytes.Equal(csv, refCSV) {
+					t.Errorf("series=%v shards=%d procs=%d: series CSV differs from shards=1 reference", series, shards, procs)
+				}
+				if res.WallClock != refRes.WallClock {
+					t.Errorf("series=%v shards=%d procs=%d: wall %v != %v", series, shards, procs, res.WallClock, refRes.WallClock)
+				}
+				if res.Events != refRes.Events {
+					t.Errorf("series=%v shards=%d procs=%d: events %d != %d", series, shards, procs, res.Events, refRes.Events)
+				}
+				for i := range res.RoundElapsed {
+					if res.RoundElapsed[i] != refRes.RoundElapsed[i] {
+						t.Errorf("series=%v shards=%d procs=%d: round %d elapsed %v != %v",
+							series, shards, procs, i, res.RoundElapsed[i], refRes.RoundElapsed[i])
+					}
 				}
 			}
+			runtime.GOMAXPROCS(prev)
 		}
-		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -71,7 +86,7 @@ func TestScaleByteIdenticalAcrossShardsAndProcs(t *testing.T) {
 // coordinator-observed duration covers at least two interconnect
 // crossings plus the compute phase.
 func TestScaleRoundsBarrier(t *testing.T) {
-	_, res := runScaleFixture(t, 2)
+	_, _, res := runScaleFixture(t, 2, false)
 	floor := scaleFixtureSpec(2).ComputeTime + 2*scaleFixtureSpec(2).InterPodLatency
 	for i, d := range res.RoundElapsed {
 		if d < floor {
