@@ -29,7 +29,7 @@ lint:
 	$(GO) run ./cmd/pdsilint -time -budget $(LINT_BUDGET) ./...
 
 bench-smoke:
-	$(GO) test -run=NONE -bench=GlobalIndex -benchtime=1x ./internal/core/...
+	$(GO) test -run=NONE -bench='GlobalIndex|OpenReaderIndexMerge' -benchtime=1x ./internal/core/...
 	$(GO) test -run=NONE -bench='Quantile|OpTimer' -benchtime=1x ./internal/obs/...
 	$(GO) test -run=NONE -bench='EngineSchedule|EngineCancelHeavy|EngineDeepHeap' -benchtime=1x ./internal/sim/...
 	$(GO) test -run=NONE -bench=DrawOSSFaults -benchtime=1x ./internal/failure/...

@@ -580,9 +580,10 @@ func figIndex() {
 		fmt.Printf("%12d %12d %14.1f %16.0f\n",
 			n, g.NumExtents(), float64(dur.Microseconds())/1e3, float64(n)/dur.Seconds())
 	}
-	fmt.Println("shape check: wall time grows ~n log n (the pre-rewrite overlay was")
-	fmt.Println("quadratic: 32k entries took seconds, 1M was infeasible); timings are")
-	fmt.Println("measured on this host, so only the scaling shape is reproducible")
+	fmt.Println("shape check: wall time grows near-linearly on these checkpoint-ordered")
+	fmt.Println("entries, O(n log n) at worst (the pre-rewrite overlay was quadratic:")
+	fmt.Println("32k entries took seconds, 1M was infeasible); timings are measured on")
+	fmt.Println("this host, so only the scaling shape is reproducible")
 }
 
 // figPower: power-managed archival storage.

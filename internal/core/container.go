@@ -5,6 +5,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -328,6 +329,9 @@ func (w *Writer) WriteAt(buf []byte, off int64) (int, error) {
 	}
 	if off < 0 {
 		return 0, fmt.Errorf("plfs: negative offset %d", off)
+	}
+	if off > math.MaxInt64-int64(len(buf)) {
+		return 0, fmt.Errorf("plfs: write of %d bytes at offset %d ends past the largest file offset", len(buf), off)
 	}
 	var payloadAt int64
 	if w.c.version >= 2 {
@@ -788,15 +792,20 @@ func (r *Reader) Close() error {
 // Flatten materializes the logical file into a flat output file on the
 // backend — the "impact determined on later reading" made durable. It
 // returns the number of bytes written.
-func (r *Reader) Flatten(dstPath string) (int64, error) {
+func (r *Reader) Flatten(dstPath string) (written int64, err error) {
 	dst, err := r.c.backend.Create(dstPath)
 	if err != nil {
 		return 0, err
 	}
-	defer dst.Close()
+	// The final Close may be what flushes the copy, so its error counts
+	// unless an earlier one is already being returned.
+	defer func() {
+		if e := dst.Close(); e != nil && err == nil {
+			err = e
+		}
+	}()
 	const chunk = 1 << 20
 	buf := make([]byte, chunk)
-	var written int64
 	for off := int64(0); off < r.Size(); off += chunk {
 		n := r.Size() - off
 		if n > chunk {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -290,12 +291,19 @@ func TestNegativeOffsetsRejected(t *testing.T) {
 	if _, err := w.WriteAt([]byte("x"), -1); err == nil {
 		t.Fatal("negative write offset accepted")
 	}
+	// A write whose end overflows int64 could never be read back.
+	if _, err := w.WriteAt(make([]byte, 100), math.MaxInt64-5); err == nil {
+		t.Fatal("write ending past math.MaxInt64 accepted")
+	}
 	w.WriteAt([]byte("x"), 0)
 	w.Sync()
 	r, _ := c.OpenReader()
 	defer r.Close()
 	if _, err := r.ReadAt(make([]byte, 1), -1); err == nil {
 		t.Fatal("negative read offset accepted")
+	}
+	if r.Size() != 1 {
+		t.Fatalf("Size = %d, want 1", r.Size())
 	}
 }
 
@@ -351,7 +359,11 @@ func TestCoalescePendingVisibleAfterSync(t *testing.T) {
 }
 
 func TestFlatten(t *testing.T) {
-	b, c := newContainer(t, DefaultOptions())
+	b := closeFailBackend{Backend: NewMemBackend(), path: "/flat.lost"}
+	c, err := CreateContainer(b, "/ckpt", DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, _ := c.OpenWriter(0)
 	payload := bytes.Repeat([]byte("0123456789"), 1000)
 	w.WriteAt(payload, 0)
@@ -376,7 +388,32 @@ func TestFlatten(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("flattened contents differ")
 	}
+	// A destination whose final Close fails (a lost flush) fails Flatten.
+	if _, err := r.Flatten("/flat.lost"); !errors.Is(err, errCloseFailed) {
+		t.Fatalf("Flatten with failing Close = %v, want errCloseFailed", err)
+	}
 }
+
+var errCloseFailed = errors.New("close failed")
+
+// closeFailBackend hands out a file whose Close fails for path, as a
+// backend does when the flush on close fails.
+type closeFailBackend struct {
+	Backend
+	path string
+}
+
+func (b closeFailBackend) Create(path string) (BackendFile, error) {
+	f, err := b.Backend.Create(path)
+	if err != nil || path != b.path {
+		return f, err
+	}
+	return closeFailFile{f}, nil
+}
+
+type closeFailFile struct{ BackendFile }
+
+func (closeFailFile) Close() error { return errCloseFailed }
 
 func TestHostdirSpreading(t *testing.T) {
 	b, c := newContainer(t, Options{NumHostdirs: 4})

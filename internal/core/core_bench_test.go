@@ -185,12 +185,22 @@ func benchBuild(b *testing.B, entries []IndexEntry) {
 
 // BenchmarkBuildGlobalIndexStrided is the headline adversarial case: a
 // disjoint N-1 strided checkpoint at small (old-shape) and large
-// (new-shape) entry counts, up to the 1M-entry restart the ISSUE targets.
+// (new-shape) entry counts, up to a 1M-entry restart. order=clock feeds
+// the entries in timestamp order, one ascending run; order=log feeds them
+// as OpenReader does, one ascending run per writer's log.
 func BenchmarkBuildGlobalIndexStrided(b *testing.B) {
-	for _, n := range []int{1 << 13, 1 << 15, 1 << 17, 1 << 20} {
-		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
-			benchBuild(b, stridedCheckpointEntries(n, 64))
-		})
+	const writers = 64
+	for _, order := range []string{"clock", "log"} {
+		for _, n := range []int{1 << 13, 1 << 15, 1 << 17, 1 << 20} {
+			b.Run(fmt.Sprintf("order=%s/entries=%d", order, n), func(b *testing.B) {
+				entries := stridedCheckpointEntries(n, writers)
+				if order == "log" {
+					// Entry i belongs to writer i%writers.
+					entries = ascendingRuns(entries, writers)
+				}
+				benchBuild(b, entries)
+			})
+		}
 	}
 }
 

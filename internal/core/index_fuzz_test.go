@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
@@ -32,7 +33,9 @@ func fuzzEntries(data []byte) []IndexEntry {
 // FuzzBuildGlobalIndex cross-checks the sweep-line merge against a naive
 // per-byte oracle: every logical byte must belong to the covering entry
 // that wins priorityLess, and must map to that entry's data log at the
-// right offset.
+// right offset. The same entries cut into 1-8 ascending runs (the first
+// payload byte picks how many), as writer logs arrive, must then resolve
+// to the same extents.
 func FuzzBuildGlobalIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 10, 1, 0, 0, 1, 0, 5, 0, 10, 2, 0, 1, 2, 0})
@@ -41,6 +44,18 @@ func FuzzBuildGlobalIndex(f *testing.F) {
 		seed[i] = byte(i * 31)
 	}
 	f.Add(seed)
+	// Two runs (first byte 1) whose entries share offsets across runs and
+	// include zero lengths: the run merge's input.
+	runs := make([]byte, 64*8)
+	for i := 0; i < 64; i++ {
+		rec := runs[i*8:]
+		binary.LittleEndian.PutUint16(rec[0:], uint16(1+i*5%21))
+		rec[2] = byte(i % 5 * 10)
+		rec[3] = byte(i)
+		binary.LittleEndian.PutUint16(rec[4:], uint16(i))
+		binary.LittleEndian.PutUint16(rec[6:], uint16(i))
+	}
+	f.Add(runs)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries := fuzzEntries(data)
 		g := BuildGlobalIndex(entries)
@@ -102,6 +117,14 @@ func FuzzBuildGlobalIndex(f *testing.F) {
 		}
 		if cur != size {
 			t.Fatalf("lookup covered %d of %d bytes", cur, size)
+		}
+
+		if len(data) > 0 {
+			rg := BuildGlobalIndex(ascendingRuns(entries, int(data[0])%8+1))
+			if rg.size != g.size || rg.entries != g.entries || !reflect.DeepEqual(rg.extents, g.extents) {
+				t.Fatalf("entries in %d ascending runs resolve to %d extents, in input order to %d",
+					int(data[0])%8+1, rg.NumExtents(), g.NumExtents())
+			}
 		}
 	})
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -100,16 +102,30 @@ func randomEntries(r *rand.Rand, n int) []IndexEntry {
 	return entries
 }
 
+// ascendingRuns deals entries round-robin into k runs and sorts each run
+// by offset: the order OpenReader hands the merge when every writer's log
+// ascends. Entries sharing an offset can land in different runs.
+func ascendingRuns(entries []IndexEntry, k int) []IndexEntry {
+	runs := make([][]IndexEntry, k)
+	for i, e := range entries {
+		runs[i%k] = append(runs[i%k], e)
+	}
+	out := make([]IndexEntry, 0, len(entries))
+	for _, run := range runs {
+		slices.SortStableFunc(run, func(a, b IndexEntry) int { return cmp.Compare(a.LogicalOffset, b.LogicalOffset) })
+		out = append(out, run...)
+	}
+	return out
+}
+
 // TestSweepMatchesOverlayReference is the equivalence guarantee behind the
 // rewrite: identical extent lists (not just identical resolved bytes) on
 // randomized inputs, including zero-length entries and dense overlaps.
+// Each input is checked in random order, which splits into many short
+// runs, and cut into 1-8 long ascending runs with extra zero-length
+// entries, as writer logs arrive.
 func TestSweepMatchesOverlayReference(t *testing.T) {
-	f := func(seed int64, nOps uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		entries := randomEntries(r, int(nOps)%120+1)
-		if int(nOps)%7 == 0 {
-			entries = append(entries, IndexEntry{LogicalOffset: 10, Length: 0, Writer: 1, Timestamp: 0})
-		}
+	same := func(entries []IndexEntry) bool {
 		got := BuildGlobalIndex(entries)
 		want := buildGlobalIndexOverlay(entries)
 		if got.CheckInvariants() != nil {
@@ -119,6 +135,18 @@ func TestSweepMatchesOverlayReference(t *testing.T) {
 			got.entries == want.entries &&
 			reflect.DeepEqual(got.extents, want.extents)
 	}
+	f := func(seed int64, nOps uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		entries := randomEntries(r, int(nOps)%120+1)
+		if int(nOps)%7 == 0 {
+			entries = append(entries, IndexEntry{LogicalOffset: 10, Length: 0, Writer: 1, Timestamp: 0})
+		}
+		withEmpty := slices.Clone(entries)
+		for i := 0; i < len(entries); i += 8 {
+			withEmpty = append(withEmpty, IndexEntry{LogicalOffset: entries[i].LogicalOffset, Writer: 2, Timestamp: uint64(len(withEmpty) + 1)})
+		}
+		return same(entries) && same(ascendingRuns(withEmpty, r.Intn(8)+1))
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +154,10 @@ func TestSweepMatchesOverlayReference(t *testing.T) {
 
 func TestSweepMatchesOverlayOnCheckpointShapes(t *testing.T) {
 	for name, entries := range map[string][]IndexEntry{
-		"strided": stridedCheckpointEntries(1<<12, 16),
-		"overlap": overlappingEntries(1 << 12),
-		"empty":   nil,
+		"strided":     stridedCheckpointEntries(1<<12, 16),
+		"strided-log": ascendingRuns(stridedCheckpointEntries(1<<12, 16), 16), // one run per writer
+		"overlap":     overlappingEntries(1 << 12),
+		"empty":       nil,
 	} {
 		got := BuildGlobalIndex(entries)
 		want := buildGlobalIndexOverlay(entries)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -248,5 +249,32 @@ func TestCorruptIndexLogDetected(t *testing.T) {
 	f.Write(make([]byte, indexEntrySize+3)) // not a record multiple
 	if _, err := readIndexLog(f); err == nil {
 		t.Fatal("corrupt index log not detected")
+	}
+
+	// v1 records carry no checksum: a flipped bit can yield a record no
+	// WriteAt accepts, which must fail the open rather than read as zeros.
+	b, c := newContainer(t, DefaultOptions())
+	w, _ := c.OpenWriter(0)
+	w.WriteAt([]byte("hello"), 0)
+	w.Close()
+	// Byte 7 is the top byte of the first record's LogicalOffset.
+	if err := b.CorruptRange("/ckpt/hostdir.0/index.0", 7, 1); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := c.OpenReader(); err == nil {
+		r.Close()
+		t.Fatalf("OpenReader accepted a record at offset %d", r.Index().extents[0].logical)
+	}
+	for _, e := range []IndexEntry{
+		entry(0, -1, 1, 0, 1),                // negative length
+		entry(math.MaxInt64-5, 100, 1, 0, 1), // end past math.MaxInt64
+	} {
+		f, _ := b.Create("/idx")
+		var rec [indexEntrySize]byte
+		e.encode(rec[:])
+		f.Write(rec[:])
+		if _, err := readIndexLog(f); err == nil {
+			t.Errorf("record %+v accepted", e)
+		}
 	}
 }
