@@ -25,15 +25,19 @@ import (
 //
 // Mechanically: every function value scheduled as an event callback
 // (the fn of Engine.At/Schedule, Server.Submit's done, Cluster.Send's
-// fn, Cluster.Sample's tick) is a root; the analyzer walks the
+// fn, Cluster.Sample's tick) is a root, and so is the Handle method of
+// every Handler scheduled through the handler forms (Engine.AtHandler/
+// ScheduleHandler, Server.SubmitHandler); the analyzer walks the
 // module-wide call graph from each root and flags the scheduling site
 // if any reachable function calls Cluster.Shard. Engines captured at
 // setup and used by their own shard's events are untouched — it is the
 // shard *table* lookup at event time that is flagged.
 //
 // Approximation: callbacks are resolved when they are literals, named
-// functions, or locally bound function variables; a callback smuggled
-// through a struct field or interface is not traced. Cross-shard writes
+// functions, or locally bound function variables, and handlers when the
+// argument's static type is concrete (or a HandlerFunc conversion of a
+// resolvable function); a callback smuggled through a struct field, or
+// a handler passed as the Handler interface, is not traced. Cross-shard writes
 // that bypass Shard() entirely (storing a foreign engine in a struct at
 // setup and scheduling on it at event time) are out of scope here; the
 // goroutine and maporder analyzers fence the other halves of that
@@ -68,26 +72,35 @@ func simMethod(info *types.Info, call *ast.CallExpr, typeName string) (string, b
 }
 
 // callbackParamIndex maps scheduling APIs to the argument position of
-// the event callback they enqueue.
-func callbackParamIndex(info *types.Info, call *ast.CallExpr) (int, bool) {
+// the event continuation they enqueue, and reports whether that
+// argument is a Handler (rooted at its Handle method) rather than a
+// function value.
+func callbackParamIndex(info *types.Info, call *ast.CallExpr) (idx int, handler, ok bool) {
 	if m, ok := simMethod(info, call, "Engine"); ok {
 		switch m {
 		case "At", "Schedule":
-			return 1, true
+			return 1, false, true
+		case "AtHandler", "ScheduleHandler":
+			return 1, true, true
 		}
 	}
-	if m, ok := simMethod(info, call, "Server"); ok && m == "Submit" {
-		return 1, true
+	if m, ok := simMethod(info, call, "Server"); ok {
+		switch m {
+		case "Submit":
+			return 1, false, true
+		case "SubmitHandler":
+			return 1, true, true
+		}
 	}
 	if m, ok := simMethod(info, call, "Cluster"); ok {
 		switch m {
 		case "Send":
-			return 4, true
+			return 4, false, true
 		case "Sample":
-			return 1, true
+			return 1, false, true
 		}
 	}
-	return 0, false
+	return 0, false, false
 }
 
 // shardownFacts is one unit's contribution: where Cluster.Shard is
@@ -126,8 +139,12 @@ func collectShardownFacts(pass *engine.Pass) *shardownFacts {
 			if method, ok := simMethod(u.Info, call, "Cluster"); ok && method == "Shard" {
 				facts.shardCalls[n.ID] = append(facts.shardCalls[n.ID], call.Pos())
 			}
-			if idx, ok := callbackParamIndex(u.Info, call); ok && idx < len(call.Args) {
-				for _, id := range callbackFuncIDs(u, call.Args[idx]) {
+			if idx, handler, ok := callbackParamIndex(u.Info, call); ok && idx < len(call.Args) {
+				resolve := callbackFuncIDs
+				if handler {
+					resolve = handlerFuncIDs
+				}
+				for _, id := range resolve(u, call.Args[idx]) {
 					facts.roots = append(facts.roots, shardownRoot{id: id, pos: call.Pos()})
 				}
 			}
@@ -151,6 +168,28 @@ func callbackFuncIDs(u *engine.Unit, e ast.Expr) []engine.FuncID {
 		}
 		if obj := u.Info.Uses[e]; obj != nil {
 			return u.FuncsBoundTo(obj)
+		}
+	}
+	return nil
+}
+
+// handlerFuncIDs resolves a Handler argument to the Handle method of
+// its concrete type. A conversion such as sim.HandlerFunc(fn) resolves
+// to fn, as a function callback does.
+func handlerFuncIDs(u *engine.Unit, e ast.Expr) []engine.FuncID {
+	e = ast.Unparen(e)
+	if conv, ok := e.(*ast.CallExpr); ok && len(conv.Args) == 1 {
+		if tv, ok := u.Info.Types[conv.Fun]; ok && tv.IsType() {
+			return callbackFuncIDs(u, conv.Args[0])
+		}
+	}
+	t := u.Info.TypeOf(e)
+	if t == nil || types.IsInterface(t) {
+		return nil
+	}
+	if sel := types.NewMethodSet(t).Lookup(nil, "Handle"); sel != nil {
+		if fn, ok := sel.Obj().(*types.Func); ok {
+			return []engine.FuncID{engine.IDOf(fn)}
 		}
 	}
 	return nil

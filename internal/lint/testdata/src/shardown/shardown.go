@@ -78,3 +78,27 @@ func Allowed(eng *sim.Engine, cl *sim.Cluster) {
 	//lint:allow shardown -- fixture proves the escape hatch
 	eng.Schedule(9, func() { cl.Shard(1).Schedule(1, func() {}) })
 }
+
+// hop is a Handler whose Handle reaches the shard table.
+type hop struct{ cl *sim.Cluster }
+
+func (h *hop) Handle() { peek(h.cl, 1) }
+
+// stay is a Handler that touches only its own state.
+type stay struct{ n int }
+
+func (s *stay) Handle() { s.n++ }
+
+// Handlers roots each handler-form call at its argument's Handle.
+func Handlers(eng *sim.Engine, srv *sim.Server, cl *sim.Cluster) {
+	eng.ScheduleHandler(1, &stay{}) // clean: stay.Handle never touches the shard table
+	srv.SubmitHandler(2, &stay{})   // clean
+	h := &hop{cl: cl}
+	eng.AtHandler(3, h)                             // want `event callback reaches Cluster.Shard`
+	srv.SubmitHandler(4, h)                         // want `event callback reaches Cluster.Shard`
+	eng.ScheduleHandler(5, h)                       // want `event callback reaches Cluster.Shard`
+	eng.ScheduleHandler(6, sim.HandlerFunc(func() { // want `event callback reaches Cluster.Shard`
+		cl.Shard(0).Schedule(1, func() {})
+	}))
+	eng.ScheduleHandler(7, sim.HandlerFunc(tick)) // clean
+}

@@ -124,26 +124,16 @@ func (fs *FS) failOp(done func(error)) {
 	fs.eng.Schedule(fs.failTimeout(), func() { done(ErrServerDown) })
 }
 
-// failWrite is failOp for a write that may hold a stripe lock: the lock
-// is not cleanly released by the dead server, so waiters sit out the DLM
-// lease before the manager reclaims it.
-func (fs *FS) failWrite(key stripeKey, locked bool, done func(error)) {
-	if locked {
-		fs.expireLease(key)
-	}
-	fs.failOp(done)
-}
-
 // expireLease reclaims a stripe lock abandoned by a failed write. With
 // LeaseExpiry zero the manager reclaims immediately; otherwise waiters
 // stall for the full lease — the cost DLM-based systems pay for not
 // having to ask a dead server's permission.
-func (fs *FS) expireLease(key stripeKey) {
+func (fs *FS) expireLease(st *fileState, unit int64) {
 	if fs.Cfg.LeaseExpiry <= 0 {
-		fs.release(key)
+		fs.release(st, unit)
 		return
 	}
 	fs.faults.LeaseExpiries++
 	fs.cLeaseExp.Inc()
-	fs.eng.Schedule(fs.Cfg.LeaseExpiry, func() { fs.release(key) })
+	fs.eng.Schedule(fs.Cfg.LeaseExpiry, func() { fs.release(st, unit) })
 }

@@ -24,9 +24,15 @@ func TestSplitCoversRangeExactly(t *testing.T) {
 		{10, 20, 64 << 10, 1},            // tiny interior write
 	}
 	for _, c := range cases {
-		pieces := split(c.off, c.size, c.unit)
+		var pieces []subOp
+		for off, size := c.off, c.size; size > 0; {
+			p := pieceAt(off, size, c.unit)
+			pieces = append(pieces, p)
+			off += p.size
+			size -= p.size
+		}
 		if len(pieces) != c.wantPieces {
-			t.Fatalf("split(%d,%d,%d) = %d pieces, want %d", c.off, c.size, c.unit, len(pieces), c.wantPieces)
+			t.Fatalf("pieceAt walk of (%d,%d,%d) = %d pieces, want %d", c.off, c.size, c.unit, len(pieces), c.wantPieces)
 		}
 		var total int64
 		off := c.off

@@ -77,9 +77,11 @@ func TestCancelAfterRecycleIsInert(t *testing.T) {
 func TestEngineScheduleSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
+	h := &countHandler{}
 	warm := func() {
 		for i := 0; i < 512; i++ {
 			e.Schedule(Time(i%13)*1e-4, fn)
+			e.ScheduleHandler(Time(i%7)*1e-4, h)
 		}
 		e.Run()
 	}
@@ -87,7 +89,15 @@ func TestEngineScheduleSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, warm); avg != 0 {
 		t.Fatalf("steady-state schedule+run allocates %.1f times per cycle, want 0", avg)
 	}
+	if h.n != 22*512 { // the warm-up, AllocsPerRun's own warm-up, and 20 runs
+		t.Fatalf("handler ran %d times, want %d", h.n, 22*512)
+	}
 }
+
+// countHandler is a Handler that counts its dispatches.
+type countHandler struct{ n int }
+
+func (h *countHandler) Handle() { h.n++ }
 
 // BenchmarkEngineSchedule measures the hot path: schedule a batch of
 // out-of-order events and drain them. Compare with
@@ -128,21 +138,30 @@ func BenchmarkEngineCancelHeavy(b *testing.B) {
 
 // TestServerSteadyStateAllocs pins the request free list: once warm, a
 // Submit→finish cycle allocates nothing — neither the request nor its
-// completion closure — whether the request starts at once or queues.
+// completion closure — whether the request starts at once or queues,
+// and whether it completes through a func(Time) or a Handler.
 func TestServerSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, 2)
 	done := func(Time) {}
+	h := &countHandler{}
 	const submits = 8
 	cycle := func() {
 		for i := 0; i < submits; i++ {
-			s.Submit(Time(1+i%3)*1e-4, done)
+			if i%2 == 0 {
+				s.Submit(Time(1+i%3)*1e-4, done)
+			} else {
+				s.SubmitHandler(Time(1+i%3)*1e-4, h)
+			}
 		}
 		e.Run()
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(20, cycle) / submits; avg != 0 {
 		t.Fatalf("steady-state Submit allocates %.2f times per request, want 0", avg)
+	}
+	if h.n != 22*submits/2 {
+		t.Fatalf("handler completions = %d, want %d", h.n, 22*submits/2)
 	}
 }
 

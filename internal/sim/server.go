@@ -26,16 +26,20 @@ type Server struct {
 	hService *obs.Histogram
 }
 
-// A request is one Submit in flight. Requests are recycled through the
-// server's free list; finish is the completion callback, bound to the
-// request once when it is first allocated, so a warm Submit allocates
-// neither a request nor a closure.
+// A request is one Submit in flight, and the Handler of its own
+// completion event. Requests are recycled through the server's free
+// list, so a warm Submit allocates nothing. A request carries either a
+// done func(Time) or a Handler continuation, never both.
 type request struct {
+	s       *Server
 	service Time
 	arrived Time
 	done    func(Time)
-	finish  func()
+	h       Handler
 }
+
+// Handle completes the request: its service time has elapsed.
+func (r *request) Handle() { r.s.finish(r) }
 
 // NewServer returns a FIFO server with the given concurrency (capacity >= 1).
 func NewServer(eng *Engine, capacity int) *Server {
@@ -63,16 +67,25 @@ func (s *Server) Instrument(name string) {
 // Submit enqueues a request requiring the given service time; done (if
 // non-nil) is invoked at completion with the completion timestamp.
 func (s *Server) Submit(service Time, done func(Time)) {
+	s.submit(service, done, nil)
+}
+
+// SubmitHandler is Submit with a Handler continuation: h.Handle runs at
+// completion and reads the completion time from the engine's Now.
+func (s *Server) SubmitHandler(service Time, h Handler) {
+	s.submit(service, nil, h)
+}
+
+func (s *Server) submit(service Time, done func(Time), h Handler) {
 	var r *request
 	if n := len(s.free); n > 0 {
 		r = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		r = &request{}
-		r.finish = func() { s.finish(r) }
+		r = &request{s: s}
 	}
-	r.service, r.arrived, r.done = service, s.eng.Now(), done
+	r.service, r.arrived, r.done, r.h = service, s.eng.Now(), done, h
 	if s.busy < s.cap {
 		s.start(r, s.eng.Now())
 		return
@@ -91,21 +104,23 @@ func (s *Server) start(r *request, at Time) {
 		s.busySince = at
 	}
 	s.busy++
-	s.eng.At(at+r.service, r.finish)
+	s.eng.AtHandler(at+r.service, r)
 }
 
-// finish completes r. The request is recycled before done runs, so a
-// done that re-submits reuses it.
+// finish completes r. The request is recycled before its continuation
+// runs, so a continuation that re-submits reuses it.
 func (s *Server) finish(r *request) {
 	s.busy--
 	s.served++
 	if s.busy == 0 {
 		s.busyTotal += s.eng.Now() - s.busySince
 	}
-	done := r.done
-	r.done = nil
+	done, h := r.done, r.h
+	r.done, r.h = nil, nil
 	s.free = append(s.free, r)
-	if done != nil {
+	if h != nil {
+		h.Handle()
+	} else if done != nil {
 		done(s.eng.Now())
 	}
 	if len(s.waiting) > 0 && s.busy < s.cap {

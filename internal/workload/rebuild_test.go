@@ -146,6 +146,7 @@ func TestRunRebuildLSERoutesRepairsThroughGroups(t *testing.T) {
 }
 
 func BenchmarkRunRebuild(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		spec := rebuildSpec(1)
 		spec.Pods = 2

@@ -125,3 +125,13 @@ func TestScaleSpecValidate(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRunScale runs the scale fixture on two shards: the pfs data
+// path under many pods plus the cluster's windows and cross-shard
+// sends.
+func BenchmarkRunScale(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RunScale(scaleFixtureSpec(2), nil)
+	}
+}
