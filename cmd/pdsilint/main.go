@@ -1,9 +1,8 @@
 // Command pdsilint is the repository's determinism multichecker: it
 // runs the internal/lint analyzer suite — the syntactic checks
-// (walltime, globalrand, maporder, metricname, errwrap) and the
-// flow-aware ones (goroutine, shardown, errflow, walltime-reach) —
-// over the module and exits non-zero on any finding. CI gates on it;
-// run it locally with:
+// (globalrand, maporder, metricname, errwrap) and the flow-aware ones
+// (goroutine, errflow, walltime-reach) — over the module and exits
+// non-zero on any finding. CI gates on it; run it locally with:
 //
 //	go run ./cmd/pdsilint ./...
 //	go run ./cmd/pdsilint ./internal/pfs ./internal/core

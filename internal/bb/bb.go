@@ -35,8 +35,8 @@
 // Determinism follows the repo contract: the tier lives on the same
 // engine as the file system, keeps all queues as
 // FIFO slices, iterates no maps, and registers bb.* instruments only on
-// instrumented engines — a run without a tier is byte-identical to one
-// built before this package existed.
+// instrumented engines — a run without a tier schedules no bb event and
+// has no bb.* key in its snapshot.
 package bb
 
 import (

@@ -116,19 +116,8 @@ func BuildCallGraph(units []*Unit) *CallGraph {
 	return g
 }
 
-// UnitFunctions returns the function nodes (declarations and literals)
-// one unit contributes to the call graph, building and caching them on
-// first use.
-func UnitFunctions(u *Unit) []*FuncNode { return unitFuncs(u) }
-
-// unitFuncs computes (and caches on the unit) the function nodes and
-// edges a unit contributes.
+// unitFuncs computes the function nodes and edges a unit contributes.
 func unitFuncs(u *Unit) []*FuncNode {
-	if u.litIDs != nil {
-		return u.funcs
-	}
-	u.litIDs = map[*ast.FuncLit]FuncID{}
-	u.varFuncs = map[types.Object][]FuncID{}
 	var out []*FuncNode
 	for _, f := range u.Files {
 		testFile := strings.HasSuffix(u.Fset.Position(f.Pos()).Filename, "_test.go")
@@ -163,7 +152,6 @@ func unitFuncs(u *Unit) []*FuncNode {
 			return n.Out[i].Pos < n.Out[j].Pos
 		})
 	}
-	u.funcs = out
 	return out
 }
 
@@ -175,9 +163,8 @@ func collectEdges(u *Unit, parent *FuncNode, body *ast.BlockStmt, testFile bool)
 
 	// funcVars maps a local variable object to the ids of the function
 	// literals (or named functions) assigned to it anywhere in this
-	// body, so `var f func(); f = func(){...}; f()` resolves. It is
-	// shared into the unit-level index for analyzers (FuncsBoundTo).
-	funcVars := u.varFuncs
+	// body, so `var f func(); f = func(){...}; f()` resolves.
+	funcVars := map[types.Object][]FuncID{}
 
 	// First pass: allocate literal nodes in source order and record
 	// local function-variable bindings.
@@ -200,7 +187,6 @@ func collectEdges(u *Unit, parent *FuncNode, body *ast.BlockStmt, testFile bool)
 				TestOnly: testFile,
 			}
 			litOf[lit] = ln
-			u.litIDs[lit] = ln.ID
 			lits = append(lits, ln)
 			// creation edge: the enclosing function references the literal.
 			owner.Out = append(owner.Out, Edge{From: owner.ID, To: ln.ID, Kind: EdgeRef, Pos: lit.Pos()})

@@ -38,13 +38,6 @@ type Unit struct {
 	// allowFiles maps filename -> comma-joined analyzer names from
 	// file-scope //lint:allowfile directives.
 	allowFiles map[string]string
-
-	// funcs caches the unit's call-graph contribution (callgraph.go),
-	// along with the literal and local-function-variable indexes built
-	// during the same walk.
-	funcs    []*FuncNode
-	litIDs   map[*ast.FuncLit]FuncID
-	varFuncs map[types.Object][]FuncID
 }
 
 // FileAllowed reports whether a file-scope //lint:allowfile directive
@@ -56,21 +49,6 @@ func (u *Unit) FileAllowed(pos token.Pos, analyzer string) bool {
 		return false
 	}
 	return nameListHas(u.allowFiles[u.Fset.Position(pos).Filename], analyzer)
-}
-
-// LitID returns the call-graph id of a function literal in this unit
-// (building the unit's function index on first use), or "".
-func (u *Unit) LitID(lit *ast.FuncLit) FuncID {
-	unitFuncs(u)
-	return u.litIDs[lit]
-}
-
-// FuncsBoundTo returns the ids of the function literals or named
-// functions assigned to a local variable anywhere in its enclosing
-// function, resolving the `var f func(); f = func(){...}; use(f)` idiom.
-func (u *Unit) FuncsBoundTo(obj types.Object) []FuncID {
-	unitFuncs(u)
-	return u.varFuncs[obj]
 }
 
 // Loader parses and type-checks packages without the go/packages

@@ -21,13 +21,11 @@ import (
 // All returns every pdsilint analyzer in deterministic order.
 func All() []*engine.Analyzer {
 	return []*engine.Analyzer{
-		Walltime,
 		Globalrand,
 		Maporder,
 		Metricname,
 		Errwrap,
 		Goroutine,
-		Shardown,
 		Errflow,
 		Walltimereach,
 	}

@@ -7,10 +7,6 @@ import (
 	"repro/internal/lint/analysistest"
 )
 
-func TestWalltime(t *testing.T) {
-	analysistest.Run(t, lint.Walltime, "walltime")
-}
-
 func TestGlobalrand(t *testing.T) {
 	analysistest.Run(t, lint.Globalrand, "globalrand")
 }
@@ -31,10 +27,6 @@ func TestGoroutine(t *testing.T) {
 	analysistest.Run(t, lint.Goroutine, "goroutine")
 }
 
-func TestShardown(t *testing.T) {
-	analysistest.Run(t, lint.Shardown, "shardown")
-}
-
 func TestErrflow(t *testing.T) {
 	analysistest.Run(t, lint.Errflow, "errflow")
 }
@@ -47,8 +39,8 @@ func TestWalltimereach(t *testing.T) {
 // vocabulary and must stay stable.
 func TestAnalyzerMetadata(t *testing.T) {
 	want := []string{
-		"walltime", "globalrand", "maporder", "metricname", "errwrap",
-		"goroutine", "shardown", "errflow", "walltime-reach",
+		"globalrand", "maporder", "metricname", "errwrap",
+		"goroutine", "errflow", "walltime-reach",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

@@ -1,13 +1,13 @@
 // Fixture for the walltime-reach analyzer, helper side: a direct
-// wall-clock reader (walltime's territory, silent here) and a wrapper
+// wall-clock reader (flagged where it reads the clock) and a wrapper
 // that smuggles it to callers (flagged with the call chain).
 package helpers
 
 import "time"
 
-// WallNow reads the clock directly; the syntactic walltime analyzer
-// owns that finding, so walltime-reach stays silent on this line.
-func WallNow() int64 { return time.Now().UnixNano() }
+// WallNow reads the clock directly: flagged at the call, and the seed
+// of the taint that Wrap inherits.
+func WallNow() int64 { return time.Now().UnixNano() } // want `wall-clock call time\.Now`
 
 func Wrap() int64 { // want `transitively reaches the wall clock via helpers\.Wrap -> helpers\.WallNow`
 	return WallNow()

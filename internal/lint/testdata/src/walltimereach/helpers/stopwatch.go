@@ -1,4 +1,4 @@
-//lint:allowfile walltime,walltime-reach -- fixture stand-in for obs.Stopwatch, the one sanctioned wall-clock root
+//lint:allowfile walltime-reach -- fixture stand-in for obs.Stopwatch, the one sanctioned wall-clock root
 package helpers
 
 import "time"

@@ -3,23 +3,49 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"strings"
 
 	"repro/internal/lint/engine"
 )
 
-// Walltimereach upgrades the walltime ban from per-file syntax to
-// call-graph reachability. The syntactic analyzer stops direct
-// time.Now calls, but a helper that wraps the clock behind a local
-// //lint:allow — or behind one level of indirection in another package —
-// would hand wall time to every caller unseen. This analyzer computes
-// the set of module functions that can transitively observe the wall
-// clock and flags each of them, with the shortest call chain in the
-// message. Propagation stops at the single sanctioned root: functions
-// declared in a file carrying `//lint:allowfile walltime-reach`
-// (obs.Stopwatch's file), whose callers are, by policy, allowed to
-// measure elapsed real time. A second check pins that policy down:
-// the sanctioned root itself may only be called from cmd/ harness
+// wallFuncs are the package time functions that read or wait on the
+// wall clock. Formatting, parsing, and constructing time.Time values
+// from explicit components stay legal — only the ambient clock is
+// banned, because any value derived from it varies across runs and
+// breaks same-seed bit-identical output.
+var wallFuncs = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"Sleep":     true,
+	"After":     true,
+	"AfterFunc": true,
+	"Tick":      true,
+	"NewTimer":  true,
+	"NewTicker": true,
+}
+
+// Walltimereach forbids the wall clock anywhere in the module, read
+// directly or through helpers. Simulated components take time from the
+// sim kernel; benchmark harnesses measure elapsed wall time through
+// obs.Stopwatch.
+//
+// Direct uses: every mention of a wallFuncs function, called or taken
+// as a function value, is flagged where it appears — in function
+// bodies, package-level initializers, and _test.go files alike.
+//
+// Transitive reach: a helper that wraps the clock behind a local
+// //lint:allow — or behind one level of indirection in another
+// package — would hand wall time to every caller unseen. The analyzer
+// computes the set of module functions that can transitively observe
+// the wall clock and flags each of them, with the shortest call chain
+// in the message. Propagation stops at the single sanctioned root:
+// functions declared in a file carrying `//lint:allowfile
+// walltime-reach` (obs.Stopwatch's file, whose direct uses the same
+// directive waives), whose callers are, by policy, allowed to measure
+// elapsed real time. A second check pins that policy down: the
+// sanctioned root itself may only be called from cmd/ harness
 // packages, test files, or its own package — simulation packages that
 // time themselves with the Stopwatch would smuggle wall time into sim
 // state.
@@ -31,10 +57,42 @@ import (
 // implementation is flagged.
 var Walltimereach = &engine.Analyzer{
 	Name: "walltime-reach",
-	Doc: "flag functions that transitively reach the wall clock through helpers; " +
+	Doc: "forbid time.Now/Since/Sleep and friends, called or as values, and flag functions that reach them through helpers; " +
 		"obs.Stopwatch (//lint:allowfile walltime-reach) is the single sanctioned root, callable only from harnesses",
 	Run: func(pass *engine.Pass) (any, error) {
-		return nil, nil // all work happens cross-package, in Finish
+		for _, f := range pass.Files {
+			called := map[ast.Expr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var id *ast.Ident
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					called[ast.Unparen(n.Fun)] = true
+					return true
+				case *ast.SelectorExpr:
+					id = n.Sel
+				case *ast.Ident:
+					id = n // a dot-imported time function
+				default:
+					return true
+				}
+				fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+				if !ok {
+					return true
+				}
+				name, ok := wallID(engine.IDOf(fn))
+				if !ok {
+					return true
+				}
+				use := "call"
+				if !called[n.(ast.Expr)] {
+					use = "function value"
+				}
+				pass.Reportf(n.Pos(),
+					"wall-clock %s time.%s: derive time from the simulation kernel, or use obs.Stopwatch in harnesses", use, name)
+				return false
+			})
+		}
+		return nil, nil
 	},
 	Finish: func(results []engine.UnitResult) []engine.Diagnostic {
 		units := make([]*engine.Unit, len(results))
@@ -43,8 +101,9 @@ var Walltimereach = &engine.Analyzer{
 		}
 		g := engine.BuildCallGraph(units)
 
-		// Classify nodes: direct wall-clock callers and sanctioned
-		// roots (declared in an allowfile walltime-reach file).
+		// Classify nodes: direct wall-clock users (an edge, call or
+		// reference, to a wallFuncs function) and sanctioned roots
+		// (declared in an allowfile walltime-reach file).
 		direct := map[engine.FuncID]bool{}
 		sanctioned := map[engine.FuncID]bool{}
 		for _, id := range g.SortedIDs() {
@@ -52,20 +111,11 @@ var Walltimereach = &engine.Analyzer{
 			if n.Unit.FileAllowed(n.Pos, "walltime-reach") {
 				sanctioned[id] = true
 			}
-			if n.Body == nil {
-				continue
+			for _, e := range n.Out {
+				if _, ok := wallID(e.To); ok {
+					direct[id] = true
+				}
 			}
-			ast.Inspect(n.Body, func(m ast.Node) bool {
-				if _, ok := m.(*ast.FuncLit); ok && m != n.Decl {
-					return false // literal bodies are their own nodes
-				}
-				if call, ok := m.(*ast.CallExpr); ok {
-					if name, ok := pkgFuncCall(n.Unit.Info, call, "time"); ok && wallFuncs[name] {
-						direct[id] = true
-					}
-				}
-				return true
-			})
 		}
 
 		// Propagate wall taint up the reversed graph; sanctioned roots
@@ -95,7 +145,7 @@ var Walltimereach = &engine.Analyzer{
 			n := g.Nodes[id]
 			switch {
 			case tainted[id] && !direct[id] && !sanctioned[id]:
-				// Indirect reach: walltime already covers direct calls.
+				// Indirect reach; Run reports direct uses where they appear.
 				path := g.PathTo(id, func(t engine.FuncID) bool {
 					return direct[t] && !sanctioned[t]
 				})
@@ -127,6 +177,14 @@ var Walltimereach = &engine.Analyzer{
 		}
 		return diags
 	},
+}
+
+// wallID reports whether a call-graph id names one of the wallFuncs
+// functions of package time (methods such as Time.After have ids of
+// the form "time.(Time).After" and do not match), returning its name.
+func wallID(id engine.FuncID) (string, bool) {
+	name, ok := strings.CutPrefix(string(id), "time.")
+	return name, ok && wallFuncs[name]
 }
 
 // harnessContext reports whether a function may legitimately consume

@@ -188,9 +188,10 @@ type Registry struct {
 	quants   map[string]*Quantile
 	series   map[string]*TimeSeries
 
-	// Opt-in analytics switches. Both default off so a plain registry's
-	// snapshot is byte-identical to what it was before these layers
-	// existed; see EnableOpTimers and EnableTimeSeries.
+	// Opt-in analytics switches; see EnableOpTimers and EnableTimeSeries.
+	// Both default off, so a plain registry's snapshot has no quantile or
+	// series keys: the default shape TestFaultFreeRunMatchesPrePRGolden
+	// pins.
 	opTimers     bool
 	seriesWindow float64
 }
@@ -290,7 +291,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 
 	// Quantiles and Series exist only on analytics-enabled runs; omitempty
-	// keeps default snapshots byte-identical to the pre-analytics golden.
+	// leaves both keys out of a default snapshot, whose shape
+	// TestFaultFreeRunMatchesPrePRGolden pins.
 	Quantiles map[string]QuantileSnapshot   `json:"quantiles,omitempty"`
 	Series    map[string]TimeSeriesSnapshot `json:"timeseries,omitempty"`
 }

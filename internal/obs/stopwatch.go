@@ -1,4 +1,4 @@
-//lint:allowfile walltime,walltime-reach -- the one sanctioned wall-clock root: harness stopwatch for cmd/ benchmark timing
+//lint:allowfile walltime-reach -- the one sanctioned wall-clock root: harness stopwatch for cmd/ benchmark timing
 package obs
 
 import "time"
@@ -9,14 +9,14 @@ import "time"
 // simulators, which must never see a wall clock.
 //
 // This file is the one sanctioned wall-time call site in the module:
-// the walltime analyzer (cmd/pdsilint) forbids time.Now/time.Since
-// everywhere else, and the walltime-reach analyzer treats the functions
-// declared in this file — and only these — as sanctioned roots where
-// wall-clock taint stops, enforcing in exchange that they are called
-// only from cmd/ harnesses and tests. Every harness measurement
-// funnels through here and the escape-hatch surface stays a single
-// file. Do not add another allowfile for these analyzers without
-// updating DESIGN.md's escape-hatch policy.
+// the walltime-reach analyzer (cmd/pdsilint) forbids time.Now/time.Since
+// everywhere else, and treats the functions declared in this file — and
+// only these — as sanctioned roots where wall-clock taint stops,
+// enforcing in exchange that they are called only from cmd/ harnesses
+// and tests. Every harness measurement funnels through here and the
+// escape-hatch surface stays a single file. Do not add another
+// allowfile for this analyzer without updating DESIGN.md's escape-hatch
+// policy.
 type Stopwatch struct {
 	start time.Time
 }

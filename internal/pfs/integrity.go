@@ -130,10 +130,10 @@ func (fs *FS) CorruptExtent(name string, off, size int64) int {
 	return n
 }
 
-// armIntegrity lazily registers the integrity instruments. Kept out of
-// instrument() so that runs without injected corruption — including the
-// pre-PR golden snapshots — register exactly the same metric set as
-// before this layer existed.
+// armIntegrity registers the integrity instruments on the first
+// injected corruption. Kept out of instrument() so a run without
+// injected corruption has no pfs.integrity.* keys in its snapshot: the
+// default shape TestFaultFreeRunMatchesPrePRGolden pins.
 func (fs *FS) armIntegrity() {
 	reg := fs.eng.Metrics()
 	if reg == nil || fs.cIntDetected != nil {

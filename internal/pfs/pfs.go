@@ -389,8 +389,8 @@ type FS struct {
 	cDegraded   *obs.Counter
 	cLeaseExp   *obs.Counter
 
-	// Integrity instrument handles, registered lazily by armIntegrity so
-	// corruption-free snapshots stay byte-identical (nil otherwise).
+	// Integrity instrument handles, nil until armIntegrity registers them
+	// on the first injected corruption.
 	cIntInjected *obs.Counter
 	cIntDetected *obs.Counter
 	cIntRepaired *obs.Counter

@@ -27,7 +27,10 @@ import (
 // byte-identical output across shard counts and scheduling:
 //
 //   - Shard state is disjoint: model code on shard i must not read or
-//     write shard j's model state except through Send.
+//     write shard j's model state except through Send. NewCluster hands
+//     the shard engines to setup code once and the cluster keeps no
+//     lookup that returns them, so event code, which holds the cluster
+//     to call Send, has no path to another shard's engine through it.
 //   - Same-timestamp events on different shards must commute through
 //     any shared instruments: counters are atomic and commutative, but
 //     order-sensitive instruments (histograms, quantiles, time series)
@@ -82,7 +85,11 @@ type send struct {
 // lookahead: the minimum latency every Send must declare. Use Infinity
 // for a cluster of fully decoupled shards (no sends allowed) — windows
 // then stretch to the next sampler tick or the end of the run.
-func NewCluster(n int, lookahead Time) *Cluster {
+//
+// The shard engines are handed out once, here, to the setup code that
+// binds each domain to its shard; the returned slice is a copy, indexed
+// by the shard numbers Send takes.
+func NewCluster(n int, lookahead Time) (*Cluster, []*Engine) {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: NewCluster with %d shards", n))
 	}
@@ -101,15 +108,8 @@ func NewCluster(n int, lookahead Time) *Cluster {
 		c.shards[i] = &Engine{cluster: c}
 		c.keyseq[i] = make(map[string]uint64)
 	}
-	return c
+	return c, append([]*Engine(nil), c.shards...)
 }
-
-// Shard returns shard i's engine. Models bind to their shard's engine
-// exactly as they would to a standalone one.
-func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
-
-// NumShards reports the shard count.
-func (c *Cluster) NumShards() int { return len(c.shards) }
 
 // Pending reports live events summed over all shards. Only meaningful
 // at window barriers (sampler ticks, or before/after Run).

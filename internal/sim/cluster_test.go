@@ -26,7 +26,7 @@ func clusterFixture(t *testing.T, shards int) (snap, csv []byte) {
 	)
 	reg := obs.NewRegistry()
 	reg.EnableTimeSeries(0.01)
-	cl := NewCluster(shards, lookahead)
+	cl, engines := NewCluster(shards, lookahead)
 	cl.Instrument(reg)
 
 	type domain struct {
@@ -40,7 +40,7 @@ func clusterFixture(t *testing.T, shards int) (snap, csv []byte) {
 	doms := make([]*domain, domains)
 	for d := 0; d < domains; d++ {
 		shard := d % shards
-		eng := cl.Shard(shard)
+		eng := engines[shard]
 		name := fmt.Sprintf("test.dom%02d", d)
 		doms[d] = &domain{
 			shard:  shard,
@@ -150,8 +150,8 @@ func TestClusterSingleShardMatchesEngine(t *testing.T) {
 	wantP := build(plain)
 	plainEnd := plain.Run()
 
-	cl := NewCluster(4, Infinity)
-	gotP := build(cl.Shard(0))
+	cl, engines := NewCluster(4, Infinity)
+	gotP := build(engines[0])
 	clEnd := cl.Run()
 
 	if plainEnd != clEnd {
@@ -169,7 +169,7 @@ func TestClusterSingleShardMatchesEngine(t *testing.T) {
 }
 
 func TestClusterSendBelowLookaheadPanics(t *testing.T) {
-	cl := NewCluster(2, 0.01)
+	cl, _ := NewCluster(2, 0.01)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send below lookahead did not panic")
@@ -183,12 +183,12 @@ func TestClusterSendMergeOrderIsKeyed(t *testing.T) {
 	// instant; the keyed merge must order "a" before "b" no matter
 	// which worker staged first.
 	for trial := 0; trial < 10; trial++ {
-		cl := NewCluster(3, 0.001)
+		cl, engines := NewCluster(3, 0.001)
 		var got []string
 		for i, key := range []string{"b", "a"} {
 			src := i + 1
 			key := key
-			cl.Shard(src).At(0.005, func() {
+			engines[src].At(0.005, func() {
 				cl.Send(src, 0, key, 0.001, func() { got = append(got, key) })
 			})
 		}
@@ -200,11 +200,11 @@ func TestClusterSendMergeOrderIsKeyed(t *testing.T) {
 }
 
 func TestClusterSampleGridAndFinalTick(t *testing.T) {
-	cl := NewCluster(2, Infinity)
+	cl, engines := NewCluster(2, Infinity)
 	var ticks []Time
 	cl.Sample(0.01, func(now Time) { ticks = append(ticks, now) })
 	fired := 0
-	cl.Shard(1).At(0.025, func() { fired++ })
+	engines[1].At(0.025, func() { fired++ })
 	cl.Run()
 	if fired != 1 {
 		t.Fatalf("event fired %d times", fired)
@@ -223,7 +223,7 @@ func TestClusterSampleGridAndFinalTick(t *testing.T) {
 }
 
 func TestClusterRunWithNoEvents(t *testing.T) {
-	cl := NewCluster(2, Infinity)
+	cl, _ := NewCluster(2, Infinity)
 	if end := cl.Run(); end != 0 {
 		t.Fatalf("empty cluster ended at %v", end)
 	}

@@ -163,7 +163,7 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	cl := sim.NewCluster(spec.Shards, sim.Infinity)
+	cl, shards := sim.NewCluster(spec.Shards, sim.Infinity)
 	cl.Instrument(reg)
 
 	pods := make([]*rebuildPod, spec.Pods)
@@ -178,7 +178,7 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 		if spec.LSE != nil {
 			cfg.Checksums = true
 		}
-		eng := cl.Shard(p % spec.Shards)
+		eng := shards[p%spec.Shards]
 		pod := &rebuildPod{eng: eng, fs: pfs.New(eng, cfg)}
 		seed := spec.Seed + int64(p)*1_000_003
 

@@ -121,7 +121,7 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	cl := sim.NewCluster(spec.Shards, spec.InterPodLatency)
+	cl, shards := sim.NewCluster(spec.Shards, spec.InterPodLatency)
 	cl.Instrument(reg)
 
 	wspec := Spec{
@@ -137,7 +137,7 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 		shard := p % spec.Shards
 		cfg := pfs.PanFSLike(spec.ServersPerPod)
 		cfg.MetricPrefix = fmt.Sprintf("pod%03d.", p)
-		eng := cl.Shard(shard)
+		eng := shards[shard]
 		pod := &scalePod{
 			shard:   shard,
 			eng:     eng,
@@ -167,7 +167,7 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	// The coordinator lives on shard 0. All of its state is touched only
 	// from shard-0 events (arrivals are Cluster.Send deliveries onto
 	// shard 0), so no locking is needed even under a parallel run.
-	coord := cl.Shard(0)
+	coord := shards[0]
 	arrived := 0
 	round := 0
 	var roundStart sim.Time
@@ -254,8 +254,8 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	}
 
 	result.WallClock = cl.Run()
-	for i := 0; i < cl.NumShards(); i++ {
-		result.Events += cl.Shard(i).Steps()
+	for _, eng := range shards {
+		result.Events += eng.Steps()
 	}
 	return result
 }
