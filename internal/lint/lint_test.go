@@ -7,6 +7,12 @@ import (
 	"repro/internal/lint/analysistest"
 )
 
+// TestWalltime checks walltime-reach's direct uses: calls and function
+// values of the wall-clock functions, flagged where they appear.
+func TestWalltime(t *testing.T) {
+	analysistest.Run(t, lint.Walltimereach, "walltime")
+}
+
 func TestGlobalrand(t *testing.T) {
 	analysistest.Run(t, lint.Globalrand, "globalrand")
 }
@@ -31,6 +37,8 @@ func TestErrflow(t *testing.T) {
 	analysistest.Run(t, lint.Errflow, "errflow")
 }
 
+// TestWalltimereach checks walltime-reach's transitive findings and the
+// harness-only scope of the sanctioned stopwatch root.
 func TestWalltimereach(t *testing.T) {
 	analysistest.Run(t, lint.Walltimereach, "walltimereach/helpers", "walltimereach/app")
 }

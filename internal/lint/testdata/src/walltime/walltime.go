@@ -1,9 +1,10 @@
-// Fixture for the walltime-reach analyzer, direct uses: wall-clock
-// functions are flagged where they appear — called (through a renamed
-// import too) or taken as a value, in function bodies and package-level
-// initializers. Explicit time construction is not flagged, and the
-// //lint:allow escape hatch suppresses both trailing and line-above.
-package helpers
+// Package walltime holds the direct-use fixtures for the walltime-reach
+// analyzer: wall-clock functions are flagged where they appear — called
+// (through a renamed import too) or taken as a value, in function
+// bodies and package-level initializers. Explicit time construction is
+// not flagged, and the //lint:allow escape hatch suppresses both
+// trailing and line-above.
+package walltime
 
 import (
 	"time"
@@ -25,6 +26,11 @@ func bad(d time.Duration) {
 	_ = wall.Now()        // want `wall-clock call time\.Now`
 }
 
+func localValue() int64 {
+	f := time.Now // want `wall-clock function value time\.Now`
+	return f().UnixNano()
+}
+
 func good() {
 	_ = time.Unix(0, 0)
 	_ = time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -37,17 +43,6 @@ func allowed() {
 	_ = time.Now() //lint:allow walltime-reach -- fixture: trailing directive
 	//lint:allow walltime-reach -- fixture: directive on the line above
 	_ = time.Now()
-}
-
-// ValueClock reads the clock through a function value: flagged at the
-// value, which seeds the taint exactly as a call does.
-func ValueClock() int64 {
-	f := time.Now // want `wall-clock function value time\.Now`
-	return f().UnixNano()
-}
-
-func WrapValue() int64 { // want `transitively reaches the wall clock via helpers\.WrapValue -> helpers\.ValueClock`
-	return ValueClock()
 }
 
 // now stands in for a sim-time source so the good cases type-check.
