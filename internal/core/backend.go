@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -129,7 +130,7 @@ func (b *MemBackend) Create(path string) (BackendFile, error) {
 	if !b.dirs[parent(path)] {
 		return nil, fmt.Errorf("%w: parent of %s", ErrNotExist, path)
 	}
-	f := &memFile{}
+	f := &memFile{chunks: [][]byte{nil}, starts: []int64{0}}
 	b.files[path] = f
 	return &memHandle{f: f}, nil
 }
@@ -195,11 +196,15 @@ func (b *MemBackend) CorruptRange(path string, off, n int64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if off < 0 || n < 0 || off+n > int64(len(f.data)) {
-		return fmt.Errorf("plfs: corrupt range [%d,%d) outside %d-byte file %s", off, off+n, len(f.data), path)
+	if off < 0 || n < 0 || off > f.size-n {
+		return fmt.Errorf("plfs: corrupt range [%d,%d) outside %d-byte file %s", off, off+n, f.size, path)
 	}
-	for i := off; i < off+n; i++ {
-		f.data[i] ^= 0x80
+	for i, c := range f.chunks {
+		lo := max(off, f.starts[i]) - f.starts[i]
+		hi := min(off+n, f.starts[i]+int64(len(c))) - f.starts[i]
+		for j := lo; j < hi; j++ {
+			c[j] ^= 0x80
+		}
 	}
 	return nil
 }
@@ -212,10 +217,28 @@ func (b *MemBackend) Exists(path string) bool {
 	return b.dirs[path] || b.files[path] != nil
 }
 
-// memFile is the shared content of a file; handles reference it.
+// Chunk sizes of a memFile. While the file fits in memFirstChunk bytes
+// it is one chunk grown by append, as one flat slice would be, so files
+// that small cost what they always did. A write that would take it past
+// that fills the chunk's capacity instead and goes on into a new chunk;
+// each later chunk is allocated once, at the file's size so far (or the
+// rest of the write, if larger) capped at memMaxChunk, and never
+// reallocated. An append then copies only its own bytes, however large
+// the file grows.
+const (
+	memFirstChunk = 64 << 10
+	memMaxChunk   = 1 << 20
+)
+
+// memFile is the shared content of a file; handles reference it. The
+// bytes live in chunks, each full to capacity except the last; starts
+// holds each chunk's file offset. The chunk logic lives in memHandle
+// methods, which pdsibench's profile attributes to core.backend.
 type memFile struct {
-	mu   sync.Mutex
-	data []byte
+	mu     sync.Mutex
+	chunks [][]byte
+	starts []int64
+	size   int64
 }
 
 type memHandle struct {
@@ -227,22 +250,58 @@ func (h *memHandle) Write(p []byte) (int, error) {
 	if h.closed {
 		return 0, ErrClosed
 	}
-	h.f.mu.Lock()
-	defer h.f.mu.Unlock()
-	h.f.data = append(h.f.data, p...)
-	return len(p), nil
+	f := h.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(p)
+	if len(f.chunks) == 1 && f.size+int64(len(p)) <= memFirstChunk {
+		f.chunks[0] = append(f.chunks[0], p...)
+		f.size += int64(len(p))
+		return n, nil
+	}
+	for len(p) > 0 {
+		last := len(f.chunks) - 1
+		c := f.chunks[last]
+		if len(c) == cap(c) {
+			f.chunks = append(f.chunks, make([]byte, 0, min(max(f.size, int64(len(p))), memMaxChunk)))
+			f.starts = append(f.starts, f.size)
+			continue
+		}
+		k := min(len(p), cap(c)-len(c))
+		f.chunks[last] = append(c, p[:k]...)
+		f.size += int64(k)
+		p = p[k:]
+	}
+	return n, nil
+}
+
+// chunkAt returns the index of the chunk holding file offset off, for
+// 0 <= off <= size: at a chunk boundary, the chunk that starts there.
+func (h *memHandle) chunkAt(off int64) int {
+	i, found := slices.BinarySearch(h.f.starts, off)
+	if !found {
+		i--
+	}
+	return i
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	if h.closed {
 		return 0, ErrClosed
 	}
-	h.f.mu.Lock()
-	defer h.f.mu.Unlock()
-	if off >= int64(len(h.f.data)) {
+	if off < 0 {
+		return 0, fmt.Errorf("plfs: read at negative offset %d", off)
+	}
+	f := h.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if off >= f.size {
 		return 0, io.EOF
 	}
-	n := copy(p, h.f.data[off:])
+	n := 0
+	for i := h.chunkAt(off); n < len(p) && i < len(f.chunks); i++ {
+		n += copy(p[n:], f.chunks[i][off+int64(n)-f.starts[i]:])
+	}
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -253,19 +312,26 @@ func (h *memHandle) Truncate(size int64) error {
 	if h.closed {
 		return ErrClosed
 	}
-	h.f.mu.Lock()
-	defer h.f.mu.Unlock()
-	if size < 0 || size > int64(len(h.f.data)) {
-		return fmt.Errorf("plfs: truncate to %d outside %d-byte file", size, len(h.f.data))
+	f := h.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if size < 0 || size > f.size {
+		return fmt.Errorf("plfs: truncate to %d outside %d-byte file", size, f.size)
 	}
-	h.f.data = h.f.data[:size]
+	// The chunk holding the new end becomes the last one; it keeps its
+	// capacity, so later writes refill it before allocating.
+	i := h.chunkAt(size)
+	f.chunks[i] = f.chunks[i][:size-f.starts[i]]
+	clear(f.chunks[i+1:])
+	f.chunks, f.starts = f.chunks[:i+1], f.starts[:i+1]
+	f.size = size
 	return nil
 }
 
 func (h *memHandle) Size() int64 {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	return int64(len(h.f.data))
+	return h.f.size
 }
 
 func (h *memHandle) Close() error {

@@ -280,6 +280,14 @@ type Writer struct {
 	nWrites   int64
 	nEntries  int64
 	bytesData int64
+
+	// frame and rec are the writer's own encode buffers, reused by every
+	// append because a backend copies what it is handed: frame holds the
+	// v2 data frame, rec one index record. A failover re-encodes its
+	// pending entry into a buffer of its own, since recovery may still
+	// be holding either of these to retry.
+	frame []byte
+	rec   [indexFrameSize]byte
 }
 
 // OpenWriter creates (or reopens) the write handle for writer id. Each id
@@ -337,15 +345,15 @@ func (w *Writer) WriteAt(buf []byte, off int64) (int, error) {
 	if w.c.version >= 2 {
 		// v2: one [len][payload][crc32c] frame per write; the index entry
 		// names the payload start, so reads are frame-oblivious.
-		frame := appendFrame(make([]byte, 0, frameOverhead+len(buf)), buf)
-		n, err := w.data.Write(frame)
+		w.frame = appendFrame(w.frame[:0], buf)
+		n, err := w.data.Write(w.frame)
 		if err != nil {
-			if err = w.recoverFramedAppendLocked(frame, n, err); err != nil {
+			if err = w.recoverFramedAppendLocked(w.frame, n, err); err != nil {
 				return 0, err
 			}
 		}
 		payloadAt = w.dataOff + frameHeaderSize
-		w.dataOff += int64(len(frame))
+		w.dataOff += int64(len(w.frame))
 	} else {
 		n, err := w.data.Write(buf)
 		if err != nil {
@@ -390,20 +398,10 @@ func (w *Writer) WriteAt(buf []byte, off int64) (int, error) {
 }
 
 func (w *Writer) appendEntryLocked(e IndexEntry) error {
-	if w.c.version >= 2 {
-		frame := encodeEntryRecord(e, true)
-		if _, err := w.index.Write(frame); err != nil {
-			if err = w.recoverIndexAppendLocked(frame, err); err != nil {
-				return err
-			}
-		}
-	} else {
-		var rec [indexEntrySize]byte
-		e.encode(rec[:])
-		if _, err := w.index.Write(rec[:]); err != nil {
-			if err = w.recoverIndexAppendLocked(rec[:], err); err != nil {
-				return err
-			}
+	rec := encodeEntryRecord(&w.rec, e, w.c.version >= 2)
+	if _, err := w.index.Write(rec); err != nil {
+		if err = w.recoverIndexAppendLocked(rec, err); err != nil {
+			return err
 		}
 	}
 	w.nEntries++

@@ -188,6 +188,50 @@ func TestReadAtSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWriteAtSteadyStateAllocs asserts that a warm append allocates
+// nothing when its bytes fit in the current chunks of both logs: the
+// backend copies into chunk space it already holds, and the writer
+// encodes its data frame and index record into buffers it owns.
+func TestWriteAtSteadyStateAllocs(t *testing.T) {
+	const runs = 100
+	for _, framed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("framed=%v", framed), func(t *testing.T) {
+			b := NewMemBackend()
+			c, err := CreateContainer(b, "/c", Options{NumHostdirs: 1, Framed: framed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := c.OpenWriter(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			buf := make([]byte, 64)
+			off := int64(0)
+			write := func() {
+				if _, err := w.WriteAt(buf, off); err != nil {
+					t.Fatal(err)
+				}
+				off += 2 * int64(len(buf)) // strided, so no two entries coalesce
+			}
+			// Warm up until each log's last chunk has room for every
+			// measured append, including AllocsPerRun's own warm-up call.
+			hasRoom := func(path string, n int) bool {
+				f := b.files[path]
+				last := f.chunks[len(f.chunks)-1]
+				return cap(last)-len(last) >= n
+			}
+			for !hasRoom("/c/hostdir.0/data.0", (runs+1)*(len(buf)+frameOverhead)) ||
+				!hasRoom("/c/hostdir.0/index.0", (runs+1)*indexFrameSize) {
+				write()
+			}
+			if allocs := testing.AllocsPerRun(runs, write); allocs != 0 {
+				t.Errorf("steady-state WriteAt allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+}
+
 // TestScratchReuseCounter checks the allocs-avoided probe.
 func TestScratchReuseCounter(t *testing.T) {
 	reg := obs.NewRegistry()

@@ -52,6 +52,40 @@ func BenchmarkWriterAppendCoalesced(b *testing.B) {
 	}
 }
 
+// BenchmarkWriterAppendFramed47k is the write phase of pdsibench's
+// plfs_n1_47k workload: 16 framed (v2) writers append N-1 strided
+// 47008-B records, 8 per writer per container. One op is one WriteAt; a
+// fresh container every 128 ops, opened with the timer stopped, keeps
+// every log at the workload's size, so allocs/op shows what an append
+// costs the writer and the backend.
+func BenchmarkWriterAppendFramed47k(b *testing.B) {
+	const writers, records, recSize = 16, 8, 47008
+	buf := make([]byte, recSize)
+	ws := make([]*Writer, writers)
+	b.SetBytes(recSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % (writers * records)
+		if k == 0 {
+			b.StopTimer()
+			c, err := CreateContainer(NewMemBackend(), "/c", Options{NumHostdirs: 32, Framed: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for w := range ws {
+				if ws[w], err = c.OpenWriter(int32(w)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		if _, err := ws[k%writers].WriteAt(buf, int64(k)*recSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func buildContainer(b *testing.B, writers, recsPerWriter int) *Container {
 	b.Helper()
 	backend := NewMemBackend()

@@ -218,7 +218,9 @@ func (w *Writer) failoverLocked() error {
 	w.faults.Failovers++
 	w.c.cFailovers.Inc()
 	if pending != nil {
-		rec := encodeEntryRecord(*pending, w.c.version >= 2)
+		// Not w.rec or w.frame: the append being recovered may still hold
+		// either to retry once the new generation is open.
+		rec := encodeEntryRecord(new([indexFrameSize]byte), *pending, w.c.version >= 2)
 		if _, err := w.index.Write(rec); err != nil {
 			return fmt.Errorf("plfs: writer %d gen %d pending entry: %w", w.id, gen, err)
 		}

@@ -60,25 +60,29 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, word[:]...)
 }
 
-// encodeEntryRecord serializes one index entry in the container's log
-// format: a bare 36-byte record for v1, a 44-byte frame for v2.
-func encodeEntryRecord(e IndexEntry, framed bool) []byte {
-	var rec [indexEntrySize]byte
-	e.encode(rec[:])
+// encodeEntryRecord serializes one index entry into rec in the
+// container's log format and returns the encoded prefix of rec: a bare
+// 36-byte record for v1, a 44-byte frame for v2. The frame is built in
+// place, so encoding into a caller-owned array allocates nothing.
+func encodeEntryRecord(rec *[indexFrameSize]byte, e IndexEntry, framed bool) []byte {
 	if !framed {
-		out := rec
-		return out[:]
+		e.encode(rec[:])
+		return rec[:indexEntrySize]
 	}
-	return appendFrame(make([]byte, 0, indexFrameSize), rec[:])
+	payload := rec[frameHeaderSize : frameHeaderSize+indexEntrySize]
+	e.encode(payload)
+	binary.LittleEndian.PutUint32(rec[:], indexEntrySize)
+	binary.LittleEndian.PutUint32(rec[frameHeaderSize+indexEntrySize:], crc32.Checksum(payload, castagnoli))
+	return rec[:]
 }
 
 // decodeFramedIndexLog walks buf as fixed-size index frames. In strict
 // mode the first bad frame or short tail fails the whole decode with a
 // typed error. In lenient (fsck) mode, frames failing their length or
-// checksum are dropped (counted, skipped — the fixed frame size keeps
-// the walk in sync) and a short tail is reported as torn; clean is the
-// byte length of the well-framed prefix structure (everything before
-// the torn tail).
+// checksum, or whose record maps a range no WriteAt writes, are dropped
+// (counted, skipped — the fixed frame size keeps the walk in sync) and
+// a short tail is reported as torn; clean is the byte length of the
+// well-framed prefix structure (everything before the torn tail).
 func decodeFramedIndexLog(buf []byte, strict bool) (entries []IndexEntry, dropped, torn int64, err error) {
 	n := int64(len(buf))
 	entries = make([]IndexEntry, 0, n/indexFrameSize)
@@ -88,14 +92,15 @@ func decodeFramedIndexLog(buf []byte, strict bool) (entries []IndexEntry, droppe
 		length := binary.LittleEndian.Uint32(frame[0:])
 		payload := frame[frameHeaderSize : frameHeaderSize+indexEntrySize]
 		want := binary.LittleEndian.Uint32(frame[frameHeaderSize+indexEntrySize:])
-		if length != indexEntrySize || crc32.Checksum(payload, castagnoli) != want {
+		e := decodeEntry(payload)
+		if length != indexEntrySize || crc32.Checksum(payload, castagnoli) != want || !e.validRange() {
 			if strict {
 				return nil, 0, 0, fmt.Errorf("%w: index frame at %d", ErrCorruptFrame, off)
 			}
 			dropped++
 			continue
 		}
-		entries = append(entries, decodeEntry(payload))
+		entries = append(entries, e)
 	}
 	if off < n {
 		if strict {

@@ -32,6 +32,17 @@ func (e IndexEntry) encode(buf []byte) {
 	binary.LittleEndian.PutUint64(buf[28:], e.Timestamp)
 }
 
+// validRange reports whether e maps a range some WriteAt could have
+// written: a non-negative length at non-negative logical and log
+// offsets, neither end past math.MaxInt64. The merge relies on every
+// logical range being 0 <= start <= end, and the read path on every log
+// offset being one it can read at.
+func (e IndexEntry) validRange() bool {
+	return e.Length >= 0 &&
+		e.LogicalOffset >= 0 && e.LogicalOffset <= math.MaxInt64-e.Length &&
+		e.LogOffset >= 0 && e.LogOffset <= math.MaxInt64-e.Length
+}
+
 func decodeEntry(buf []byte) IndexEntry {
 	return IndexEntry{
 		LogicalOffset: int64(binary.LittleEndian.Uint64(buf[0:])),
@@ -82,11 +93,10 @@ func readIndexLog(f BackendFile) ([]IndexEntry, error) {
 	for off := int64(0); off < size; off += indexEntrySize {
 		e := decodeEntry(buf[off : off+indexEntrySize])
 		// v1 records carry no checksum, so a flipped bit can turn a write
-		// into a range no WriteAt accepts. Such a record is corruption,
-		// and the merge relies on every range being 0 <= start <= end.
-		if e.LogicalOffset < 0 || e.Length < 0 || e.LogicalOffset > math.MaxInt64-e.Length {
-			return nil, fmt.Errorf("plfs: corrupt index log: record %d maps %d bytes at offset %d",
-				off/indexEntrySize, e.Length, e.LogicalOffset)
+		// into a range no WriteAt accepts. Such a record is corruption.
+		if !e.validRange() {
+			return nil, fmt.Errorf("plfs: corrupt index log: record %d maps %d bytes at offset %d from log offset %d",
+				off/indexEntrySize, e.Length, e.LogicalOffset, e.LogOffset)
 		}
 		entries = append(entries, e)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -265,10 +267,29 @@ func TestCorruptIndexLogDetected(t *testing.T) {
 		r.Close()
 		t.Fatalf("OpenReader accepted a record at offset %d", r.Index().extents[0].logical)
 	}
-	for _, e := range []IndexEntry{
+
+	// Byte 27 is the top byte of the first record's LogOffset: the flip
+	// makes it negative, which the read path cannot fetch from.
+	b, c = newContainer(t, DefaultOptions())
+	w, _ = c.OpenWriter(0)
+	w.WriteAt([]byte("hello world"), 0)
+	w.Close()
+	if err := b.CorruptRange("/ckpt/hostdir.0/index.0", 27, 1); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := c.OpenReader(); err == nil {
+		_, rerr := r.ReadAt(make([]byte, 11), 0)
+		r.Close()
+		t.Fatalf("OpenReader accepted a record at log offset %d (ReadAt: %v)", r.Index().extents[0].logOff, rerr)
+	}
+
+	bad := []IndexEntry{
 		entry(0, -1, 1, 0, 1),                // negative length
 		entry(math.MaxInt64-5, 100, 1, 0, 1), // end past math.MaxInt64
-	} {
+		entry(0, 1, 1, -1, 1),                // negative log offset
+		entry(0, 100, 1, math.MaxInt64-5, 1), // log end past math.MaxInt64
+	}
+	for _, e := range bad {
 		f, _ := b.Create("/idx")
 		var rec [indexEntrySize]byte
 		e.encode(rec[:])
@@ -276,5 +297,22 @@ func TestCorruptIndexLogDetected(t *testing.T) {
 		if _, err := readIndexLog(f); err == nil {
 			t.Errorf("record %+v accepted", e)
 		}
+	}
+	// A v2 frame's checksum cannot vouch for a range its writer never
+	// produced: the strict decoder fails it, the lenient one drops it.
+	for _, e := range bad {
+		frame := encodeEntryRecord(new([indexFrameSize]byte), e, true)
+		if _, _, _, err := decodeFramedIndexLog(frame, true); !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("strict decode of frame %+v: err %v, want ErrCorruptFrame", e, err)
+		}
+		if es, dropped, _, err := decodeFramedIndexLog(frame, false); err != nil || len(es) != 0 || dropped != 1 {
+			t.Errorf("lenient decode of frame %+v: %d entries, %d dropped, err %v; want it dropped", e, len(es), dropped, err)
+		}
+	}
+
+	// The backend rejects a negative read offset instead of slicing with it.
+	f, _ = b.Open("/ckpt/hostdir.0/data.0")
+	if n, err := f.ReadAt(make([]byte, 1), -1); n != 0 || err == nil || err == io.EOF {
+		t.Errorf("ReadAt at -1 = %d, %v; want 0 and a non-EOF error", n, err)
 	}
 }

@@ -400,6 +400,68 @@ func TestFramedPartialAppendFailsOver(t *testing.T) {
 	}
 }
 
+// TestFramedCoalescedFailoverKeepsDataFrame tears a framed data append
+// while a coalesced index entry is still pending. The failover appends
+// that entry's record to the new index log before the writer re-appends
+// the torn data frame to the new data log, so the two must be encoded in
+// separate buffers: both writes must read back.
+func TestFramedCoalescedFailoverKeepsDataFrame(t *testing.T) {
+	fb := NewFaultyBackend(NewMemBackend())
+	c, err := CreateContainer(fb, "/c", Options{
+		NumHostdirs:   1,
+		Framed:        true,
+		CoalesceIndex: true,
+		Retry:         RetryPolicy{MaxRetries: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.OpenWriter(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := make([]byte, 100), make([]byte, 100)
+	for i := range a {
+		a[i], b[i] = byte(i), byte(255-i)
+	}
+	if _, err := w.WriteAt(a, 0); err != nil { // stays pending
+		t.Fatal(err)
+	}
+	// Tear b's frame: 10 bytes land, then the device dies.
+	fb.FailNextWrites, fb.PartialBytes = 1, 10
+	if _, err := w.WriteAt(b, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.FaultStats(); st.Failovers != 1 {
+		t.Fatalf("Failovers = %d, want 1", st.Failovers)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := OpenContainer(fb, "/c", Options{NumHostdirs: 1, VerifyOnOpen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c2.OpenReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, x := range []struct {
+		off  int64
+		want []byte
+	}{{0, a}, {1000, b}} {
+		got := make([]byte, len(x.want))
+		if _, err := r.ReadAt(got, x.off); err != nil && err != io.EOF {
+			t.Fatalf("read at %d: %v (fsck %+v)", x.off, err, *r.FsckReport())
+		}
+		if string(got) != string(x.want) {
+			t.Fatalf("read at %d differs from the acknowledged write (fsck %+v)", x.off, *r.FsckReport())
+		}
+	}
+}
+
 // TestTruncatedReadDeliversNoFabricatedBytes is the zero-fill regression
 // pin: when a data log is shorter than its index claims, reads must fail
 // with ErrTruncatedLog and deliver zero bytes — never a silently
@@ -473,7 +535,7 @@ func FuzzDecodeIndexFrames(f *testing.F) {
 			Timestamp:     uint64(i + 1),
 		}
 		orig[e] = true
-		valid = append(valid, encodeEntryRecord(e, true)...)
+		valid = append(valid, encodeEntryRecord(new([indexFrameSize]byte), e, true)...)
 	}
 	f.Add(valid, uint16(0), byte(0))
 	f.Add(valid, uint16(50), byte(0xFF))
