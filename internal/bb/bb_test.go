@@ -333,6 +333,52 @@ func TestTornDrainMarksCorruption(t *testing.T) {
 	}
 }
 
+// TestRecoveredNodeDrainsWhileTornDrainInFlight: a node that crashes
+// and recovers while its torn drain's FS write is still on the wire
+// starts a second drain on the same node. Each drain must judge its own
+// write by the epoch it left under, so the torn write is counted torn
+// and the new record counted drained, neither mistaken for the other.
+func TestRecoveredNodeDrainsWhileTornDrainInFlight(t *testing.T) {
+	cfg := testConfig()
+	cfg.DrainBandwidth = 2e6
+	const size = int64(1 << 20)
+	r := newRig(t, cfg, 1, nil)
+	start := r.eng.Now()
+	// The first record's FS write leaves at ~0.527 s and needs ~10 ms of
+	// wire time: the node is down from 0.53 s to 0.531 s, and the second
+	// record arrives after it is back.
+	plan := sim.NewFaultPlan().Add(NodeTarget(0), start+0.53, 0.001)
+	if err := plan.Schedule(r.eng, r.tier); err != nil {
+		t.Fatal(err)
+	}
+	r.writeRound(t, size, false, func(sim.Time) {})
+	r.eng.At(start+0.532, func() {
+		r.tier.WriteOp(0, r.files[0], size, size, nil, func(err error) {
+			if err != nil {
+				t.Errorf("write after recovery failed: %v", err)
+			}
+		})
+	})
+	r.eng.Run()
+	st := r.tier.Stats()
+	if st.Crashes != 1 || st.Recoveries != 1 {
+		t.Fatalf("plan not applied: %+v", st)
+	}
+	if st.TornDrains != 1 || st.TornBytes != size {
+		t.Fatalf("torn drains %d (%d bytes), want 1 of %d bytes: %+v", st.TornDrains, st.TornBytes, size, st)
+	}
+	if st.DrainedOps != 1 || st.DrainedBytes != size {
+		t.Fatalf("clean drains %d (%d bytes), want 1 of %d bytes: %+v", st.DrainedOps, st.DrainedBytes, size, st)
+	}
+	if st.AbsorbedBytes != st.DrainedBytes+st.LostBytes+st.DroppedDrainBytes+st.TornBytes {
+		t.Fatalf("byte identity violated: absorbed %d != drained %d + lost %d + dropped %d + torn %d",
+			st.AbsorbedBytes, st.DrainedBytes, st.LostBytes, st.DroppedDrainBytes, st.TornBytes)
+	}
+	if r.tier.Occupancy() != 0 || r.tier.Backlog() != 0 {
+		t.Fatalf("tier not empty at the end: occ=%v backlog=%d", r.tier.Occupancy(), r.tier.Backlog())
+	}
+}
+
 // TestOversizedWriteBypasses: a write larger than the whole node buffer
 // goes straight to the FS, counted as passthrough, never logged.
 func TestOversizedWriteBypasses(t *testing.T) {

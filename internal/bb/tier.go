@@ -30,6 +30,10 @@ type Tier struct {
 	pendingPages int64 // admitted, not yet released (absorb in flight + dirty)
 	backlogBytes int64 // dirty bytes queued or in flight to the FS
 
+	// Pooled per-write and per-drain state (absorbOp, drainOp).
+	freeAbsorbs sim.FreeList[absorbOp]
+	freeDrains  sim.FreeList[drainOp]
+
 	// Instrument handles; nil (no-op) on uninstrumented engines.
 	cAbsorbOps   *obs.Counter
 	cAbsorbBytes *obs.Counter
@@ -64,9 +68,9 @@ type node struct {
 	cursor  int // next log page (lpn), wraps over UserPages
 	pending int // admitted pages not yet released — the occupancy bound
 
-	dirty    []*record // FIFO of undrained write-back records
-	waiters  []waiter  // FIFO of writes stalled on capacity
-	draining bool      // one drain in flight per node
+	dirty    fifo[record]    // undrained write-back records
+	waiters  fifo[*absorbOp] // writes stalled on capacity
+	draining bool            // one drain in flight per node
 
 	// Fault state, same shape as a pfs server: the epoch lets work in
 	// flight discover at its next completion that the node died under
@@ -81,14 +85,6 @@ type record struct {
 	off, size int64
 	pages     int
 	enq       sim.Time // absorb completion — drain lag measures from here
-}
-
-// waiter is a write stalled on buffer capacity.
-type waiter struct {
-	pages int
-	since sim.Time
-	ot    *obs.OpTimer
-	fn    func()
 }
 
 // NewTier builds a tier of cfg.Nodes buffer nodes on the file system's
@@ -157,25 +153,32 @@ func (t *Tier) WriteOp(rank int, f *pfs.File, off, size int64, ot *obs.OpTimer, 
 		n.client.WriteOp(f, off, size, ot, done)
 		return
 	}
-	t.admit(n, pages, ot, func() {
-		t.absorb(n, f, off, size, pages, ot, done)
-	})
+	op := t.freeAbsorbs.Get()
+	if op.t == nil {
+		op.t = t
+		op.forwarded = op.forward
+	}
+	op.n, op.f, op.off, op.size, op.pages, op.ot, op.done = n, f, off, size, pages, ot, done
+	t.admit(op)
 }
 
-// admit runs fn once the node has pages of free capacity, stalling the
-// write FIFO behind earlier waiters otherwise. The page-granular bound
-// (pending ≤ UserPages) is also what keeps the wrapping log cursor off
-// undrained pages: at most UserPages of the log can be pending, so a
-// page is only reprogrammed after its previous content was released.
-func (t *Tier) admit(n *node, pages int, ot *obs.OpTimer, fn func()) {
-	if n.pending+pages <= t.capPages && len(n.waiters) == 0 {
-		t.reserve(n, pages)
-		fn()
+// admit starts op once its node has op.pages of free capacity, stalling
+// it in the node's FIFO behind earlier waiters otherwise. The
+// page-granular bound (pending ≤ UserPages) is also what keeps the
+// wrapping log cursor off undrained pages: at most UserPages of the log
+// can be pending, so a page is only reprogrammed after its previous
+// content was released.
+func (t *Tier) admit(op *absorbOp) {
+	n := op.n
+	if n.pending+op.pages <= t.capPages && n.waiters.len() == 0 {
+		t.reserve(n, op.pages)
+		op.start()
 		return
 	}
 	t.stats.Stalls++
 	t.cStalls.Inc()
-	n.waiters = append(n.waiters, waiter{pages: pages, since: t.eng.Now(), ot: ot, fn: fn})
+	op.enq = t.eng.Now()
+	n.waiters.push(op)
 }
 
 // reserve/release maintain the occupancy accounting on both the node
@@ -198,18 +201,18 @@ func (t *Tier) release(n *node, pages int) {
 // admitWaiters drains the stall FIFO in order while capacity lasts.
 func (t *Tier) admitWaiters(n *node) {
 	now := t.eng.Now()
-	for len(n.waiters) > 0 {
-		w := n.waiters[0]
-		if n.pending+w.pages > t.capPages {
+	for n.waiters.len() > 0 {
+		op := n.waiters.front()
+		if n.pending+op.pages > t.capPages {
 			return
 		}
-		n.waiters = n.waiters[1:]
-		wait := now - w.since
+		n.waiters.pop()
+		wait := now - op.enq
 		t.stats.StallTime += wait
 		t.hStallWait.Observe(float64(wait))
-		w.ot.Add(obs.StageQueue, float64(wait))
-		t.reserve(n, w.pages)
-		w.fn()
+		op.ot.Add(obs.StageQueue, float64(wait))
+		t.reserve(n, op.pages)
+		op.start()
 	}
 }
 
@@ -229,142 +232,243 @@ func (t *Tier) program(n *node, pages int) sim.Time {
 	return sim.Time(float64(lat) / float64(n.dev.Spec.Channels))
 }
 
-// absorb is the buffered write path past admission.
-func (t *Tier) absorb(n *node, f *pfs.File, off, size int64, pages int, ot *obs.OpTimer, done func(error)) {
-	epoch := n.epoch
-	xfer := sim.Time(float64(size) / t.cfg.IngestBandwidth)
-	enq := t.eng.Now()
-	n.nic.Submit(xfer, func(at sim.Time) {
-		ot.Add(obs.StageQueue, float64(at-enq-xfer))
-		ot.Add(obs.StageNet, float64(xfer))
-		if n.down || n.epoch != epoch {
-			t.failNode(n, pages, done)
-			return
-		}
-		svc := t.program(n, pages)
-		fenq := t.eng.Now()
-		n.flashq.Submit(svc, func(fat sim.Time) {
-			ot.Add(obs.StageQueue, float64(fat-fenq-svc))
-			ot.Add(obs.StageFlash, float64(svc))
-			if n.down || n.epoch != epoch {
-				t.failNode(n, pages, done)
-				return
-			}
-			t.stats.AbsorbedOps++
-			t.stats.AbsorbedBytes += size
-			t.cAbsorbOps.Inc()
-			t.cAbsorbBytes.Add(size)
-			if t.cfg.Mode == WriteThrough {
-				t.stats.ForwardedBytes += size
-				t.cForward.Add(size)
-				n.client.WriteOp(f, off, size, ot, func(err error) {
-					t.release(n, pages)
-					done(err)
-				})
-				return
-			}
-			rec := &record{f: f, off: off, size: size, pages: pages, enq: t.eng.Now()}
-			n.dirty = append(n.dirty, rec)
-			t.backlogBytes += size
-			t.kickDrain(n)
-			done(nil)
-		})
-	})
+// absorbStage is the event an absorbOp waits on.
+type absorbStage uint8
+
+const (
+	absorbIngest  absorbStage = iota // payload on the node's ingest link
+	absorbProgram                    // log append on the flash device
+	absorbFailed                     // the client timeout against a dead node
+)
+
+// absorbOp is one admitted write on its way into a node's log. It is
+// the Handler of its ingest-link and flash-program completions, and of
+// the FailTimeout that errors it against a dead node. absorbOps are
+// pooled on the Tier; t and forwarded (the write-through forward's
+// completion) are bound once per struct and survive recycling.
+type absorbOp struct {
+	t         *Tier
+	forwarded func(error)
+
+	n         *node
+	f         *pfs.File
+	off, size int64
+	pages     int
+	ot        *obs.OpTimer
+	done      func(error)
+
+	stage absorbStage
+	epoch int      // n.epoch when the write left admission
+	svc   sim.Time // service time of the queued stage
+	enq   sim.Time // when the queued stage, or the stall, began
 }
 
-// failNode errors one write against a dead node after the client
-// timeout, releasing its reservation (the bytes never stuck).
-func (t *Tier) failNode(n *node, pages int, done func(error)) {
+// start sends the admitted write over the node's ingest link.
+func (op *absorbOp) start() {
+	op.epoch = op.n.epoch
+	op.queue(absorbIngest, op.n.nic, sim.Time(float64(op.size)/op.t.cfg.IngestBandwidth))
+}
+
+func (op *absorbOp) queue(next absorbStage, q *sim.Server, svc sim.Time) {
+	op.stage, op.svc, op.enq = next, svc, op.t.eng.Now()
+	q.SubmitHandler(svc, op)
+}
+
+// Handle resumes the write when the event it waits on fires. Ingest
+// and flash program each charge their sojourn as queueing plus service;
+// a node that died meanwhile fails the write.
+func (op *absorbOp) Handle() {
+	switch op.stage {
+	case absorbIngest:
+		if op.served(obs.StageNet) {
+			op.queue(absorbProgram, op.n.flashq, op.t.program(op.n, op.pages))
+		}
+	case absorbProgram:
+		if op.served(obs.StageFlash) {
+			op.absorbed()
+		}
+	case absorbFailed:
+		op.finish(ErrNodeDown)
+	}
+}
+
+// served charges the finished stage to the stage timer and reports
+// whether the node is still the one the write was admitted to; if not,
+// it fails the write.
+func (op *absorbOp) served(stage obs.Stage) bool {
+	op.ot.Add(obs.StageQueue, float64(op.t.eng.Now()-op.enq-op.svc))
+	op.ot.Add(stage, float64(op.svc))
+	if op.n.down || op.n.epoch != op.epoch {
+		op.fail()
+		return false
+	}
+	return true
+}
+
+// absorbed counts the write logged and acknowledges it: write-back acks
+// now and leaves the record to the drain, write-through once the FS
+// holds its copy.
+func (op *absorbOp) absorbed() {
+	t, n := op.t, op.n
+	t.stats.AbsorbedOps++
+	t.stats.AbsorbedBytes += op.size
+	t.cAbsorbOps.Inc()
+	t.cAbsorbBytes.Add(op.size)
+	if t.cfg.Mode == WriteThrough {
+		t.stats.ForwardedBytes += op.size
+		t.cForward.Add(op.size)
+		n.client.WriteOp(op.f, op.off, op.size, op.ot, op.forwarded)
+		return
+	}
+	n.dirty.push(record{f: op.f, off: op.off, size: op.size, pages: op.pages, enq: t.eng.Now()})
+	t.backlogBytes += op.size
+	t.kickDrain(n)
+	op.finish(nil)
+}
+
+// forward completes a write-through write once the FS holds its copy.
+func (op *absorbOp) forward(err error) {
+	op.t.release(op.n, op.pages)
+	op.finish(err)
+}
+
+// fail errors the write against a dead node after the client timeout,
+// releasing its reservation (the bytes never stuck).
+func (op *absorbOp) fail() {
+	t := op.t
 	t.stats.FailedOps++
 	t.cFailedOps.Inc()
-	t.release(n, pages)
-	t.eng.Schedule(t.cfg.FailTimeout, func() { done(ErrNodeDown) })
+	t.release(op.n, op.pages)
+	op.stage = absorbFailed
+	t.eng.ScheduleHandler(t.cfg.FailTimeout, op)
+}
+
+// finish recycles the op and acknowledges the write. Recycling first
+// lets a done that issues the rank's next write reuse the struct.
+func (op *absorbOp) finish(err error) {
+	t, done := op.t, op.done
+	*op = absorbOp{t: t, forwarded: op.forwarded}
+	t.freeAbsorbs.Put(op)
+	done(err)
 }
 
 // kickDrain starts the node's next drain if none is running: read the
 // record back from flash (TRead per page across channels) and stream it
 // to the FS at the configured drain pace, then issue the FS write.
 func (t *Tier) kickDrain(n *node) {
-	if n.draining || n.down || len(n.dirty) == 0 {
+	if n.draining || n.down || n.dirty.len() == 0 {
 		return
 	}
 	n.draining = true
-	rec := n.dirty[0]
-	n.dirty = n.dirty[1:]
-	epoch := n.epoch
-	readback := sim.Time(float64(rec.pages) * float64(t.cfg.Flash.TRead) / float64(n.dev.Spec.Channels))
-	pace := sim.Time(float64(rec.size) / t.cfg.DrainBandwidth)
-	n.drainq.Submit(readback+pace, func(sim.Time) {
-		if n.epoch != epoch {
-			// The node died during readback: nothing reached the wire,
-			// the record is gone with the rest of the dirty data.
+	d := t.freeDrains.Get()
+	if d.t == nil {
+		d.t = t
+		d.written = d.write
+	}
+	d.n, d.rec, d.epoch, d.backoff, d.readback = n, n.dirty.pop(), n.epoch, t.cfg.DrainRetryBackoff, true
+	readback := sim.Time(float64(d.rec.pages) * float64(t.cfg.Flash.TRead) / float64(n.dev.Spec.Channels))
+	pace := sim.Time(float64(d.rec.size) / t.cfg.DrainBandwidth)
+	n.drainq.SubmitHandler(readback+pace, d)
+}
+
+// drainOp is one record's drain: its readback, its FS write and that
+// write's retries with capped exponential backoff. It is the Handler of
+// the readback and of the retry timer; written, its FS-write
+// completion, is bound once per struct and survives recycling, as t
+// does.
+//
+// The epoch is the drain's, not the node's: a node that crashes and
+// recovers while a torn drain's FS write is still on the wire starts a
+// second drain on the same node, and the torn write must still see the
+// epoch it left under.
+type drainOp struct {
+	t       *Tier
+	written func(error)
+
+	n        *node
+	rec      record
+	epoch    int
+	attempt  int
+	backoff  sim.Time
+	readback bool // waiting on the readback, not a retry timer
+}
+
+// Handle issues the FS write once the readback is done or a retry's
+// backoff is over. A node that died during readback put nothing on the
+// wire: the record is gone with the rest of the dirty data.
+func (d *drainOp) Handle() {
+	if d.readback {
+		d.readback = false
+		if d.n.epoch != d.epoch {
+			t, n, rec := d.t, d.n, d.rec
+			d.recycle()
 			t.loseRecord(n, rec)
 			return
 		}
-		t.issueDrain(n, rec, epoch, 0, t.cfg.DrainRetryBackoff)
-	})
+	}
+	d.n.client.WriteOp(d.rec.f, d.rec.off, d.rec.size, nil, d.written)
 }
 
-// issueDrain writes one record into the FS, retrying FS-side failures
-// with capped exponential backoff. A node crash while the write is on
-// the wire tears the drain: if the write landed anyway, its extent is
-// marked corrupt for checksums to catch; either way the data no longer
-// counts as cleanly drained.
-func (t *Tier) issueDrain(n *node, rec *record, epoch, attempt int, backoff sim.Time) {
-	maxBackoff := 8 * t.cfg.DrainRetryBackoff
-	var try func()
-	try = func() {
-		n.client.WriteOp(rec.f, rec.off, rec.size, nil, func(err error) {
-			if n.epoch != epoch {
-				t.stats.TornDrains++
-				t.stats.TornBytes += rec.size
-				t.cTorn.Inc()
-				if err == nil {
-					t.fs.CorruptExtent(rec.f.Name(), rec.off, rec.size)
-				}
-				t.backlogBytes -= rec.size
-				t.release(n, rec.pages)
-				return
-			}
-			if err != nil {
-				if attempt < t.cfg.MaxDrainRetries {
-					attempt++
-					t.stats.DrainRetries++
-					t.cDrainRetry.Inc()
-					d := backoff
-					if backoff *= 2; backoff > maxBackoff {
-						backoff = maxBackoff
-					}
-					t.eng.Schedule(d, try)
-					return
-				}
-				// The FS would not take it back: the drain is abandoned
-				// (counted, never silently lost) so the buffer frees up
-				// and the run completes through permanent FS failures.
-				t.stats.DroppedDrainBytes += rec.size
-				t.cDrainDrop.Add(rec.size)
-				t.finishDrain(n, rec)
-				return
-			}
-			t.stats.DrainedOps++
-			t.stats.DrainedBytes += rec.size
-			t.cDrainOps.Inc()
-			t.cDrainBytes.Add(rec.size)
-			lag := t.eng.Now() - rec.enq
-			t.hDrainLag.Observe(float64(lag))
-			if lag > t.stats.MaxDrainLag {
-				t.stats.MaxDrainLag = lag
-				t.gMaxLag.Set(float64(lag))
-			}
-			t.finishDrain(n, rec)
-		})
+// write completes one FS write of the drain, retrying FS-side failures.
+// A node crash while the write was on the wire tears the drain: if the
+// write landed anyway, its extent is marked corrupt for checksums to
+// catch; either way the data no longer counts as cleanly drained.
+func (d *drainOp) write(err error) {
+	t, n, rec := d.t, d.n, d.rec
+	torn := n.epoch != d.epoch
+	if !torn && err != nil && d.attempt < t.cfg.MaxDrainRetries {
+		d.attempt++
+		t.stats.DrainRetries++
+		t.cDrainRetry.Inc()
+		delay := d.backoff
+		if d.backoff *= 2; d.backoff > 8*t.cfg.DrainRetryBackoff {
+			d.backoff = 8 * t.cfg.DrainRetryBackoff
+		}
+		t.eng.ScheduleHandler(delay, d)
+		return
 	}
-	try()
+	d.recycle()
+	switch {
+	case torn:
+		t.stats.TornDrains++
+		t.stats.TornBytes += rec.size
+		t.cTorn.Inc()
+		if err == nil {
+			t.fs.CorruptExtent(rec.f.Name(), rec.off, rec.size)
+		}
+		t.backlogBytes -= rec.size
+		t.release(n, rec.pages)
+	case err != nil:
+		// The FS would not take it back: the drain is abandoned
+		// (counted, never silently lost) so the buffer frees up and the
+		// run completes through permanent FS failures.
+		t.stats.DroppedDrainBytes += rec.size
+		t.cDrainDrop.Add(rec.size)
+		t.finishDrain(n, rec)
+	default:
+		t.stats.DrainedOps++
+		t.stats.DrainedBytes += rec.size
+		t.cDrainOps.Inc()
+		t.cDrainBytes.Add(rec.size)
+		lag := t.eng.Now() - rec.enq
+		t.hDrainLag.Observe(float64(lag))
+		if lag > t.stats.MaxDrainLag {
+			t.stats.MaxDrainLag = lag
+			t.gMaxLag.Set(float64(lag))
+		}
+		t.finishDrain(n, rec)
+	}
+}
+
+func (d *drainOp) recycle() {
+	t := d.t
+	*d = drainOp{t: t, written: d.written}
+	t.freeDrains.Put(d)
 }
 
 // finishDrain releases a completed (or abandoned) record and moves to
 // the next one.
-func (t *Tier) finishDrain(n *node, rec *record) {
+func (t *Tier) finishDrain(n *node, rec record) {
 	t.backlogBytes -= rec.size
 	t.release(n, rec.pages)
 	n.draining = false
@@ -373,7 +477,7 @@ func (t *Tier) finishDrain(n *node, rec *record) {
 
 // loseRecord accounts a record destroyed by its node's crash before it
 // reached the wire.
-func (t *Tier) loseRecord(n *node, rec *record) {
+func (t *Tier) loseRecord(n *node, rec record) {
 	t.stats.LostBytes += rec.size
 	t.cLost.Add(rec.size)
 	t.backlogBytes -= rec.size
@@ -408,14 +512,14 @@ func (t *Tier) CrashTarget(target string) {
 	n.epoch++
 	t.stats.Crashes++
 	t.cCrashes.Inc()
-	for _, rec := range n.dirty {
+	for n.dirty.len() > 0 {
+		rec := n.dirty.pop()
 		t.stats.LostBytes += rec.size
 		t.cLost.Add(rec.size)
 		t.backlogBytes -= rec.size
 		n.pending -= rec.pages
 		t.pendingPages -= int64(rec.pages)
 	}
-	n.dirty = n.dirty[:0]
 	n.draining = false
 	// The freed capacity admits stalled writes; they will fail against
 	// the down node and feed the application's retry loop.
@@ -435,4 +539,41 @@ func (t *Tier) RecoverTarget(target string) {
 	t.stats.Recoveries++
 	t.cRecoveries.Inc()
 	t.kickDrain(n)
+}
+
+// fifo is a FIFO queue on a ring buffer. Pops advance a head index and
+// pushes fill the slots behind it, so a queue that moves without growing
+// reuses one backing array; it grows, doubling, only when full.
+type fifo[T any] struct {
+	buf  []T
+	head int // index of the front element
+	n    int // queued elements
+}
+
+func (q *fifo[T]) len() int { return q.n }
+
+func (q *fifo[T]) push(x T) {
+	if q.n == len(q.buf) {
+		buf := make([]T, max(2*len(q.buf), 4))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = x
+	q.n++
+}
+
+// front returns the element pop would return; the queue must be
+// non-empty.
+func (q *fifo[T]) front() T { return q.buf[q.head] }
+
+// pop removes and returns the front element; the queue must be
+// non-empty. The vacated slot is zeroed so it holds no references.
+func (q *fifo[T]) pop() T {
+	x := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return x
 }

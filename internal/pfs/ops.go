@@ -291,7 +291,7 @@ type dataOp struct {
 }
 
 func (fs *FS) startOp(st *fileState, end int64, write bool, done func(error)) *dataOp {
-	op := fs.freeOps.get()
+	op := fs.freeOps.Get()
 	*op = dataOp{st: st, end: end, write: write, track: fs.tsOn, done: done}
 	if op.track {
 		fs.inflight++
@@ -317,30 +317,11 @@ func (fs *FS) finishPiece(op *dataOp, err error) {
 		op.st.size = op.end
 	}
 	err, done := op.err, op.done
-	fs.freeOps.put(op)
+	*op = dataOp{}
+	fs.freeOps.Put(op)
 	if done != nil {
 		done(err)
 	}
-}
-
-// freeList recycles the data path's pooled structs. put zeroes what it
-// keeps, so a recycled struct holds no references.
-type freeList[T any] []*T
-
-func (l *freeList[T]) get() *T {
-	n := len(*l)
-	if n == 0 {
-		return new(T)
-	}
-	x := (*l)[n-1]
-	*l = (*l)[:n-1]
-	return x
-}
-
-func (l *freeList[T]) put(x *T) {
-	var zero T
-	*x = zero
-	*l = append(*l, x)
 }
 
 // stage is where a piece is in its path; each names the event the piece
@@ -394,7 +375,7 @@ type piece struct {
 }
 
 func (fs *FS) newPiece(op *dataOp, c *Client, p subOp, ot *obs.OpTimer) *piece {
-	pc := fs.freePieces.get()
+	pc := fs.freePieces.Get()
 	*pc = piece{fs: fs, op: op, c: c, p: p, ot: ot}
 	op.pending++
 	return pc
@@ -428,7 +409,8 @@ func (pc *piece) diskDetail(det disk.AccessDetail) {
 // arrive reports the piece's outcome to its op and recycles the piece.
 func (pc *piece) arrive(err error) {
 	fs, op := pc.fs, pc.op
-	fs.freePieces.put(pc)
+	*pc = piece{}
+	fs.freePieces.Put(pc)
 	fs.finishPiece(op, err)
 }
 

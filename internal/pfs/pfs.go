@@ -356,9 +356,9 @@ type FS struct {
 	// Free lists of the data path's pooled state machines (ops.go). They
 	// live on the FS, which is confined to one shard, so no two engines
 	// ever share one.
-	freeOps     freeList[dataOp]
-	freePieces  freeList[piece]
-	freeMembers freeList[memberIO]
+	freeOps     sim.FreeList[dataOp]
+	freePieces  sim.FreeList[piece]
+	freeMembers sim.FreeList[memberIO]
 	// live is readReconstruct's scratch list of survivors.
 	live []liveMember
 

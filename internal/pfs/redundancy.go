@@ -405,7 +405,7 @@ type memberIO struct {
 
 // memberIO submits svc of disk work on s for pc.
 func (fs *FS) memberIO(pc *piece, s *server, svc sim.Time) {
-	m := fs.freeMembers.get()
+	m := fs.freeMembers.Get()
 	*m = memberIO{pc: pc, srv: s, svc: svc, enq: fs.eng.Now(), epoch: s.epoch}
 	pc.pending++
 	s.dq.SubmitHandler(svc, m)
@@ -421,7 +421,8 @@ func (m *memberIO) Handle() {
 	if m.srv.epoch != m.epoch {
 		pc.failed = true
 	}
-	fs.freeMembers.put(m)
+	*m = memberIO{}
+	fs.freeMembers.Put(m)
 	pc.pending--
 	if pc.pending > 0 {
 		return

@@ -191,3 +191,14 @@ func TestDisabledBufferRegistersNothing(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRunFaultsBuffered runs the bb experiment's shape end to end:
+// rank loops, retry state, and the tier's admission, absorb and drain.
+// Its allocs/op shows whether any of them allocates per op again.
+func BenchmarkRunFaultsBuffered(b *testing.B) {
+	cfg, fspec := bbFaultSpec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RunFaults(cfg, fspec, nil, nil)
+	}
+}

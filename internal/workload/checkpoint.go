@@ -289,34 +289,67 @@ func (rs *rankSet) create(start func()) {
 func (rs *rankSet) phase(step opStep, done func(elapsed sim.Time)) {
 	start := rs.eng.Now()
 	finished := sim.NewBarrier(rs.eng, len(rs.progs), func(at sim.Time) { done(at - start) })
-	for r := range rs.progs {
-		ops, handles := rs.progs[r].Ops, rs.handles[r]
-		var issue func(i int)
-		issue = func(i int) {
-			if i == len(ops) {
-				finished.Arrive()
-				return
-			}
-			o := ops[i]
-			next := func() { issue(i + 1) }
-			perform := func(h *pfs.File) {
-				if o.CPU > 0 {
-					rs.eng.Schedule(o.CPU, func() { step(r, h, o, next) })
-					return
-				}
-				step(r, h, o, next)
-			}
-			if h, ok := handles[o.File]; ok {
-				perform(h)
-				return
-			}
-			rs.clients[r].Open(o.File, func(h *pfs.File) {
-				handles[o.File] = h
-				perform(h)
-			})
-		}
-		issue(0)
+	runs := make([]rankRun, len(rs.progs))
+	for r := range runs {
+		rr := &runs[r]
+		*rr = rankRun{rs: rs, r: r, ops: rs.progs[r].Ops, handles: rs.handles[r], step: step, finished: finished}
+		rr.next, rr.opened, rr.compute = rr.advance, rr.open, rr.perform
+		rr.issue()
 	}
+}
+
+// rankRun is one rank's place in a phase. Its continuations are bound
+// once per phase, so an op allocates none of its own.
+type rankRun struct {
+	rs       *rankSet
+	r        int
+	ops      []Op
+	handles  map[string]*pfs.File
+	i        int       // the op in flight
+	h        *pfs.File // its open file
+	step     opStep
+	finished *sim.Barrier
+
+	// advance, open and perform, bound once per phase; compute runs
+	// perform once the op's CPU time is spent.
+	next    func()
+	opened  func(*pfs.File)
+	compute func()
+}
+
+// issue starts op i, or arrives at the barrier after the last one: open
+// the file on first use, spend the op's CPU time, then step.
+func (rr *rankRun) issue() {
+	if rr.i == len(rr.ops) {
+		rr.finished.Arrive()
+		return
+	}
+	o := &rr.ops[rr.i]
+	h, ok := rr.handles[o.File]
+	if !ok {
+		rr.rs.clients[rr.r].Open(o.File, rr.opened)
+		return
+	}
+	rr.h = h
+	if o.CPU > 0 {
+		rr.rs.eng.Schedule(o.CPU, rr.compute)
+		return
+	}
+	rr.perform()
+}
+
+// open caches the handle of a file the rank opened and issues the op
+// that needed it.
+func (rr *rankRun) open(h *pfs.File) {
+	rr.handles[rr.ops[rr.i].File] = h
+	rr.issue()
+}
+
+func (rr *rankRun) perform() { rr.step(rr.r, rr.h, rr.ops[rr.i], rr.next) }
+
+func (rr *rankRun) advance() {
+	rr.i++
+	rr.issue()
 }
 
 // RunPrograms executes arbitrary per-rank programs against a fresh file
@@ -332,14 +365,27 @@ func RunPrograms(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *obs.Tra
 	fs := pfs.New(eng, cfg)
 	rs := newRankSet(eng, fs, progs)
 
+	// Each rank's completion is bound once. No fault plan runs here, so
+	// pfs returns no error; only a bug can make one.
+	nexts := make([]func(), len(progs))
+	completes := make([]func(error), len(progs))
+	for r := range completes {
+		completes[r] = func(err error) {
+			if err != nil {
+				panic(fmt.Sprintf("workload: rank %d: fault-free op failed: %v", r, err))
+			}
+			nexts[r]()
+		}
+	}
 	var result Result
 	rs.create(func() {
 		result.SetupElapsed = eng.Now()
 		rs.phase(func(r int, h *pfs.File, o Op, next func()) {
+			nexts[r] = next
 			if o.Read {
-				rs.clients[r].Read(h, o.Off, o.Size, next)
+				rs.clients[r].ReadErr(h, o.Off, o.Size, completes[r])
 			} else {
-				rs.clients[r].Write(h, o.Off, o.Size, next)
+				rs.clients[r].WriteErr(h, o.Off, o.Size, completes[r])
 			}
 		}, func(elapsed sim.Time) { result.Elapsed = elapsed })
 	})

@@ -160,62 +160,67 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		maxBackoff = fspec.RetryBackoff
 	}
 
-	// step retries a failed op with capped exponential backoff and drops
-	// it, counted, once MaxRetries is spent.
-	step := func(r int, h *pfs.File, o Op, next func()) {
-		attempt := 0
-		backoff := fspec.RetryBackoff
-		// One stage timer spans the whole logical op — every attempt's
-		// stages plus the backoff between them — and is observed once, on
-		// final success. Dropped ops never fold in, so the quantiles
-		// describe completed operations. Nil (one branch per probe)
-		// unless op timers are enabled.
-		var ot *obs.OpTimer
-		if o.Read {
-			ot = fs.StartReadOp()
-		} else {
-			ot = fs.StartWriteOp()
+	// Each rank's retry state is built once: a rank has one op in
+	// flight, so its try and complete are bound once per rank, not per op.
+	retries := make([]retryOp, len(rs.progs))
+	for r := range retries {
+		rt := &retries[r]
+		rt.try = func() {
+			switch {
+			case rt.o.Read:
+				rs.clients[r].ReadOp(rt.h, rt.o.Off, rt.o.Size, rt.ot, rt.complete)
+			case tier != nil:
+				tier.WriteOp(r, rt.h, rt.o.Off, rt.o.Size, rt.ot, rt.complete)
+			default:
+				rs.clients[r].WriteOp(rt.h, rt.o.Off, rt.o.Size, rt.ot, rt.complete)
+			}
 		}
-		var try func()
-		complete := func(err error) {
+		rt.complete = func(err error) {
 			if err == nil {
-				if o.Read {
-					fs.FinishReadOp(ot)
+				if rt.o.Read {
+					fs.FinishReadOp(rt.ot)
 				} else {
-					fs.FinishWriteOp(ot)
+					fs.FinishWriteOp(rt.ot)
 				}
-				next()
+				rt.next()
 				return
 			}
-			if attempt < fspec.MaxRetries {
-				attempt++
+			if rt.attempt < fspec.MaxRetries {
+				rt.attempt++
 				result.Retries++
 				cRetries.Inc()
-				d := backoff
-				if backoff *= 2; backoff > maxBackoff {
-					backoff = maxBackoff
+				d := rt.backoff
+				if rt.backoff *= 2; rt.backoff > maxBackoff {
+					rt.backoff = maxBackoff
 				}
-				ot.Add(obs.StageBackoff, float64(d))
-				eng.Schedule(d, try)
+				rt.ot.Add(obs.StageBackoff, float64(d))
+				eng.Schedule(d, rt.try)
 				return
 			}
 			// Persistent failure: abandon the op and move on — the
 			// degraded checkpoint is accounted, not hung.
 			result.DroppedOps++
 			cDropped.Inc()
-			next()
+			rt.next()
 		}
-		try = func() {
-			switch {
-			case o.Read:
-				rs.clients[r].ReadOp(h, o.Off, o.Size, ot, complete)
-			case tier != nil:
-				tier.WriteOp(r, h, o.Off, o.Size, ot, complete)
-			default:
-				rs.clients[r].WriteOp(h, o.Off, o.Size, ot, complete)
-			}
+	}
+
+	// step retries a failed op with capped exponential backoff and drops
+	// it, counted, once MaxRetries is spent.
+	step := func(r int, h *pfs.File, o Op, next func()) {
+		rt := &retries[r]
+		rt.h, rt.o, rt.next, rt.attempt, rt.backoff = h, o, next, 0, fspec.RetryBackoff
+		// One stage timer spans the whole logical op — every attempt's
+		// stages plus the backoff between them — and is observed once, on
+		// final success. Dropped ops never fold in, so the quantiles
+		// describe completed operations. Nil (one branch per probe)
+		// unless op timers are enabled.
+		if o.Read {
+			rt.ot = fs.StartReadOp()
+		} else {
+			rt.ot = fs.StartWriteOp()
 		}
-		try()
+		rt.try()
 	}
 
 	round := 0
@@ -260,4 +265,19 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		result.Utilization = float64(fspec.ComputeTime) * float64(fspec.Checkpoints) / float64(result.WallClock)
 	}
 	return result
+}
+
+// retryOp is one rank's logical op under RunFaults' retry loop: its
+// handle, the op, the rank's next continuation, the attempt count and
+// backoff, and the stage timer spanning every attempt.
+type retryOp struct {
+	h       *pfs.File
+	o       Op
+	next    func()
+	attempt int
+	backoff sim.Time
+	ot      *obs.OpTimer
+
+	try      func()
+	complete func(error)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/bb"
 	"repro/internal/failure"
 	"repro/internal/obs"
 	"repro/internal/pfs"
@@ -187,4 +188,34 @@ func TestFaultSpecValidation(t *testing.T) {
 		}
 	}()
 	RunFaults(pfs.PanFSLike(2), bad, nil, nil)
+}
+
+// TestFaultRunAllocsPerOp pins the harness's per-op cost at about zero
+// allocations, straight into the file system and through a write-back
+// burst-buffer tier: each rank's continuations and retry state, and the
+// tier's absorb and drain state, are built once and reused. Comparing a
+// 3-round run with a 1-round run cancels the set-up, so what is left
+// over the extra ops is what an op allocates once pools are warm.
+func TestFaultRunAllocsPerOp(t *testing.T) {
+	cfg := pfs.PanFSLike(4)
+	spec := Spec{Ranks: 16, BytesPerRank: 4 << 20, RecordSize: 256 << 10, Pattern: NN}
+	var opsPerRound int
+	for r := 0; r < spec.Ranks; r++ {
+		opsPerRound += len(rankOps(spec, cfg.StripeUnit, r))
+	}
+	tier := bb.DefaultConfig(2)
+	for _, tc := range []struct {
+		name string
+		bb   *bb.Config
+	}{{"direct", nil}, {"write-back tier", &tier}} {
+		allocs := func(rounds int) float64 {
+			fspec := FaultSpec{Spec: spec, Checkpoints: rounds, ComputeTime: sim.Time(0.5), BB: tc.bb}
+			return testing.AllocsPerRun(3, func() { RunFaults(cfg, fspec, nil, nil) })
+		}
+		perOp := (allocs(3) - allocs(1)) / float64(2*opsPerRound)
+		t.Logf("%s: %.2f allocations per logical op over %d extra ops", tc.name, perOp, 2*opsPerRound)
+		if perOp > 0.25 {
+			t.Errorf("%s: %.2f allocations per logical op, want at most 0.25", tc.name, perOp)
+		}
+	}
 }

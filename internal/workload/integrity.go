@@ -92,19 +92,25 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 
 	// step issues each op as a read or a write; errors count into
 	// FlaggedReads rather than aborting (a flagged checkpoint record is
-	// an outcome to measure, not a harness failure).
+	// an outcome to measure, not a harness failure). Each rank's
+	// completion is bound once.
+	nexts := make([]func(), spec.Ranks)
+	completes := make([]func(error), spec.Ranks)
+	for r := range completes {
+		completes[r] = func(err error) {
+			if err != nil {
+				result.FlaggedReads++
+			}
+			nexts[r]()
+		}
+	}
 	step := func(read bool) opStep {
 		return func(r int, h *pfs.File, o Op, next func()) {
-			complete := func(err error) {
-				if err != nil {
-					result.FlaggedReads++
-				}
-				next()
-			}
+			nexts[r] = next
 			if read {
-				rs.clients[r].ReadErr(h, o.Off, o.Size, complete)
+				rs.clients[r].ReadErr(h, o.Off, o.Size, completes[r])
 			} else {
-				rs.clients[r].WriteErr(h, o.Off, o.Size, complete)
+				rs.clients[r].WriteErr(h, o.Off, o.Size, completes[r])
 			}
 		}
 	}

@@ -104,13 +104,30 @@ type ScaleResult struct {
 	Events uint64
 }
 
-// scalePod is one pod's harness state.
+// scalePod is one pod's harness state. Each rank's place in its op
+// program and its write completion live here, the completion bound once
+// per rank, so a round's writes allocate no continuations.
 type scalePod struct {
 	shard   int
 	eng     *sim.Engine
 	fs      *pfs.FS
 	clients []*pfs.Client
 	handles []*pfs.File
+
+	next     []int         // per rank: the op in flight
+	written  []func(error) // per rank: completes the op in flight
+	finished *sim.Barrier  // this round's checkpoint barrier
+}
+
+// issue writes rank r's op in flight, or arrives at the round's barrier
+// after its last one.
+func (pod *scalePod) issue(r int, ops []Op) {
+	if pod.next[r] == len(ops) {
+		pod.finished.Arrive()
+		return
+	}
+	o := ops[pod.next[r]]
+	pod.clients[r].WriteErr(pod.handles[r], o.Off, o.Size, pod.written[r])
 }
 
 // RunScale executes the sharded many-pod experiment. The registry
@@ -144,6 +161,8 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 			fs:      pfs.New(eng, cfg),
 			clients: make([]*pfs.Client, spec.RanksPerPod),
 			handles: make([]*pfs.File, spec.RanksPerPod),
+			next:    make([]int, spec.RanksPerPod),
+			written: make([]func(error), spec.RanksPerPod),
 		}
 		for r := range pod.clients {
 			pod.clients[r] = pod.fs.NewClient(r)
@@ -153,6 +172,19 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	rankOpsOnce := make([][]Op, spec.RanksPerPod)
 	for r := range rankOpsOnce {
 		rankOpsOnce[r] = rankOps(wspec, pods[0].fs.Cfg.StripeUnit, r)
+	}
+	for p, pod := range pods {
+		for r := range pod.written {
+			// No fault plan runs here, so pfs returns no error; only a
+			// bug can make one.
+			pod.written[r] = func(err error) {
+				if err != nil {
+					panic(fmt.Sprintf("workload: pod %d rank %d: fault-free write failed: %v", p, r, err))
+				}
+				pod.next[r]++
+				pod.issue(r, rankOpsOnce[r])
+			}
+		}
 	}
 
 	result := ScaleResult{
@@ -180,7 +212,7 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	podRound := func(p int) {
 		pod := pods[p]
 		checkpoint := func() {
-			finished := sim.NewBarrier(pod.eng, len(pod.clients), func(sim.Time) {
+			pod.finished = sim.NewBarrier(pod.eng, len(pod.clients), func(sim.Time) {
 				cl.Send(pod.shard, 0, podKey(p), spec.InterPodLatency, func() {
 					arrived++
 					if arrived == spec.Pods {
@@ -191,20 +223,8 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 				})
 			})
 			for r := range pod.clients {
-				r := r
-				ops := rankOpsOnce[r]
-				var issue func(i int)
-				issue = func(i int) {
-					if i == len(ops) {
-						finished.Arrive()
-						return
-					}
-					o := ops[i]
-					pod.clients[r].Write(pod.handles[r], o.Off, o.Size, func() {
-						issue(i + 1)
-					})
-				}
-				issue(0)
+				pod.next[r] = 0
+				pod.issue(r, rankOpsOnce[r])
 			}
 		}
 		if spec.ComputeTime > 0 {
