@@ -106,29 +106,34 @@ func (t *OpTimer) Start() float64 {
 
 // OpTimerSet is the instrument family for one operation kind (e.g.
 // "pfs.write"): an end-to-end latency quantile, one quantile per stage,
-// and one bottleneck counter per stage. A nil *OpTimerSet is a valid
-// no-op — Start returns a nil timer and Observe does nothing — so the
-// whole attribution layer vanishes when analytics are disabled.
+// and one bottleneck counter per stage. The quantiles are the columns of
+// one row per op and share one lock, so Observe takes it once. A nil
+// *OpTimerSet is a valid no-op — Start returns a nil timer and Observe
+// does nothing — so the whole attribution layer vanishes when analytics
+// are disabled.
 type OpTimerSet struct {
-	total      *Quantile
-	stage      [NumStages]*Quantile
+	cols       [1 + NumStages]*Quantile // latency, then one per stage
 	bottleneck [NumStages]*Counter
 }
 
 // OpTimerSet returns the instrument family rooted at base, registering
 // base+".latency_s", base+".stage.<stage>_s" quantiles and
-// base+".bottleneck.<stage>" counters. Returns nil unless EnableOpTimers
-// has armed the registry, so op timers are strictly opt-in and default
-// snapshots stay byte-identical.
+// base+".bottleneck.<stage>" counters. A second call with the same base
+// returns the same instruments, so the populations of every caller
+// merge. Returns nil unless EnableOpTimers has armed the registry, so op
+// timers are strictly opt-in and default snapshots stay byte-identical.
 func (r *Registry) OpTimerSet(base string) *OpTimerSet {
 	if r == nil || !r.OpTimersEnabled() {
 		return nil
 	}
-	s := &OpTimerSet{total: r.Quantile(base + ".latency_s")}
+	var names [1 + NumStages]string
+	names[0] = base + ".latency_s"
+	s := &OpTimerSet{}
 	for st := Stage(0); st < NumStages; st++ {
-		s.stage[st] = r.Quantile(base + ".stage." + st.String() + "_s")
+		names[1+st] = base + ".stage." + st.String() + "_s"
 		s.bottleneck[st] = r.Counter(base + ".bottleneck." + st.String())
 	}
+	r.quantileColumns(s.cols[:], names[:])
 	return s
 }
 
@@ -154,14 +159,19 @@ func (r *Registry) OpTimersEnabled() bool {
 	return r.opTimers
 }
 
-// Start returns a new timer stamped at sim-time nowSec, or nil on a nil
-// set — the one allocation per observed operation, paid only when
-// analytics are enabled.
-func (s *OpTimerSet) Start(nowSec float64) *OpTimer {
+// Start restarts t at sim-time nowSec, clearing its stages, and returns
+// it; a nil t gets a new timer. A caller that runs one op at a time
+// passes the same timer each op and allocates nothing. Returns nil on a
+// nil set.
+func (s *OpTimerSet) Start(nowSec float64, t *OpTimer) *OpTimer {
 	if s == nil {
 		return nil
 	}
-	return &OpTimer{start: nowSec}
+	if t == nil {
+		t = new(OpTimer)
+	}
+	*t = OpTimer{start: nowSec}
+	return t
 }
 
 // Observe folds a completed operation into the set: total end-to-end
@@ -173,13 +183,14 @@ func (s *OpTimerSet) Observe(t *OpTimer, endSec float64) {
 	if s == nil || t == nil {
 		return
 	}
-	s.total.Observe(endSec - t.start)
+	var row [1 + NumStages]float64
+	row[0] = endSec - t.start
+	copy(row[1:], t.stages[:])
+	observeRow(s.cols[:], row[:])
 	top, topV := -1, 0.0
-	for st := Stage(0); st < NumStages; st++ {
-		v := t.stages[st]
-		s.stage[st].Observe(v)
+	for st, v := range t.stages {
 		if v > topV {
-			top, topV = int(st), v
+			top, topV = st, v
 		}
 	}
 	if top >= 0 {

@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestOpTimerStageAccumulation(t *testing.T) {
 	r := NewRegistry()
@@ -9,7 +12,7 @@ func TestOpTimerStageAccumulation(t *testing.T) {
 	if set == nil {
 		t.Fatal("OpTimerSet nil after EnableOpTimers")
 	}
-	ot := set.Start(10)
+	ot := set.Start(10, nil)
 	ot.Add(StageNet, 0.25)
 	ot.Add(StageNet, 0.25)
 	ot.Add(StageDiskSeek, 0.1)
@@ -38,12 +41,12 @@ func TestOpTimerBottleneckTiesBreakLow(t *testing.T) {
 	r := NewRegistry()
 	r.EnableOpTimers()
 	set := r.OpTimerSet("pfs.read")
-	ot := set.Start(0)
+	ot := set.Start(0, nil)
 	ot.Add(StageQueue, 1)
 	ot.Add(StageDiskTransfer, 1) // tie: lower index (queue) wins
 	set.Observe(ot, 2)
 	// An all-zero timer counts toward no bottleneck.
-	set.Observe(set.Start(5), 5)
+	set.Observe(set.Start(5, nil), 5)
 	s := r.Snapshot()
 	if n := s.Counters["pfs.read.bottleneck.queue"]; n != 1 {
 		t.Fatalf("bottleneck.queue = %d, want 1", n)
@@ -62,7 +65,7 @@ func TestOpTimerSetDisabledAndNil(t *testing.T) {
 		t.Fatal("OpTimerSet non-nil before EnableOpTimers")
 	}
 	var set *OpTimerSet
-	ot := set.Start(1)
+	ot := set.Start(1, nil)
 	if ot != nil {
 		t.Fatal("nil set Start returned a timer")
 	}
@@ -75,6 +78,68 @@ func TestOpTimerSetDisabledAndNil(t *testing.T) {
 	nr.EnableOpTimers()
 	if nr.OpTimersEnabled() {
 		t.Fatal("nil registry reports op timers enabled")
+	}
+}
+
+// TestOpTimerSetConcurrentObserveAndSnapshot is two file systems in one
+// process: each asks the registry for the same op-timer set and observes
+// ops concurrently while a third goroutine takes snapshots. Every column
+// must hold both populations, and the race detector must see every
+// append and read under the one lock the columns share.
+func TestOpTimerSetConcurrentObserveAndSnapshot(t *testing.T) {
+	const ops = 10000
+	r := NewRegistry()
+	r.EnableOpTimers()
+	stop := make(chan struct{})
+	snapped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				snapped <- n
+				return
+			default:
+				r.Snapshot()
+				n++
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			set := r.OpTimerSet("x.op")
+			var timer OpTimer
+			for i := 0; i < ops; i++ {
+				ot := set.Start(float64(i), &timer)
+				ot.Add(Stage(i%int(NumStages)), float64(g+1))
+				set.Observe(ot, float64(i+g+1))
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	t.Logf("%d snapshots taken while observing", <-snapped)
+	s := r.Snapshot()
+	if len(s.Quantiles) != 1+int(NumStages) {
+		t.Fatalf("%d quantiles, want %d", len(s.Quantiles), 1+NumStages)
+	}
+	for name, q := range s.Quantiles {
+		if q.Count != 2*ops {
+			t.Errorf("%s holds %d samples, want %d", name, q.Count, 2*ops)
+		}
+	}
+	if q := s.Quantiles["x.op.latency_s"]; q.Min != 1 || q.Max != 2 || q.Sum != 3*ops {
+		t.Errorf("latency_s = %+v, want min 1, max 2, sum %d", q, 3*ops)
+	}
+	var tops int64
+	for st := Stage(0); st < NumStages; st++ {
+		tops += s.Counters["x.op.bottleneck."+st.String()]
+	}
+	if tops != 2*ops {
+		t.Errorf("bottleneck counts sum to %d, want %d", tops, 2*ops)
 	}
 }
 
@@ -103,7 +168,7 @@ func TestDisabledProbesAllocateNothing(t *testing.T) {
 	var q *Quantile
 	var ts *TimeSeries
 	if n := testing.AllocsPerRun(100, func() {
-		ot := set.Start(1)
+		ot := set.Start(1, nil)
 		ot.Add(StageNet, 0.5)
 		ot.Add(StageQueue, 0.1)
 		set.Observe(ot, 2)
@@ -118,9 +183,10 @@ func BenchmarkOpTimerObserve(b *testing.B) {
 	r := NewRegistry()
 	r.EnableOpTimers()
 	set := r.OpTimerSet("bench.op")
+	var timer OpTimer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ot := set.Start(float64(i))
+		ot := set.Start(float64(i), &timer)
 		ot.Add(StageNet, 0.5)
 		ot.Add(StageDiskTransfer, 1.5)
 		set.Observe(ot, float64(i)+3)
@@ -131,7 +197,7 @@ func BenchmarkOpTimerDisabled(b *testing.B) {
 	var set *OpTimerSet
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ot := set.Start(float64(i))
+		ot := set.Start(float64(i), nil)
 		ot.Add(StageNet, 0.5)
 		set.Observe(ot, float64(i)+1)
 	}

@@ -100,8 +100,18 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.buckets, v)
+	// The first bucket whose bound is >= v, by sort.SearchFloat64s's own
+	// search without its closure: NaN passes every bound and lands in
+	// the overflow bucket.
+	i, j := 0, len(h.buckets)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if !(h.buckets[m] >= v) {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
 	h.counts[i]++
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -111,6 +121,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
+	h.mu.Unlock()
 }
 
 // Count returns the number of observations (0 on a nil receiver).
@@ -143,10 +154,10 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		Buckets: append([]float64(nil), h.buckets...),
 		Counts:  append([]uint64(nil), h.counts...),
 		Count:   h.count,
-		Sum:     h.sum,
+		Sum:     finite(h.sum),
 	}
 	if h.count > 0 {
-		s.Min, s.Max = h.min, h.max
+		s.Min, s.Max = finite(h.min), finite(h.max)
 	}
 	return s
 }
@@ -349,8 +360,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	if len(quants) > 0 {
 		s.Quantiles = make(map[string]QuantileSnapshot, len(quants))
+		var scratch []float64
 		for k, q := range quants {
-			s.Quantiles[k] = q.snapshot()
+			s.Quantiles[k], scratch = q.snapshot(scratch)
 		}
 	}
 	if len(series) > 0 {

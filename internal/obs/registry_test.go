@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -128,6 +130,31 @@ func TestSnapshotClampsNonFiniteGauges(t *testing.T) {
 	}
 	if got := r.Snapshot().Gauges["bad"]; got != 0 {
 		t.Fatalf("non-finite gauge = %v, want 0", got)
+	}
+}
+
+func TestSnapshotClampsNonFiniteHistograms(t *testing.T) {
+	for _, tc := range []struct {
+		v      float64
+		counts []uint64
+	}{
+		{math.Inf(1), []uint64{0, 0, 1}},
+		{math.Inf(-1), []uint64{1, 0, 0}},
+		{math.NaN(), []uint64{0, 0, 1}}, // NaN passes every bound: overflow
+	} {
+		r := NewRegistry()
+		r.Histogram("pkg.lat", []float64{1, 10}).Observe(tc.v)
+		var buf bytes.Buffer
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatalf("observing %v broke serialization: %v", tc.v, err)
+		}
+		h := r.Snapshot().Histograms["pkg.lat"]
+		if h.Sum != 0 || h.Min != 0 || h.Max != 0 {
+			t.Fatalf("observing %v: sum/min/max = %v/%v/%v, want 0/0/0", tc.v, h.Sum, h.Min, h.Max)
+		}
+		if h.Count != 1 || !slices.Equal(h.Counts, tc.counts) {
+			t.Fatalf("observing %v: count %d, buckets %v, want 1 and %v", tc.v, h.Count, h.Counts, tc.counts)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ func reportSnapshot() Snapshot {
 	r.EnableTimeSeries(0.5)
 	set := r.OpTimerSet("pfs.write")
 	for i := 0; i < 10; i++ {
-		ot := set.Start(float64(i))
+		ot := set.Start(float64(i), nil)
 		ot.Add(StageNet, 0.010)
 		ot.Add(StageDiskTransfer, 0.020)
 		set.Observe(ot, float64(i)+0.040)

@@ -65,14 +65,15 @@ func (fs *FS) rebuilding(s *server) bool {
 	return inc != nil && inc.pending > 0 && !inc.cancelled
 }
 
-// StartWriteOp returns a stage timer for one logical write operation,
-// or nil when op timers are disabled. Callers that manage their own
-// retry loops (the fault-injected workload harness) start one timer per
-// logical op, pass it through WriteOp attempts, charge
-// obs.StageBackoff for retry delays, and fold it in with FinishWriteOp
-// on final success.
-func (fs *FS) StartWriteOp() *obs.OpTimer {
-	return fs.otWrite.Start(float64(fs.eng.Now()))
+// StartWriteOp restarts t as the stage timer of one logical write
+// operation and returns it (a new timer when t is nil), or returns nil
+// when op timers are disabled. Callers that manage their own retry loops
+// (the fault-injected workload harness) start one timer per logical op,
+// pass it through WriteOp attempts, charge obs.StageBackoff for retry
+// delays, and fold it in with FinishWriteOp on final success; one that
+// runs an op at a time can pass the same t for every op.
+func (fs *FS) StartWriteOp(t *obs.OpTimer) *obs.OpTimer {
+	return fs.otWrite.Start(float64(fs.eng.Now()), t)
 }
 
 // FinishWriteOp folds a completed write's timer into the write
@@ -82,8 +83,8 @@ func (fs *FS) FinishWriteOp(t *obs.OpTimer) {
 }
 
 // StartReadOp is StartWriteOp for reads.
-func (fs *FS) StartReadOp() *obs.OpTimer {
-	return fs.otRead.Start(float64(fs.eng.Now()))
+func (fs *FS) StartReadOp(t *obs.OpTimer) *obs.OpTimer {
+	return fs.otRead.Start(float64(fs.eng.Now()), t)
 }
 
 // FinishReadOp folds a completed read's timer into the read quantiles.

@@ -183,7 +183,7 @@ func (c *Client) WriteErr(f *File, off, size int64, done func(error)) {
 		c.WriteOp(f, off, size, nil, done)
 		return
 	}
-	ot := c.fs.StartWriteOp()
+	ot := c.fs.StartWriteOp(nil)
 	c.WriteOp(f, off, size, ot, func(err error) {
 		if err == nil {
 			c.fs.FinishWriteOp(ot)
@@ -239,7 +239,7 @@ func (c *Client) ReadErr(f *File, off, size int64, done func(error)) {
 		c.ReadOp(f, off, size, nil, done)
 		return
 	}
-	ot := c.fs.StartReadOp()
+	ot := c.fs.StartReadOp(nil)
 	c.ReadOp(f, off, size, ot, func(err error) {
 		if err == nil {
 			c.fs.FinishReadOp(ot)

@@ -216,9 +216,9 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		// describe completed operations. Nil (one branch per probe)
 		// unless op timers are enabled.
 		if o.Read {
-			rt.ot = fs.StartReadOp()
+			rt.ot = fs.StartReadOp(&rt.timer)
 		} else {
-			rt.ot = fs.StartWriteOp()
+			rt.ot = fs.StartWriteOp(&rt.timer)
 		}
 		rt.try()
 	}
@@ -270,13 +270,21 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 // retryOp is one rank's logical op under RunFaults' retry loop: its
 // handle, the op, the rank's next continuation, the attempt count and
 // backoff, and the stage timer spanning every attempt.
+//
+// The timer is the rank's own, restarted for each op, so op timers cost
+// no allocation per op. Reuse is safe because nothing charges a timer
+// after the op's done runs: pfs calls done after the op's last piece has
+// charged it, and bb's absorbOp calls done after recycling itself. A
+// layer that kept charging after done would fold one op's stages into
+// the next.
 type retryOp struct {
 	h       *pfs.File
 	o       Op
 	next    func()
 	attempt int
 	backoff sim.Time
-	ot      *obs.OpTimer
+	ot      *obs.OpTimer // &timer when op timers are on, else nil
+	timer   obs.OpTimer
 
 	try      func()
 	complete func(error)

@@ -193,9 +193,12 @@ func TestFaultSpecValidation(t *testing.T) {
 // TestFaultRunAllocsPerOp pins the harness's per-op cost at about zero
 // allocations, straight into the file system and through a write-back
 // burst-buffer tier: each rank's continuations and retry state, and the
-// tier's absorb and drain state, are built once and reused. Comparing a
-// 3-round run with a 1-round run cancels the set-up, so what is left
-// over the extra ops is what an op allocates once pools are warm.
+// tier's absorb and drain state, are built once and reused. The op-timer
+// row adds a registry with op timers on and takes its snapshot: each
+// rank restarts one stage timer per op, and quantile samples land in
+// chunks that growth never copies. Comparing a 3-round run with a
+// 1-round run cancels the set-up, so what is left over the extra ops is
+// what an op allocates once pools are warm.
 func TestFaultRunAllocsPerOp(t *testing.T) {
 	cfg := pfs.PanFSLike(4)
 	spec := Spec{Ranks: 16, BytesPerRank: 4 << 20, RecordSize: 256 << 10, Pattern: NN}
@@ -205,12 +208,21 @@ func TestFaultRunAllocsPerOp(t *testing.T) {
 	}
 	tier := bb.DefaultConfig(2)
 	for _, tc := range []struct {
-		name string
-		bb   *bb.Config
-	}{{"direct", nil}, {"write-back tier", &tier}} {
+		name     string
+		bb       *bb.Config
+		opTimers bool
+	}{{"direct", nil, false}, {"write-back tier", &tier, false}, {"direct with op timers", nil, true}} {
 		allocs := func(rounds int) float64 {
 			fspec := FaultSpec{Spec: spec, Checkpoints: rounds, ComputeTime: sim.Time(0.5), BB: tc.bb}
-			return testing.AllocsPerRun(3, func() { RunFaults(cfg, fspec, nil, nil) })
+			if !tc.opTimers {
+				return testing.AllocsPerRun(3, func() { RunFaults(cfg, fspec, nil, nil) })
+			}
+			return testing.AllocsPerRun(3, func() {
+				reg := obs.NewRegistry()
+				reg.EnableOpTimers()
+				RunFaults(cfg, fspec, reg, nil)
+				reg.Snapshot()
+			})
 		}
 		perOp := (allocs(3) - allocs(1)) / float64(2*opsPerRound)
 		t.Logf("%s: %.2f allocations per logical op over %d extra ops", tc.name, perOp, 2*opsPerRound)
