@@ -134,6 +134,10 @@ func main() {
 	flag.IntVar(&rebuildRounds, "rebuild-rounds", 3, "rebuild experiment: foreground checkpoint rounds per pod")
 	flag.IntVar(&rebuildShards, "rebuild-shards", 1, "rebuild experiment: event-queue shards the pods are spread over; outputs are byte-identical for any value")
 	flag.Parse()
+	if err := validateFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var run []string
 	if *figs == "all" {
 		run = order
@@ -190,6 +194,24 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// validateFlags checks every spec the experiment flags build, so a bad
+// value stops the run before any figure prints.
+func validateFlags() error {
+	if err := scaleSpec().Validate(); err != nil {
+		return fmt.Errorf("invalid -scale-* flags: %w", err)
+	}
+	for _, drives := range rebuildScales() {
+		for _, km := range rebuildCodes {
+			for _, ratio := range rebuildRatios {
+				if err := rebuildSpec(drives, km[0], km[1], ratio, true).Validate(); err != nil {
+					return fmt.Errorf("invalid -rebuild-* flags: %w", err)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // startCPUProfile starts a runtime/pprof CPU profile written to path and
@@ -862,15 +884,7 @@ func figIntegrity() {
 // reported by the engine microbenchmarks in internal/sim.
 func figScale() {
 	header("Scale — sharded engine, pods x ranks under conservative lookahead")
-	spec := workload.ScaleSpec{
-		Pods:            scalePods,
-		RanksPerPod:     scaleRanks,
-		ServersPerPod:   scaleOSS,
-		Rounds:          scaleRounds,
-		BytesPerRank:    64 << 10,
-		ComputeTime:     0.25,
-		InterPodLatency: 5e-6,
-	}
+	spec := scaleSpec()
 	fmt.Printf("%d pods x %d ranks/pod = %d ranks, %d OSSes, %d rounds, %d KiB/rank/round\n",
 		spec.Pods, spec.RanksPerPod, spec.Pods*spec.RanksPerPod,
 		spec.Pods*spec.ServersPerPod, spec.Rounds, spec.BytesPerRank>>10)
@@ -902,6 +916,20 @@ func figScale() {
 	fmt.Println("\nshape check: every sweep point serializes the same snapshot byte for")
 	fmt.Println("byte; speedup tracks available cores (flat when GOMAXPROCS/cores pin")
 	fmt.Println("the shards to one thread)")
+}
+
+// scaleSpec is the scale experiment's spec, from its flags, on one shard.
+func scaleSpec() workload.ScaleSpec {
+	return workload.ScaleSpec{
+		Pods:            scalePods,
+		RanksPerPod:     scaleRanks,
+		ServersPerPod:   scaleOSS,
+		Rounds:          scaleRounds,
+		BytesPerRank:    64 << 10,
+		ComputeTime:     0.25,
+		InterPodLatency: 5e-6,
+		Shards:          1,
+	}
 }
 
 // figBB: the burst-buffer tier — a host-side flash log between the
@@ -1046,46 +1074,12 @@ func figDiag() {
 // table is byte-identical for any -rebuild-shards value.
 func figRebuild() {
 	header("Rebuild — k+m erasure coding, declustered rebuild under a failure storm")
-	base := workload.RebuildSpec{
-		Servers: rebuildOSS,
-		Faults: failure.OSSFaultSpec{
-			MTBF:     30, // accelerated: compresses years of drive life into 4 s
-			Shape:    1,
-			Downtime: 0, // failures are permanent; overlaps accumulate
-			Horizon:  4,
-			Bursts:   failure.BurstSpec{MTBB: 2, Size: 3},
-		},
-		Seed:         42,
-		Rounds:       rebuildRounds,
-		ComputeTime:  0.25,
-		WriteBytes:   1 << 20,
-		MaxRetries:   3,
-		RetryBackoff: sim.Time(5e-3),
-		Shards:       rebuildShards,
-	}
-	red := func(k, m int, ratio float64) pfs.Redundancy {
-		return pfs.Redundancy{K: k, M: m, Declustering: ratio, UnitBytes: 256 << 10, ChunkBytes: 64 << 10}
-	}
 	run := func(drives, k, m int, ratio float64, faulty bool) workload.RebuildResult {
-		s := base
-		s.Red = red(k, m, ratio)
-		s.Pods = drives / s.Servers
-		if s.Pods < 1 {
-			s.Pods = 1
-		}
-		if !faulty {
-			s.Faults = failure.OSSFaultSpec{MTBF: 1e9, Shape: 1, Horizon: 4}
-		}
-		return workload.RunRebuild(s, probeReg)
+		return workload.RunRebuild(rebuildSpec(drives, k, m, ratio, faulty), probeReg)
 	}
-	codes := [][2]int{{4, 1}, {8, 2}, {8, 3}}
-	scales := []int{rebuildDrives / 4, rebuildDrives}
-	if scales[0] < rebuildOSS {
-		scales[0] = rebuildOSS
-	}
-	if scales[0] == scales[1] {
-		scales = scales[:1]
-	}
+	scales := rebuildScales()
+	// Every sweep point shares the storm and the foreground rounds.
+	base := rebuildSpec(scales[0], rebuildCodes[0][0], rebuildCodes[0][1], 1, true)
 
 	fmt.Printf("pods of %d OSSes (1 drive each); MTBF %.0f s, horizon %.0f s, permanent\n",
 		base.Servers, float64(base.Faults.MTBF), float64(base.Faults.Horizon))
@@ -1096,7 +1090,7 @@ func figRebuild() {
 	fmt.Println("quiet baseline (no faults) at the small scale:")
 	fmt.Printf("%6s %12s %12s\n", "k+m", "wr p99 (ms)", "rd p99 (ms)")
 	quiet := map[[2]int]workload.RebuildResult{}
-	for _, km := range codes {
+	for _, km := range rebuildCodes {
 		r := run(scales[0], km[0], km[1], 1.0, false)
 		quiet[km] = r
 		if r.Crashes != 0 || r.Loss.Events != 0 {
@@ -1109,8 +1103,8 @@ func figRebuild() {
 		"drives", "k+m", "declus", "crashes", "loss prob", "pods lost",
 		"rebuilt", "rb max(s)", "wr p99 (ms)", "rd p99 (ms)", "degraded")
 	for _, drives := range scales {
-		for _, km := range codes {
-			for _, ratio := range []float64{0.05, 1.0} {
+		for _, km := range rebuildCodes {
+			for _, ratio := range rebuildRatios {
 				r := run(drives, km[0], km[1], ratio, true)
 				fmt.Printf("%7d %4d+%-1d %6.2f %8d %9.5f %6d/%-3d %10d %9.3f %11.3f %11.3f %9d\n",
 					r.Drives, km[0], km[1], ratio, r.Crashes, r.GroupLossFrac,
@@ -1130,25 +1124,61 @@ func figRebuild() {
 		}
 	}
 
-	// Determinism: the same storm must serialize a byte-identical
-	// snapshot on one shard and on four.
-	snap := func(nshards int) []byte {
-		s := base
-		s.Red = red(4, 2, 1.0)
-		s.Pods, s.Servers = 8, 16
-		s.Rounds = 2
-		s.Shards = nshards
-		reg := obs.NewRegistry()
-		workload.RunRebuild(s, reg)
-		return snapshotJSON(reg)
-	}
-	s1 := snap(1)
-	checkSnapshot("rebuild", s1, snap(4), func(status string) {
-		fmt.Printf("\nshard determinism: 1-shard vs 4-shard snapshot %s (%d bytes)\n", status, len(s1))
-	})
-
 	fmt.Println("\nshape check: more parity (larger m) cuts the loss probability at the")
 	fmt.Println("same storm; declustering over the full population fans each rebuild")
 	fmt.Println("across more survivors than a narrow window, and losses beyond m are")
 	fmt.Println("typed events with exact byte accounting, never silent reads")
+}
+
+// The rebuild sweep: k+m codes and declustering ratios, crossed with the
+// drive populations of rebuildScales.
+var (
+	rebuildCodes  = [][2]int{{4, 1}, {8, 2}, {8, 3}}
+	rebuildRatios = []float64{0.05, 1.0}
+)
+
+// rebuildScales is the rebuild sweep's drive populations, from its flags:
+// a quarter of -rebuild-drives (at least one pod) and -rebuild-drives.
+func rebuildScales() []int {
+	scales := []int{rebuildDrives / 4, rebuildDrives}
+	if scales[0] < rebuildOSS {
+		scales[0] = rebuildOSS
+	}
+	if scales[0] == scales[1] {
+		scales = scales[:1]
+	}
+	return scales
+}
+
+// rebuildSpec is one rebuild sweep point, from the rebuild flags: pods of
+// -rebuild-oss drives making up drives drives (at least one pod) on k+m
+// groups at the given declustering ratio, under the storm when faulty
+// and fault-free otherwise.
+func rebuildSpec(drives, k, m int, ratio float64, faulty bool) workload.RebuildSpec {
+	s := workload.RebuildSpec{
+		Pods:    1,
+		Servers: rebuildOSS,
+		Red:     pfs.Redundancy{K: k, M: m, Declustering: ratio, UnitBytes: 256 << 10, ChunkBytes: 64 << 10},
+		Faults: failure.OSSFaultSpec{
+			MTBF:     30, // accelerated: compresses years of drive life into 4 s
+			Shape:    1,
+			Downtime: 0, // failures are permanent; overlaps accumulate
+			Horizon:  4,
+			Bursts:   failure.BurstSpec{MTBB: 2, Size: 3},
+		},
+		Seed:         42,
+		Rounds:       rebuildRounds,
+		ComputeTime:  0.25,
+		WriteBytes:   1 << 20,
+		MaxRetries:   3,
+		RetryBackoff: sim.Time(5e-3),
+		Shards:       rebuildShards,
+	}
+	if s.Servers > 0 {
+		s.Pods = max(drives/s.Servers, 1)
+	}
+	if !faulty {
+		s.Faults = failure.OSSFaultSpec{MTBF: 1e9, Shape: 1, Horizon: 4}
+	}
+	return s
 }

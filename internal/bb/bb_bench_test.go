@@ -32,7 +32,7 @@ func benchRound(b *testing.B, cfg Config) {
 			})
 		}
 		eng.Run()
-		if tier.Backlog() != 0 {
+		if tier.backlogBytes != 0 {
 			b.Fatal("round did not drain")
 		}
 	}

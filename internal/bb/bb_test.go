@@ -3,6 +3,7 @@ package bb
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/flash"
@@ -12,9 +13,11 @@ import (
 )
 
 // rig is one engine + striped FS + buffer tier with one file per rank,
-// pre-created so tests schedule pure data traffic.
+// pre-created so tests schedule pure data traffic. Its registry is the
+// caller's, or a fresh one when the caller passes nil.
 type rig struct {
 	eng   *sim.Engine
+	reg   *obs.Registry
 	fs    *pfs.FS
 	tier  *Tier
 	files []*pfs.File
@@ -22,16 +25,30 @@ type rig struct {
 
 func newRig(t *testing.T, cfg Config, ranks int, reg *obs.Registry) *rig {
 	t.Helper()
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	eng := sim.NewEngine()
 	eng.Instrument(reg, nil)
 	fs := pfs.New(eng, pfs.PanFSLike(4))
-	r := &rig{eng: eng, fs: fs, tier: NewTier(fs, cfg), files: make([]*pfs.File, ranks)}
+	r := &rig{eng: eng, reg: reg, fs: fs, tier: NewTier(fs, cfg), files: make([]*pfs.File, ranks)}
 	for i := 0; i < ranks; i++ {
 		i := i
 		fs.NewClient(i).Create(fileName(i), func(f *pfs.File) { r.files[i] = f })
 	}
 	eng.Run()
 	return r
+}
+
+// fsBytesWritten sums the file system's per-OSS bytes_written counters.
+func (r *rig) fsBytesWritten() int64 {
+	var n int64
+	for name, v := range r.reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "pfs.oss") && strings.HasSuffix(name, ".bytes_written") {
+			n += v
+		}
+	}
+	return n
 }
 
 func fileName(rank int) string {
@@ -123,10 +140,10 @@ func TestWriteBackHidesCheckpointLatency(t *testing.T) {
 	if st.DrainedBytes != st.AbsorbedBytes {
 		t.Fatalf("drained %d of %d absorbed bytes", st.DrainedBytes, st.AbsorbedBytes)
 	}
-	if r.tier.Backlog() != 0 || r.tier.Occupancy() != 0 {
-		t.Fatalf("tier not empty after drain: backlog=%d occ=%v", r.tier.Backlog(), r.tier.Occupancy())
+	if r.tier.backlogBytes != 0 || r.tier.Occupancy() != 0 {
+		t.Fatalf("tier not empty after drain: backlog=%d occ=%v", r.tier.backlogBytes, r.tier.Occupancy())
 	}
-	if got := r.fs.BytesWritten(); got != st.AbsorbedBytes {
+	if got := r.fsBytesWritten(); got != st.AbsorbedBytes {
 		t.Fatalf("fs received %d bytes, want %d", got, st.AbsorbedBytes)
 	}
 }
@@ -145,10 +162,10 @@ func TestWriteThroughForwardsSynchronously(t *testing.T) {
 	if st.ForwardedBytes != int64(ranks)*size {
 		t.Fatalf("forwarded %d bytes, want %d", st.ForwardedBytes, int64(ranks)*size)
 	}
-	if st.DrainedOps != 0 || r.tier.Backlog() != 0 {
+	if st.DrainedOps != 0 || r.tier.backlogBytes != 0 {
 		t.Fatalf("write-through ran the drain: %+v", st)
 	}
-	if got := r.fs.BytesWritten(); got != st.ForwardedBytes {
+	if got := r.fsBytesWritten(); got != st.ForwardedBytes {
 		t.Fatalf("fs received %d bytes, want %d", got, st.ForwardedBytes)
 	}
 	direct := directRoundTime(t, ranks, size)
@@ -176,7 +193,7 @@ func TestDrainRacesCheckpointRound(t *testing.T) {
 			}
 			// A generous compute phase: drain debt is ~5 ms at 100 MB/s.
 			r.eng.Schedule(sim.Time(0.5), func() {
-				if got := r.tier.Backlog(); got != 0 {
+				if got := r.tier.backlogBytes; got != 0 {
 					t.Errorf("drain lost the race it should win: backlog %d at next round", got)
 				}
 				nextRound()
@@ -246,7 +263,7 @@ func TestWriteBackCrashLosesDirtyData(t *testing.T) {
 		t.Fatalf("byte accounting leaks: lost %d + drained %d + dropped %d != absorbed %d",
 			st.LostBytes, st.DrainedBytes, st.DroppedDrainBytes, st.AbsorbedBytes)
 	}
-	if got := r.fs.BytesWritten(); got >= st.AbsorbedBytes {
+	if got := r.fsBytesWritten(); got >= st.AbsorbedBytes {
 		t.Fatalf("fs received %d bytes despite %d lost", got, st.LostBytes)
 	}
 	if r.tier.Occupancy() != 0 {
@@ -289,7 +306,7 @@ func TestWriteThroughCrashLosesNothing(t *testing.T) {
 	if st.LostBytes != 0 {
 		t.Fatalf("write-through lost %d bytes", st.LostBytes)
 	}
-	if got := r.fs.BytesWritten(); got < okBytes {
+	if got := r.fsBytesWritten(); got < okBytes {
 		t.Fatalf("fs received %d bytes < %d acknowledged", got, okBytes)
 	}
 	if st.FailedOps == 0 {
@@ -328,8 +345,8 @@ func TestTornDrainMarksCorruption(t *testing.T) {
 	if got := r.fs.UnrepairedCorruption(); got == 0 {
 		t.Fatal("torn extent not live as latent corruption")
 	}
-	if r.tier.Occupancy() != 0 || r.tier.Backlog() != 0 {
-		t.Fatalf("torn drain leaked occupancy: occ=%v backlog=%d", r.tier.Occupancy(), r.tier.Backlog())
+	if r.tier.Occupancy() != 0 || r.tier.backlogBytes != 0 {
+		t.Fatalf("torn drain leaked occupancy: occ=%v backlog=%d", r.tier.Occupancy(), r.tier.backlogBytes)
 	}
 }
 
@@ -374,8 +391,8 @@ func TestRecoveredNodeDrainsWhileTornDrainInFlight(t *testing.T) {
 		t.Fatalf("byte identity violated: absorbed %d != drained %d + lost %d + dropped %d + torn %d",
 			st.AbsorbedBytes, st.DrainedBytes, st.LostBytes, st.DroppedDrainBytes, st.TornBytes)
 	}
-	if r.tier.Occupancy() != 0 || r.tier.Backlog() != 0 {
-		t.Fatalf("tier not empty at the end: occ=%v backlog=%d", r.tier.Occupancy(), r.tier.Backlog())
+	if r.tier.Occupancy() != 0 || r.tier.backlogBytes != 0 {
+		t.Fatalf("tier not empty at the end: occ=%v backlog=%d", r.tier.Occupancy(), r.tier.backlogBytes)
 	}
 }
 
@@ -401,7 +418,7 @@ func TestOversizedWriteBypasses(t *testing.T) {
 	if st.PassthroughBytes != size || st.AbsorbedBytes != 0 {
 		t.Fatalf("passthrough accounting wrong: %+v", st)
 	}
-	if got := r.fs.BytesWritten(); got != size {
+	if got := r.fsBytesWritten(); got != size {
 		t.Fatalf("fs received %d bytes, want %d", got, size)
 	}
 }

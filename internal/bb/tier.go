@@ -111,24 +111,14 @@ func NewTier(fs *pfs.FS, cfg Config) *Tier {
 	return t
 }
 
-// Config returns the tier's effective (defaulted) configuration.
-func (t *Tier) Config() Config { return t.cfg }
-
 // Stats returns a copy of the tier's accounting so far.
 func (t *Tier) Stats() Stats { return t.stats }
-
-// Backlog reports the dirty bytes currently queued or in flight to the
-// FS across all nodes — the drain scheduler's remaining debt.
-func (t *Tier) Backlog() int64 { return t.backlogBytes }
 
 // Occupancy reports the fraction of aggregate buffer capacity currently
 // held by unfinished data.
 func (t *Tier) Occupancy() float64 {
 	return float64(t.pendingPages) / float64(t.capPages*len(t.nodes))
 }
-
-// NodeFor reports which buffer node serves the given rank.
-func (t *Tier) NodeFor(rank int) int { return rank % len(t.nodes) }
 
 // pagesFor rounds a byte count up to whole flash pages.
 func (t *Tier) pagesFor(size int64) int {

@@ -53,18 +53,6 @@ func Enterprise2006() Geometry {
 	}
 }
 
-// Nearline2006 is a 7200 RPM SATA capacity drive.
-func Nearline2006() Geometry {
-	return Geometry{
-		Name:          "nearline-7200-2006",
-		CapacityBytes: 750e9,
-		SeqBandwidth:  70e6,
-		FullSeek:      12e-3,
-		TrackSeek:     0.8e-3,
-		RPM:           7200,
-	}
-}
-
 // Disk is a stateful drive: it remembers the head position so that
 // sequential access streams at full bandwidth while scattered access pays
 // positioning costs. Disk computes service times; queueing is layered on
@@ -172,9 +160,3 @@ func (d *Disk) RandomIOPS(size int64) float64 {
 	per := avgSeek + d.Geom.AvgRotation() + float64(size)/d.Geom.SeqBandwidth
 	return 1 / per
 }
-
-// HeadPos reports the current head byte offset (for tests).
-func (d *Disk) HeadPos() int64 { return d.headPos }
-
-// Reset parks the head back at offset zero.
-func (d *Disk) Reset() { d.headPos = 0 }

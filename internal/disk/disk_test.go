@@ -52,13 +52,23 @@ func TestSeekMonotoneInDistance(t *testing.T) {
 	}
 }
 
+// nearline2006 is a 7200 RPM SATA capacity drive of the report's era.
+var nearline2006 = Geometry{
+	Name:          "nearline-7200-2006",
+	CapacityBytes: 750e9,
+	SeqBandwidth:  70e6,
+	FullSeek:      12e-3,
+	TrackSeek:     0.8e-3,
+	RPM:           7200,
+}
+
 func TestRandomIOPSMatchesEraDrives(t *testing.T) {
 	// The report repeatedly quotes "closer to 100 IOPS" for magnetic disks.
 	iops := New(Enterprise2006()).RandomIOPS(4096)
 	if iops < 80 || iops > 180 {
 		t.Fatalf("enterprise random 4K IOPS = %.0f, want O(100)", iops)
 	}
-	nl := New(Nearline2006()).RandomIOPS(4096)
+	nl := New(nearline2006).RandomIOPS(4096)
 	if nl >= iops {
 		t.Fatalf("nearline IOPS %.0f should trail enterprise %.0f", nl, iops)
 	}
@@ -76,14 +86,10 @@ func TestSequentialVsRandomGap(t *testing.T) {
 }
 
 func TestAccessAdvancesHead(t *testing.T) {
-	d := New(Nearline2006())
+	d := New(nearline2006)
 	d.Access(1000, 500)
-	if d.HeadPos() != 1500 {
-		t.Fatalf("HeadPos = %d, want 1500", d.HeadPos())
-	}
-	d.Reset()
-	if d.HeadPos() != 0 {
-		t.Fatalf("Reset did not park head")
+	if d.headPos != 1500 {
+		t.Fatalf("head at %d, want 1500", d.headPos)
 	}
 }
 

@@ -59,19 +59,6 @@ func (e CorruptionEvent) overlaps(off, size int64) bool {
 	return off < e.Offset+e.Length && e.Offset < off+size
 }
 
-// CorruptionStats counts a drive's corruption activity.
-type CorruptionStats struct {
-	// Arrived counts events whose arrival time has passed (monotone over
-	// queries; an event is counted once).
-	Arrived int64
-
-	// Hits counts FaultIn queries that found live corruption.
-	Hits int64
-
-	// Repaired counts events cleared by Repair.
-	Repaired int64
-}
-
 // Corruptor tracks latent corruption for one drive. It is pure state: the
 // caller (the integrity layer in internal/pfs) decides what a hit means —
 // detected and repaired when checksums are on, silently returned to the
@@ -80,8 +67,6 @@ type CorruptionStats struct {
 type Corruptor struct {
 	events   []CorruptionEvent
 	repaired []bool
-	arrived  []bool
-	stats    CorruptionStats
 }
 
 // NewCorruptor returns a Corruptor armed with the given events (copied;
@@ -98,7 +83,6 @@ func NewCorruptor(events []CorruptionEvent) *Corruptor {
 	return &Corruptor{
 		events:   evs,
 		repaired: make([]bool, len(evs)),
-		arrived:  make([]bool, len(evs)),
 	}
 }
 
@@ -115,34 +99,10 @@ func (c *Corruptor) Add(e CorruptionEvent) {
 	i := sort.Search(len(c.events), func(i int) bool { return c.events[i].At > e.At })
 	c.events = append(c.events, CorruptionEvent{})
 	c.repaired = append(c.repaired, false)
-	c.arrived = append(c.arrived, false)
 	copy(c.events[i+1:], c.events[i:])
 	copy(c.repaired[i+1:], c.repaired[i:])
-	copy(c.arrived[i+1:], c.arrived[i:])
 	c.events[i] = e
 	c.repaired[i] = false
-	c.arrived[i] = false
-}
-
-// Len reports the total number of armed events (0 on nil).
-func (c *Corruptor) Len() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.events)
-}
-
-// markArrivals advances the arrival accounting to time now.
-func (c *Corruptor) markArrivals(now sim.Time) {
-	for i := range c.events {
-		if c.events[i].At > now {
-			break // events sorted by At
-		}
-		if !c.arrived[i] {
-			c.arrived[i] = true
-			c.stats.Arrived++
-		}
-	}
 }
 
 // FaultIn reports whether any unrepaired corruption that has arrived by
@@ -151,13 +111,11 @@ func (c *Corruptor) FaultIn(off, size int64, now sim.Time) bool {
 	if c == nil || len(c.events) == 0 || size <= 0 {
 		return false
 	}
-	c.markArrivals(now)
 	for i, e := range c.events {
 		if e.At > now {
 			break
 		}
 		if !c.repaired[i] && e.overlaps(off, size) {
-			c.stats.Hits++
 			return true
 		}
 	}
@@ -171,7 +129,6 @@ func (c *Corruptor) Repair(off, size int64, now sim.Time) int {
 	if c == nil || len(c.events) == 0 || size <= 0 {
 		return 0
 	}
-	c.markArrivals(now)
 	n := 0
 	for i, e := range c.events {
 		if e.At > now {
@@ -179,7 +136,6 @@ func (c *Corruptor) Repair(off, size int64, now sim.Time) int {
 		}
 		if !c.repaired[i] && e.overlaps(off, size) {
 			c.repaired[i] = true
-			c.stats.Repaired++
 			n++
 		}
 	}
@@ -192,7 +148,6 @@ func (c *Corruptor) Unrepaired(now sim.Time) int {
 	if c == nil {
 		return 0
 	}
-	c.markArrivals(now)
 	n := 0
 	for i, e := range c.events {
 		if e.At > now {
@@ -203,12 +158,4 @@ func (c *Corruptor) Unrepaired(now sim.Time) int {
 		}
 	}
 	return n
-}
-
-// Stats returns the accumulated corruption accounting (zero value on nil).
-func (c *Corruptor) Stats() CorruptionStats {
-	if c == nil {
-		return CorruptionStats{}
-	}
-	return c.stats
 }

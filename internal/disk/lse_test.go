@@ -11,11 +11,8 @@ func TestNilCorruptorIsInert(t *testing.T) {
 	if c.FaultIn(0, 1<<30, 1e9) {
 		t.Fatal("nil corruptor reported a fault")
 	}
-	if c.Repair(0, 1<<30, 1e9) != 0 || c.Unrepaired(1e9) != 0 || c.Len() != 0 {
+	if c.Repair(0, 1<<30, 1e9) != 0 || c.Unrepaired(1e9) != 0 {
 		t.Fatal("nil corruptor not inert")
-	}
-	if c.Stats() != (CorruptionStats{}) {
-		t.Fatal("nil corruptor has stats")
 	}
 }
 
@@ -69,10 +66,6 @@ func TestCorruptorRepairClearsFaults(t *testing.T) {
 	}
 	if c.Unrepaired(100) != 0 {
 		t.Fatal("events left unrepaired")
-	}
-	st := c.Stats()
-	if st.Arrived != 2 || st.Repaired != 2 {
-		t.Fatalf("stats = %+v, want Arrived=2 Repaired=2", st)
 	}
 }
 

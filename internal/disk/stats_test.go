@@ -55,7 +55,7 @@ func TestStatsSplitScatteredAccess(t *testing.T) {
 }
 
 func TestStatsAccountAllServiceTime(t *testing.T) {
-	d := New(Nearline2006())
+	d := New(nearline2006)
 	var total float64
 	for _, off := range []int64{0, 1 << 30, 1<<30 + 4096, 77 << 20} {
 		total += float64(d.Access(off, 4096))

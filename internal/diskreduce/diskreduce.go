@@ -53,19 +53,6 @@ func (s Scheme) Overhead(g int) float64 {
 	}
 }
 
-// ToleratesFailures returns how many simultaneous block losses a group
-// survives.
-func (s Scheme) ToleratesFailures() int {
-	switch s {
-	case Triplicated, RAID6Group:
-		return 2
-	case RAID5Group:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Config describes the cluster's encoding policy.
 type Config struct {
 	// Target is the scheme cold blocks are encoded into.
@@ -164,22 +151,6 @@ func (st *Store) CapacityOverhead() float64 {
 	return st.PhysicalBlocks() / float64(st.UserBlocks)
 }
 
-// LocalityFraction is the share of blocks still holding 3 replicas — the
-// proxy for Hadoop task-placement choices (each replica is a scheduling
-// option).
-func (st *Store) LocalityFraction() float64 {
-	if st.UserBlocks == 0 {
-		return 0
-	}
-	var replicated int64
-	for i := range st.blocks {
-		if !st.blocks[i].Encoded {
-			replicated++
-		}
-	}
-	return float64(replicated) / float64(st.UserBlocks)
-}
-
 // Simulate ingests writesPerTick blocks per tick for ticks ticks, running
 // the encoder each tick, and returns the overhead trajectory.
 func Simulate(cfg Config, writesPerTick, ticks int) []float64 {
@@ -196,14 +167,4 @@ func Simulate(cfg Config, writesPerTick, ticks int) []float64 {
 		out = append(out, st.CapacityOverhead())
 	}
 	return out
-}
-
-// AgeAccessCoverage computes, for a workload where the probability of
-// reading a block decays with age (most DISC reads hit recent data —
-// the observation that justifies encoding only cold blocks), the fraction
-// of *reads* that still enjoy full replication when blocks older than
-// encodeAfter are encoded. accessCDF(age) gives the cumulative fraction
-// of reads to blocks at most that old.
-func AgeAccessCoverage(encodeAfter float64, accessCDF func(float64) float64) float64 {
-	return accessCDF(encodeAfter)
 }

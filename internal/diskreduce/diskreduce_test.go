@@ -22,17 +22,6 @@ func TestSchemeStringsAndOverheads(t *testing.T) {
 	}
 }
 
-func TestFailureTolerancePreserved(t *testing.T) {
-	// The paper pairs triplication with RAID-6 precisely because both
-	// tolerate two losses.
-	if RAID6Group.ToleratesFailures() != Triplicated.ToleratesFailures() {
-		t.Fatal("RAID-6 must match triplication's double-failure tolerance")
-	}
-	if RAID5Group.ToleratesFailures() != 1 {
-		t.Fatal("RAID-5 tolerates one failure")
-	}
-}
-
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -50,9 +39,6 @@ func TestFreshBlocksTriplicated(t *testing.T) {
 	if got := st.CapacityOverhead(); got != 3 {
 		t.Fatalf("fresh overhead = %v, want 3", got)
 	}
-	if got := st.LocalityFraction(); got != 1 {
-		t.Fatalf("fresh locality = %v, want 1", got)
-	}
 }
 
 func TestEncodingReducesOverheadTowardRaid(t *testing.T) {
@@ -68,9 +54,6 @@ func TestEncodingReducesOverheadTowardRaid(t *testing.T) {
 	}
 	if got := st.CapacityOverhead(); math.Abs(got-1.25) > 1e-12 {
 		t.Fatalf("encoded overhead = %v, want 1.25", got)
-	}
-	if got := st.LocalityFraction(); got != 0 {
-		t.Fatalf("locality after full encoding = %v, want 0", got)
 	}
 }
 
@@ -101,8 +84,9 @@ func TestHotBlocksKeepReplicas(t *testing.T) {
 	if st.EncodedGroups != 1 {
 		t.Fatalf("groups = %d, want 1 (only the cold batch)", st.EncodedGroups)
 	}
-	if got := st.LocalityFraction(); got != 0.5 {
-		t.Fatalf("locality = %v, want 0.5", got)
+	// Half the blocks keep 3 replicas, half are in a RAID-5 group of 8.
+	if got, want := st.CapacityOverhead(), (3+1.25)/2; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("overhead = %v, want %v", got, want)
 	}
 }
 
@@ -129,20 +113,6 @@ func TestSteadyStateTrajectory(t *testing.T) {
 		if traj[i] > traj[i-1]+0.02 {
 			t.Fatalf("overhead rising at tick %d: %v -> %v", i, traj[i-1], traj[i])
 		}
-	}
-}
-
-func TestAgeAccessCoverage(t *testing.T) {
-	// 90% of reads hit blocks younger than 60 time units: encoding after
-	// 60 keeps replicas for 90% of reads.
-	cdf := func(age float64) float64 {
-		if age >= 60 {
-			return 0.9 + 0.1*(1-math.Exp(-(age-60)/600))
-		}
-		return 0.9 * age / 60
-	}
-	if got := AgeAccessCoverage(60, cdf); math.Abs(got-0.9) > 1e-12 {
-		t.Fatalf("coverage = %v, want 0.9", got)
 	}
 }
 

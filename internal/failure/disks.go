@@ -115,18 +115,6 @@ func ObservedAFR(statsPerYear []FleetYearStats) float64 {
 	return float64(repl) / dy
 }
 
-// BathtubDeparture quantifies how far the observed per-year ARR profile is
-// from the bathtub assumption: it returns the ratio of the last year's ARR
-// to the first year's. Bathtub predicts >= 1 only at end of life with a
-// high year-1 (infant mortality) rate; the field data shows a steady climb
-// (ratio well above 1, with year 1 the minimum).
-func BathtubDeparture(statsPerYear []FleetYearStats) float64 {
-	if len(statsPerYear) < 2 || statsPerYear[0].ARR == 0 {
-		return 0
-	}
-	return statsPerYear[len(statsPerYear)-1].ARR / statsPerYear[0].ARR
-}
-
 // ReplacementInterarrivals simulates a fixed-size fleet and returns the
 // time gaps between successive replacement events anywhere in the fleet,
 // for distribution fitting (the FAST'07 data shows these are far from

@@ -3,7 +3,6 @@ package failure
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -134,35 +133,4 @@ func LANLStyleFleet(nClusters int, perChipRate, shape float64, seed int64) []Clu
 		}
 	}
 	return specs
-}
-
-// NodeInterruptCounts tallies events per node, used to check that failures
-// concentrate on a minority of nodes when shape < 1 (burstiness) and to
-// drive repair policies.
-func NodeInterruptCounts(events []Event, nodes int) []int {
-	counts := make([]int, nodes)
-	for _, e := range events {
-		if e.Node >= 0 && e.Node < nodes {
-			counts[e.Node]++
-		}
-	}
-	return counts
-}
-
-// MergeTraces combines multiple systems' events into one ordered stream.
-func MergeTraces(traces ...[]Event) []Event {
-	var all []Event
-	for _, t := range traces {
-		all = append(all, t...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
-		}
-		if all[i].System != all[j].System {
-			return all[i].System < all[j].System
-		}
-		return all[i].Node < all[j].Node
-	})
-	return all
 }

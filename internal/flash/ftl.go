@@ -279,23 +279,6 @@ func (d *Device) collect(victim int) sim.Time {
 	return elapsed + d.Spec.TErase
 }
 
-// SeqReadBandwidth returns bytes/second for large striped sequential reads
-// across all channels.
-func (d *Device) SeqReadBandwidth() float64 {
-	return float64(d.Spec.PageSize) * float64(d.Spec.Channels) / float64(d.Spec.TRead)
-}
-
-// SeqWriteBandwidth returns bytes/second for large striped sequential
-// writes on a fresh device (no GC on the critical path).
-func (d *Device) SeqWriteBandwidth() float64 {
-	return float64(d.Spec.PageSize) * float64(d.Spec.Channels) / float64(d.Spec.TProg)
-}
-
-// RandomReadIOPS is the single-channel random read rate.
-func (d *Device) RandomReadIOPS() float64 {
-	return float64(d.Spec.Channels) / float64(d.Spec.TRead)
-}
-
 // CheckInvariants validates internal FTL consistency; tests call it after
 // workloads. It returns an error describing the first violation found.
 func (d *Device) CheckInvariants() error {

@@ -137,20 +137,10 @@ func Survey(name string, sizes []int64) Report {
 	return rep
 }
 
-// CDF exposes the file-size ECDF for plotting Figure 3.
-func (r Report) CDF() *stats.ECDF { return r.cdf }
-
 // CDFPoints returns n (size, fraction) pairs of the file-size CDF.
 func (r Report) CDFPoints(n int) (sizes, fractions []float64) {
 	if r.cdf == nil {
 		return nil, nil
 	}
 	return r.cdf.Points(n)
-}
-
-// MostFilesSmallMostBytesLarge reports whether the population exhibits the
-// survey's headline property: the median file is under smallTh while the
-// majority of bytes live in files over largeTh.
-func (r Report) MostFilesSmallMostBytesLarge(smallTh, largeTh int64) bool {
-	return r.MedianSize <= float64(smallTh) && r.FractionBytesOver[largeTh] >= 0.5
 }

@@ -276,15 +276,6 @@ func (d *Dir) maybeSplit(p partitionID, owner int) {
 // Partitions reports the live partition count.
 func (d *Dir) Partitions() int { return len(d.load) }
 
-// ServerUtilizations returns per-server busy fractions.
-func (d *Dir) ServerUtilizations() []float64 {
-	out := make([]float64, len(d.servers))
-	for i, s := range d.servers {
-		out[i] = s.Utilization()
-	}
-	return out
-}
-
 // LoadImbalance returns max/mean entries across partitions' servers.
 func (d *Dir) LoadImbalance() float64 {
 	perServer := make([]int, d.cfg.Servers)

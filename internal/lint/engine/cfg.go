@@ -30,9 +30,6 @@ type Block struct {
 	Succs []*Block
 }
 
-// Entry returns the function entry block.
-func (c *CFG) Entry() *Block { return c.Blocks[0] }
-
 // BuildCFG constructs the control-flow graph of one function body.
 // body may be nil (declarations without bodies yield an empty graph).
 func BuildCFG(body *ast.BlockStmt) *CFG {

@@ -253,7 +253,7 @@ func f(n int) int {
 			walk(s)
 		}
 	}
-	walk(cfg.Entry())
+	walk(cfg.Blocks[0])
 	if !seen[cfg.Exit] {
 		t.Fatal("exit block unreachable from entry")
 	}

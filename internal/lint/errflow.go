@@ -9,7 +9,7 @@ import (
 )
 
 // Errflow is the CFG-based dropped-error check. An error produced by a
-// module-internal API — WriteErr/ReadErr done callbacks, Submit chains,
+// module-internal API — WriteOp/ReadOp done callbacks, Submit chains,
 // the drain and rebuild paths — must be consumed on every control-flow
 // path: returned, checked, passed on, or recorded. A silently dropped
 // error in a rebuild chain corrupts pfs.loss.* accounting without
@@ -22,7 +22,7 @@ import (
 //     a redefinition or to function exit on which it is never read
 //     (reaching-definitions over the engine's CFG);
 //   - an error-typed parameter of a callback literal handed to a
-//     module-internal call (the WriteErr/ReadErr done shape) that some
+//     module-internal call (the WriteOp/ReadOp done shape) that some
 //     path ignores.
 //
 // Only module-internal callees are in scope: stdlib error discipline is

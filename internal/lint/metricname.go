@@ -24,7 +24,7 @@ var traceCatRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // metricUse is one literal metric-name registration site.
 type metricUse struct {
 	Name string
-	Kind string // a registryKinds key, e.g. "Counter" or "Quantile"
+	Kind string // a registryKinds key, e.g. "Counter" or "TimeSeries"
 	Pkg  string
 	Pos  token.Pos
 }
@@ -35,7 +35,7 @@ type metricUse struct {
 // runtime; checking the literal base keeps the whole family legal.
 var registryKinds = map[string]bool{
 	"Counter": true, "Gauge": true, "GaugeFunc": true, "Histogram": true,
-	"Quantile": true, "TimeSeries": true, "OpTimerSet": true,
+	"TimeSeries": true, "OpTimerSet": true,
 }
 
 var tracerNameMethods = map[string]bool{

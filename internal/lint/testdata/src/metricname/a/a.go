@@ -12,8 +12,6 @@ func register(reg *obs.Registry, tr *obs.Tracer) {
 	reg.Counter("pkg..twice") // want `metric name "pkg..twice" does not match the pkg.noun\[.verb\] grammar`
 	reg.Gauge("pkg.queue.depth")
 	reg.Histogram("pkg.wait.seconds", nil)
-	reg.Quantile("pkg.latency.seconds")
-	reg.Quantile("BadQuantile") // want `metric name "BadQuantile" does not match the pkg.noun\[.verb\] grammar`
 	reg.TimeSeries("pkg.util.series")
 	reg.TimeSeries("series") // want `metric name "series" does not match the pkg.noun\[.verb\] grammar`
 	reg.OpTimerSet("pkg.write")

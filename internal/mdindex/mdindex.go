@@ -217,25 +217,6 @@ func (ix *Index) Search(q Query) []FileMeta {
 	return out
 }
 
-// RebuildPartition drops and re-inserts one partition's records — the
-// report's reliability point: "failures in a portion of the index only
-// require that portion to be rebuilt". It returns how many records were
-// rebuilt, or an error for an unknown prefix.
-func (ix *Index) RebuildPartition(prefix string) (int, error) {
-	p, ok := ix.partitions[prefix]
-	if !ok {
-		return 0, fmt.Errorf("mdindex: no partition %q", prefix)
-	}
-	records := p.records
-	ix.total -= len(records)
-	delete(ix.partitions, prefix)
-	ix.dirty = true
-	for _, m := range records {
-		ix.Insert(m)
-	}
-	return len(records), nil
-}
-
 // FlatScan is the database-table baseline: evaluate the predicate on every
 // record. It returns sorted results identical to Search's.
 func FlatScan(records []FileMeta, q Query) []FileMeta {

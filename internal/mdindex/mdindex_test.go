@@ -150,29 +150,6 @@ func TestSelectiveQueriesPruneMostPartitions(t *testing.T) {
 	}
 }
 
-func TestRebuildPartition(t *testing.T) {
-	records := synthesize(10, 20, 5)
-	ix := Build(records, 1)
-	before := ix.Search(Query{Owner: u32(3)})
-	n, err := ix.RebuildPartition("proj003")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 20 {
-		t.Fatalf("rebuilt %d records, want 20", n)
-	}
-	if ix.Len() != len(records) {
-		t.Fatalf("Len after rebuild = %d", ix.Len())
-	}
-	after := ix.Search(Query{Owner: u32(3)})
-	if len(before) != len(after) {
-		t.Fatalf("results changed after rebuild: %d vs %d", len(before), len(after))
-	}
-	if _, err := ix.RebuildPartition("no-such"); err == nil {
-		t.Fatal("rebuilding unknown partition should error")
-	}
-}
-
 func TestDeeperPartitioningStillCorrect(t *testing.T) {
 	records := synthesize(10, 80, 6)
 	for depth := 1; depth <= 3; depth++ {

@@ -88,22 +88,6 @@ func (t *OpTimer) Add(s Stage, sec float64) {
 	t.stages[s] += sec
 }
 
-// Stage returns the seconds accumulated against s (0 on a nil receiver).
-func (t *OpTimer) Stage(s Stage) float64 {
-	if t == nil || s >= NumStages {
-		return 0
-	}
-	return t.stages[s]
-}
-
-// Start returns the sim-time the timer was started at.
-func (t *OpTimer) Start() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.start
-}
-
 // OpTimerSet is the instrument family for one operation kind (e.g.
 // "pfs.write"): an end-to-end latency quantile, one quantile per stage,
 // and one bottleneck counter per stage. The quantiles are the columns of
@@ -159,16 +143,13 @@ func (r *Registry) OpTimersEnabled() bool {
 	return r.opTimers
 }
 
-// Start restarts t at sim-time nowSec, clearing its stages, and returns
-// it; a nil t gets a new timer. A caller that runs one op at a time
-// passes the same timer each op and allocates nothing. Returns nil on a
-// nil set.
+// Start restarts the caller's timer t at sim-time nowSec, clearing its
+// stages, and returns it. t must not be nil: the caller owns the timer,
+// and one that runs an op at a time passes the same timer each op.
+// Returns nil on a nil set, so a disabled set leaves the op untimed.
 func (s *OpTimerSet) Start(nowSec float64, t *OpTimer) *OpTimer {
 	if s == nil {
 		return nil
-	}
-	if t == nil {
-		t = new(OpTimer)
 	}
 	*t = OpTimer{start: nowSec}
 	return t

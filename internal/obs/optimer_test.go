@@ -12,13 +12,10 @@ func TestOpTimerStageAccumulation(t *testing.T) {
 	if set == nil {
 		t.Fatal("OpTimerSet nil after EnableOpTimers")
 	}
-	ot := set.Start(10, nil)
+	ot := set.Start(10, new(OpTimer))
 	ot.Add(StageNet, 0.25)
 	ot.Add(StageNet, 0.25)
 	ot.Add(StageDiskSeek, 0.1)
-	if got := ot.Stage(StageNet); got != 0.5 {
-		t.Fatalf("StageNet = %v, want 0.5", got)
-	}
 	set.Observe(ot, 12)
 	s := r.Snapshot()
 	total := s.Quantiles["pfs.write.latency_s"]
@@ -41,12 +38,12 @@ func TestOpTimerBottleneckTiesBreakLow(t *testing.T) {
 	r := NewRegistry()
 	r.EnableOpTimers()
 	set := r.OpTimerSet("pfs.read")
-	ot := set.Start(0, nil)
+	ot := set.Start(0, new(OpTimer))
 	ot.Add(StageQueue, 1)
 	ot.Add(StageDiskTransfer, 1) // tie: lower index (queue) wins
 	set.Observe(ot, 2)
 	// An all-zero timer counts toward no bottleneck.
-	set.Observe(set.Start(5, nil), 5)
+	set.Observe(set.Start(5, ot), 5)
 	s := r.Snapshot()
 	if n := s.Counters["pfs.read.bottleneck.queue"]; n != 1 {
 		t.Fatalf("bottleneck.queue = %d, want 1", n)
@@ -65,15 +62,12 @@ func TestOpTimerSetDisabledAndNil(t *testing.T) {
 		t.Fatal("OpTimerSet non-nil before EnableOpTimers")
 	}
 	var set *OpTimerSet
-	ot := set.Start(1, nil)
+	ot := set.Start(1, new(OpTimer))
 	if ot != nil {
 		t.Fatal("nil set Start returned a timer")
 	}
 	ot.Add(StageNet, 1) // nil timer: no-op
 	set.Observe(ot, 2)  // nil set: no-op
-	if got := ot.Stage(StageNet); got != 0 {
-		t.Fatalf("nil timer Stage = %v", got)
-	}
 	var nr *Registry
 	nr.EnableOpTimers()
 	if nr.OpTimersEnabled() {
@@ -165,14 +159,13 @@ func TestStageNamesMatchGrammar(t *testing.T) {
 // allocation.
 func TestDisabledProbesAllocateNothing(t *testing.T) {
 	var set *OpTimerSet
-	var q *Quantile
+	var timer OpTimer
 	var ts *TimeSeries
 	if n := testing.AllocsPerRun(100, func() {
-		ot := set.Start(1, nil)
+		ot := set.Start(1, &timer)
 		ot.Add(StageNet, 0.5)
 		ot.Add(StageQueue, 0.1)
 		set.Observe(ot, 2)
-		q.Observe(3)
 		ts.Observe(4, 5)
 	}); n != 0 {
 		t.Fatalf("disabled probes allocated %v times per run, want 0", n)
@@ -195,9 +188,10 @@ func BenchmarkOpTimerObserve(b *testing.B) {
 
 func BenchmarkOpTimerDisabled(b *testing.B) {
 	var set *OpTimerSet
+	var timer OpTimer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ot := set.Start(float64(i), nil)
+		ot := set.Start(float64(i), &timer)
 		ot.Add(StageNet, 0.5)
 		set.Observe(ot, float64(i)+1)
 	}

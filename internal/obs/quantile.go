@@ -25,25 +25,14 @@ const quantChunk = 8 << 10
 // in chunks that are never copied once full, and a snapshot is linear in
 // the sample count (selection, not a sort).
 //
-// The zero of a nil *Quantile is a valid no-op instrument, matching the
-// other obs handles: probe sites call Observe unconditionally and pay one
-// branch when analytics are disabled.
+// Quantiles are the columns of an OpTimerSet: every column of one set
+// shares the set's mutex, and observeRow appends a whole row under it.
 type Quantile struct {
-	mu   *sync.Mutex // its own, or the one an OpTimerSet's columns share
+	mu   *sync.Mutex // shared by the columns of one OpTimerSet
 	cur  []float64   // the chunk being filled, at its full length
 	i    int         // samples in cur
 	full [][]float64 // filled chunks, quantChunk samples each
 	sum  float64
-}
-
-// Observe records one sample. No-op on a nil receiver.
-func (q *Quantile) Observe(v float64) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	q.add(v)
-	q.mu.Unlock()
 }
 
 // add appends v; the caller holds q.mu.
@@ -73,16 +62,6 @@ func (q *Quantile) grow() {
 
 // count returns the number of samples; the caller holds q.mu.
 func (q *Quantile) count() int { return len(q.full)*quantChunk + q.i }
-
-// Count returns the number of observations (0 on a nil receiver).
-func (q *Quantile) Count() int {
-	if q == nil {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.count()
-}
 
 // observeRow appends vals[i] to cols[i] under the one lock the columns
 // share: an op timer's whole row costs one Lock.
@@ -307,20 +286,4 @@ func partitionAtMost(a []float64, p float64) int {
 		n += d
 	}
 	return n
-}
-
-// Quantile returns the named exact-quantile metric, creating it on first
-// use. Returns nil (a valid no-op instrument) on a nil registry.
-func (r *Registry) Quantile(name string) *Quantile {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q, ok := r.quants[name]
-	if !ok {
-		q = &Quantile{mu: new(sync.Mutex)}
-		r.quants[name] = q
-	}
-	return q
 }

@@ -27,16 +27,18 @@ func TestQuantileExactAgainstBruteForce(t *testing.T) {
 	// A deterministic but scrambled sample set (LCG, no global rand).
 	for _, n := range []int{1, 2, 3, 10, 99, 100, 101, 1000} {
 		r := NewRegistry()
-		q := r.Quantile("test.latency_s")
+		r.EnableOpTimers()
+		set := r.OpTimerSet("test.op")
+		var timer OpTimer
 		x := uint64(12345)
 		var samples []float64
 		for i := 0; i < n; i++ {
 			x = x*6364136223846793005 + 1442695040888963407
 			v := float64(x%1000000) / 1e6
 			samples = append(samples, v)
-			q.Observe(v)
+			set.Observe(set.Start(0, &timer), v)
 		}
-		s := r.Snapshot().Quantiles["test.latency_s"]
+		s := r.Snapshot().Quantiles["test.op.latency_s"]
 		if s.Count != uint64(n) {
 			t.Fatalf("n=%d: Count = %d", n, s.Count)
 		}
@@ -70,18 +72,6 @@ func TestQuantileExactAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestQuantileNilSafe(t *testing.T) {
-	var q *Quantile
-	q.Observe(1)
-	if q.Count() != 0 {
-		t.Fatalf("nil quantile Count = %d", q.Count())
-	}
-	var r *Registry
-	if r.Quantile("x.y") != nil {
-		t.Fatal("nil registry returned a non-nil quantile")
-	}
-}
-
 func TestSnapshotOmitsEmptyQuantiles(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pkg.ops.count").Inc()
@@ -92,7 +82,9 @@ func TestSnapshotOmitsEmptyQuantiles(t *testing.T) {
 	if strings.Contains(string(buf), "quantiles") || strings.Contains(string(buf), "timeseries") {
 		t.Fatalf("snapshot without analytics serialized analytics keys: %s", buf)
 	}
-	r.Quantile("pkg.latency.seconds").Observe(1)
+	r.EnableOpTimers()
+	set := r.OpTimerSet("pkg.op")
+	set.Observe(set.Start(0, new(OpTimer)), 1)
 	buf, err = json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -166,9 +158,9 @@ func fuzzInput(n int, pattern ...byte) []byte {
 }
 
 // FuzzQuantileSnapshot checks that ranking by selection gives exactly the
-// sort-based snapshot, for samples observed one at a time through
-// Quantile.Observe and a row at a time through OpTimerSet.Observe, and
-// that Percentile agrees with the sorted reference.
+// sort-based snapshot, for samples observed a row at a time through
+// OpTimerSet.Observe, and that Percentile agrees with the sorted
+// reference.
 func FuzzQuantileSnapshot(f *testing.F) {
 	f.Add(fuzzInput(0))
 	f.Add(fuzzInput(1, 4))
@@ -184,10 +176,6 @@ func FuzzQuantileSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewRegistry()
 		r.EnableOpTimers()
-		q := r.Quantile("fuzz.latency_s")
-		for _, v := range fuzzSamples(data, 0) {
-			q.Observe(v)
-		}
 		set := r.OpTimerSet("fuzz.op")
 		cols := make([][]float64, 1+NumStages)
 		for c := range cols {
@@ -207,7 +195,6 @@ func FuzzQuantileSnapshot(f *testing.F) {
 				t.Fatalf("%s over %d samples: selection gave %+v, sort gives %+v", name, len(samples), got, want)
 			}
 		}
-		check("fuzz.latency_s", cols[0])
 		check("fuzz.op.latency_s", cols[0])
 		for st := Stage(0); st < NumStages; st++ {
 			check("fuzz.op.stage."+st.String()+"_s", cols[1+st])
@@ -286,12 +273,3 @@ func BenchmarkQuantileSnapshot(b *testing.B) {
 }
 
 var benchSnapshot Snapshot
-
-func BenchmarkQuantileObserve(b *testing.B) {
-	r := NewRegistry()
-	q := r.Quantile("bench.latency_s")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Observe(float64(i))
-	}
-}

@@ -13,8 +13,9 @@ func reportSnapshot() Snapshot {
 	r.EnableOpTimers()
 	r.EnableTimeSeries(0.5)
 	set := r.OpTimerSet("pfs.write")
+	var timer OpTimer
 	for i := 0; i < 10; i++ {
-		ot := set.Start(float64(i), nil)
+		ot := set.Start(float64(i), &timer)
 		ot.Add(StageNet, 0.010)
 		ot.Add(StageDiskTransfer, 0.020)
 		set.Observe(ot, float64(i)+0.040)

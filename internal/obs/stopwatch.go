@@ -4,8 +4,8 @@ package obs
 import "time"
 
 // Stopwatch measures elapsed wall-clock time for the benchmark
-// harnesses (plfsbench -indexbench, pdsirepro's index/mdindex timing
-// loops) that report how fast the real machine runs, as opposed to the
+// harnesses (pdsibench, pdsirepro's index/mdindex timing loops) that
+// report how fast the real machine runs, as opposed to the
 // simulators, which must never see a wall clock.
 //
 // This file is the one sanctioned wall-time call site in the module:

@@ -51,16 +51,6 @@ func (ts *TimeSeries) Observe(tSec, v float64) {
 	ts.vals = append(ts.vals, v)
 }
 
-// Len returns the number of populated windows (0 on a nil receiver).
-func (ts *TimeSeries) Len() int {
-	if ts == nil {
-		return 0
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.wins)
-}
-
 // TimeSeriesSnapshot is the serialized state of one series: parallel
 // arrays of window-start times and values.
 type TimeSeriesSnapshot struct {

@@ -75,16 +75,6 @@ func (t *Tracer) append(e TraceEvent) {
 	t.mu.Unlock()
 }
 
-// Len reports recorded events (0 when nil).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // traceFile is the on-disk JSON object shape Perfetto and
 // chrome://tracing both accept.
 type traceFile struct {

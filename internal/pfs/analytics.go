@@ -8,9 +8,11 @@ import (
 )
 
 // Latency analytics: the opt-in attribution layer over the data path.
-// When the engine's registry has op timers enabled, every WriteErr/
-// ReadErr carries an obs.OpTimer through its pieces and folds it into
-// exact per-stage quantiles at completion; when sim-time series are
+// When the engine's registry has op timers enabled, a caller starts its
+// own obs.OpTimer with StartWriteOp or StartReadOp, WriteOp and ReadOp
+// charge it through every piece, and the caller folds it into exact
+// per-stage quantiles with FinishWriteOp or FinishReadOp once the
+// logical op has succeeded; when sim-time series are
 // enabled, a periodic sampler records per-OSS utilization, queue
 // depths, in-flight ops, and running rebuilds on a fixed window grid.
 // Neither exists on a default registry — disabled runs schedule the
@@ -66,12 +68,13 @@ func (fs *FS) rebuilding(s *server) bool {
 }
 
 // StartWriteOp restarts t as the stage timer of one logical write
-// operation and returns it (a new timer when t is nil), or returns nil
-// when op timers are disabled. Callers that manage their own retry loops
-// (the fault-injected workload harness) start one timer per logical op,
-// pass it through WriteOp attempts, charge obs.StageBackoff for retry
-// delays, and fold it in with FinishWriteOp on final success; one that
-// runs an op at a time can pass the same t for every op.
+// operation and returns it, or returns nil when op timers are disabled,
+// so the op runs untimed. t must not be nil. A caller that runs one op
+// at a time passes the same t for every op and allocates nothing; one
+// that manages its own retry loop (the fault-injected workload harness)
+// passes the timer through every WriteOp attempt, charges
+// obs.StageBackoff for retry delays, and folds it in with FinishWriteOp
+// on final success.
 func (fs *FS) StartWriteOp(t *obs.OpTimer) *obs.OpTimer {
 	return fs.otWrite.Start(float64(fs.eng.Now()), t)
 }
@@ -91,8 +94,3 @@ func (fs *FS) StartReadOp(t *obs.OpTimer) *obs.OpTimer {
 func (fs *FS) FinishReadOp(t *obs.OpTimer) {
 	fs.otRead.Observe(t, float64(fs.eng.Now()))
 }
-
-// InFlight reports the number of client data operations currently in
-// flight (0 unless time-series sampling is armed, which is what
-// maintains the count).
-func (fs *FS) InFlight() int64 { return fs.inflight }

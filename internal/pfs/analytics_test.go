@@ -18,13 +18,32 @@ func analyticsEngine(window float64) (*sim.Engine, *obs.Registry) {
 	return eng, reg
 }
 
+// timed issues one write or read under a fresh stage timer and observes
+// the timer when the op succeeds, as a workload harness times a logical
+// op.
+func timed(c *Client, f *File, read bool, off, size int64, done func(error)) {
+	start, op, finish := c.fs.StartWriteOp, c.WriteOp, c.fs.FinishWriteOp
+	if read {
+		start, op, finish = c.fs.StartReadOp, c.ReadOp, c.fs.FinishReadOp
+	}
+	ot := start(new(obs.OpTimer))
+	op(f, off, size, ot, func(err error) {
+		if err == nil {
+			finish(ot)
+		}
+		if done != nil {
+			done(err)
+		}
+	})
+}
+
 func TestAnalyticsQuantilesPopulated(t *testing.T) {
 	eng, reg := analyticsEngine(1e-3)
 	fs := New(eng, testConfig(4))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 4<<20, func() {
-			cl.Read(f, 0, 4<<20, nil)
+		timed(cl, f, false, 0, 4<<20, func(error) {
+			timed(cl, f, true, 0, 4<<20, nil)
 		})
 	})
 	eng.Run()
@@ -62,8 +81,8 @@ func TestAnalyticsQuantilesPopulated(t *testing.T) {
 	if wb != 1 || rb != 1 {
 		t.Fatalf("bottleneck counts = %d writes, %d reads, want 1 each", wb, rb)
 	}
-	if fs.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after drain, want 0", fs.InFlight())
+	if fs.inflight != 0 {
+		t.Fatalf("%d ops in flight after drain, want 0", fs.inflight)
 	}
 }
 
@@ -72,7 +91,7 @@ func TestAnalyticsSeriesPopulated(t *testing.T) {
 	fs := New(eng, testConfig(2))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 8<<20, nil)
+		cl.WriteOp(f, 0, 8<<20, nil, nil)
 	})
 	eng.Run()
 	_ = fs
@@ -109,11 +128,11 @@ func TestAnalyticsDegradedReadAttributed(t *testing.T) {
 	var f *File
 	cl.Create("/d", func(h *File) {
 		f = h
-		cl.Write(h, 0, 4<<20, nil)
+		cl.WriteOp(h, 0, 4<<20, nil, nil)
 	})
 	eng.Run()
 	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), eng.Now(), 0))
-	cl.ReadErr(f, 0, 4<<20, func(err error) {
+	timed(cl, f, true, 0, 4<<20, func(err error) {
 		if err != nil {
 			t.Errorf("degraded read failed: %v", err)
 		}
@@ -171,7 +190,7 @@ func TestAnalyticsDisabledLeavesNoTrace(t *testing.T) {
 	fs := New(eng, testConfig(2))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 1<<20, func() { cl.Read(f, 0, 1<<20, nil) })
+		cl.WriteOp(f, 0, 1<<20, nil, func(error) { cl.ReadOp(f, 0, 1<<20, nil, nil) })
 	})
 	eng.Run()
 	s := reg.Snapshot()
@@ -181,8 +200,5 @@ func TestAnalyticsDisabledLeavesNoTrace(t *testing.T) {
 	}
 	if fs.otWrite != nil || fs.otRead != nil || fs.tsOn {
 		t.Fatal("analytics handles armed without opt-in")
-	}
-	if eng.SampleInterval() != 0 {
-		t.Fatal("sampler armed without series enabled")
 	}
 }

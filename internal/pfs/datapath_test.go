@@ -56,8 +56,8 @@ func newDataPathRig(t testing.TB, sh dataPathShape) *dataPathRig {
 		r.write()
 		r.read()
 	}
-	if r.errs != 0 || r.f.Size() != r.size {
-		t.Fatalf("warm-up: %d errors, size %d, want 0 and %d", r.errs, r.f.Size(), r.size)
+	if r.errs != 0 || r.f.st.size != r.size {
+		t.Fatalf("warm-up: %d errors, size %d, want 0 and %d", r.errs, r.f.st.size, r.size)
 	}
 	return r
 }
@@ -152,7 +152,7 @@ func TestInvalidRangePanics(t *testing.T) {
 			}()
 		}
 	}
-	if eng.Pending() != 0 || f.Size() != 0 {
-		t.Fatalf("rejected ops left %d events pending and size %d", eng.Pending(), f.Size())
+	if eng.Pending() != 0 || f.st.size != 0 {
+		t.Fatalf("rejected ops left %d events pending and size %d", eng.Pending(), f.st.size)
 	}
 }

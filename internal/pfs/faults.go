@@ -19,7 +19,7 @@ import (
 // All of it is ordinary deterministic event traffic: same plan, same
 // seed, same trajectory.
 
-// ErrServerDown is returned by WriteErr/ReadErr completions when the
+// ErrServerDown is returned by WriteOp/ReadOp completions when the
 // operation's object storage server crashed before acknowledging, or —
 // for reads — when no redundancy group can reconstruct the data.
 var ErrServerDown = errors.New("pfs: object storage server down")

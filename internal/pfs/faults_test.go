@@ -26,7 +26,7 @@ func TestWriteToCrashedServerTimesOut(t *testing.T) {
 	var gotErr error
 	var doneAt sim.Time
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 4096, func(err error) {
+		cl.WriteOp(f, 0, 4096, nil, func(err error) {
 			gotErr = err
 			doneAt = eng.Now()
 		})
@@ -51,11 +51,11 @@ func TestFailedWriteDoesNotGrowFile(t *testing.T) {
 	var f *File
 	cl.Create("/f", func(h *File) {
 		f = h
-		cl.WriteErr(h, 0, 1<<20, func(error) {})
+		cl.WriteOp(h, 0, 1<<20, nil, func(error) {})
 	})
 	eng.Run()
-	if f.Size() != 0 {
-		t.Fatalf("failed write grew file to %d bytes", f.Size())
+	if f.st.size != 0 {
+		t.Fatalf("failed write grew file to %d bytes", f.st.size)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestCrashMidWriteFailsInFlightOp(t *testing.T) {
 	cl := fs.NewClient(0)
 	var gotErr error
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 8<<20, func(err error) { gotErr = err })
+		cl.WriteOp(f, 0, 8<<20, nil, func(err error) { gotErr = err })
 	})
 	eng.Run()
 	if !errors.Is(gotErr, ErrServerDown) {
@@ -92,7 +92,7 @@ func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 		var f *File
 		cl.Create("/f", func(h *File) {
 			f = h
-			cl.Write(h, 0, 4<<20, nil)
+			cl.WriteOp(h, 0, 4<<20, nil, nil)
 		})
 		eng.Run()
 		if crash {
@@ -101,7 +101,7 @@ func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 			fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), eng.Now(), 0))
 		}
 		start := eng.Now()
-		cl.ReadErr(f, 0, 4<<20, func(e error) {
+		cl.ReadOp(f, 0, 4<<20, nil, func(e error) {
 			elapsed = eng.Now() - start
 			err = e
 		})
@@ -130,7 +130,7 @@ func TestUnprotectedReadOfDownServerFails(t *testing.T) {
 	var f *File
 	cl.Create("/f", func(h *File) {
 		f = h
-		cl.Write(h, 0, fs.Cfg.StripeUnit, nil)
+		cl.WriteOp(h, 0, fs.Cfg.StripeUnit, nil, nil)
 	})
 	eng.Run()
 	home := fs.serverFor(f.st, 0).idx
@@ -138,7 +138,7 @@ func TestUnprotectedReadOfDownServerFails(t *testing.T) {
 	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(home), start, 0))
 	var gotErr error
 	var doneAt sim.Time
-	cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) {
+	cl.ReadOp(f, 0, fs.Cfg.StripeUnit, nil, func(err error) {
 		gotErr = err
 		doneAt = eng.Now()
 	})
@@ -161,14 +161,14 @@ func TestAllServersDownReadFails(t *testing.T) {
 	var f *File
 	cl.Create("/f", func(h *File) {
 		f = h
-		cl.Write(h, 0, 1<<20, nil)
+		cl.WriteOp(h, 0, 1<<20, nil, nil)
 	})
 	eng.Run()
 	fs.InjectFaults(sim.NewFaultPlan().
 		Add(OSSTarget(0), eng.Now(), 0).
 		Add(OSSTarget(1), eng.Now(), 0))
 	var gotErr error
-	cl.ReadErr(f, 0, 1<<20, func(err error) { gotErr = err })
+	cl.ReadOp(f, 0, 1<<20, nil, func(err error) { gotErr = err })
 	eng.Run()
 	if !errors.Is(gotErr, ErrServerDown) {
 		t.Fatalf("err = %v, want ErrServerDown", gotErr)
@@ -187,8 +187,8 @@ func TestLeaseExpiryDelaysNextWriter(t *testing.T) {
 	cl0, cl1 := fs.NewClient(0), fs.NewClient(1)
 	var doneAt sim.Time
 	cl0.Create("/f", func(f *File) {
-		cl0.WriteErr(f, 0, 4096, func(error) {})
-		cl1.WriteErr(f, 0, 4096, func(error) { doneAt = eng.Now() })
+		cl0.WriteOp(f, 0, 4096, nil, func(error) {})
+		cl1.WriteOp(f, 0, 4096, nil, func(error) { doneAt = eng.Now() })
 	})
 	eng.Run()
 	if fs.FaultStats().LeaseExpiries == 0 {
@@ -209,7 +209,7 @@ func TestRecoveredServerServesWrites(t *testing.T) {
 	cl := fs.NewClient(0)
 	var gotErr = errors.New("never completed")
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 1<<20, func(err error) { gotErr = err })
+		cl.WriteOp(f, 0, 1<<20, nil, func(err error) { gotErr = err })
 	})
 	eng.Run()
 	if gotErr != nil {
@@ -230,7 +230,7 @@ func TestFaultCountersAppearInSnapshot(t *testing.T) {
 	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), 0, sim.Time(10e-3)))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 1<<20, func(error) {})
+		cl.WriteOp(f, 0, 1<<20, nil, func(error) {})
 	})
 	eng.Run()
 	s := reg.Snapshot()
@@ -271,8 +271,8 @@ func TestNoFaultsRunIsByteIdenticalWithFaultLayerPresent(t *testing.T) {
 		fs := New(eng, cfg)
 		cl := fs.NewClient(0)
 		cl.Create("/f", func(f *File) {
-			cl.Write(f, 0, 8<<20, func() {
-				cl.Read(f, 0, 8<<20, nil)
+			cl.WriteOp(f, 0, 8<<20, nil, func(error) {
+				cl.ReadOp(f, 0, 8<<20, nil, nil)
 			})
 		})
 		eng.Run()

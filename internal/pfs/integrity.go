@@ -29,7 +29,7 @@ import (
 // without allocating, no integrity metrics are registered, and the event
 // trajectory is byte-identical to a build without it.
 
-// ErrCorruptData is returned by ReadErr completions when a checksum
+// ErrCorruptData is returned by ReadOp completions when a checksum
 // mismatch cannot be repaired: the stripe unit belongs to no redundancy
 // group, or fewer than k of its group's other members are live.
 var ErrCorruptData = errors.New("pfs: unrecoverable corrupt data")

@@ -65,10 +65,10 @@ func writeUnits(t *testing.T, eng *sim.Engine, fs *FS, n int) *File {
 	var f *File
 	cl.Create("/f", func(h *File) {
 		f = h
-		cl.Write(h, 0, int64(n)*fs.Cfg.StripeUnit, nil)
+		cl.WriteOp(h, 0, int64(n)*fs.Cfg.StripeUnit, nil, nil)
 	})
 	eng.Run()
-	if f == nil || f.Size() != int64(n)*fs.Cfg.StripeUnit {
+	if f == nil || f.st.size != int64(n)*fs.Cfg.StripeUnit {
 		t.Fatalf("setup write failed: %+v", f)
 	}
 	return f
@@ -84,7 +84,7 @@ func TestChecksumReadDetectsAndRepairs(t *testing.T) {
 	cl := fs.NewClient(1)
 	gotErr := errors.New("read never completed")
 	eng.At(2, func() {
-		cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) { gotErr = err })
+		cl.ReadOp(f, 0, fs.Cfg.StripeUnit, nil, func(err error) { gotErr = err })
 	})
 	eng.Run()
 	if gotErr != nil {
@@ -99,7 +99,7 @@ func TestChecksumReadDetectsAndRepairs(t *testing.T) {
 	}
 	// The repaired unit reads clean from now on.
 	eng.At(eng.Now()+1, func() {
-		cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) { gotErr = err })
+		cl.ReadOp(f, 0, fs.Cfg.StripeUnit, nil, func(err error) { gotErr = err })
 	})
 	eng.Run()
 	if gotErr != nil || fs.IntegrityStats().Detected != 1 {
@@ -121,7 +121,7 @@ func TestChecksumsOffReadsCorruptBytesSilently(t *testing.T) {
 	cl := fs.NewClient(1)
 	gotErr := errors.New("read never completed")
 	eng.At(2, func() {
-		cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) { gotErr = err })
+		cl.ReadOp(f, 0, fs.Cfg.StripeUnit, nil, func(err error) { gotErr = err })
 	})
 	eng.Run()
 	if gotErr != nil {
@@ -158,7 +158,7 @@ func TestChecksumMismatchWithNoSurvivorIsUnrecoverable(t *testing.T) {
 	cl := fs.NewClient(1)
 	gotErr := errors.New("read never completed")
 	eng.At(2, func() {
-		cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) { gotErr = err })
+		cl.ReadOp(f, 0, fs.Cfg.StripeUnit, nil, func(err error) { gotErr = err })
 	})
 	eng.Run()
 	if !errors.Is(gotErr, ErrCorruptData) {
@@ -182,7 +182,7 @@ func TestUnprotectedCorruptionIsUnrecoverable(t *testing.T) {
 	cl := fs.NewClient(1)
 	gotErr := errors.New("read never completed")
 	eng.At(2, func() {
-		cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) { gotErr = err })
+		cl.ReadOp(f, 0, fs.Cfg.StripeUnit, nil, func(err error) { gotErr = err })
 	})
 	eng.Run()
 	if !errors.Is(gotErr, ErrCorruptData) {
@@ -207,7 +207,7 @@ func TestOverwriteClearsLatentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := fs.NewClient(0)
-	eng.At(2, func() { cl.Write(f, 0, fs.Cfg.StripeUnit, nil) })
+	eng.At(2, func() { cl.WriteOp(f, 0, fs.Cfg.StripeUnit, nil, nil) })
 	eng.Run()
 	if fs.UnrepairedCorruption() != 0 {
 		t.Fatal("full overwrite left the corruption live")
@@ -279,7 +279,7 @@ func TestScrubRepairRestoresCleanContents(t *testing.T) {
 		cl := fs.NewClient(1)
 		var readErr error
 		eng.At(eng.Now()+1, func() {
-			cl.ReadErr(f, 0, int64(units)*fs.Cfg.StripeUnit, func(err error) { readErr = err })
+			cl.ReadOp(f, 0, int64(units)*fs.Cfg.StripeUnit, nil, func(err error) { readErr = err })
 		})
 		before := fs.IntegrityStats()
 		eng.Run()
@@ -340,7 +340,7 @@ func TestNoCorruptionReachesReadsUnflagged(t *testing.T) {
 	cl := fs.NewClient(1)
 	reads, flagged := 0, 0
 	readAll := func() {
-		cl.ReadErr(f, 0, f.Size(), func(err error) {
+		cl.ReadOp(f, 0, f.st.size, nil, func(err error) {
 			reads++
 			if err != nil {
 				if !errors.Is(err, ErrCorruptData) {
@@ -419,7 +419,7 @@ func TestIntegrityRunDeterministicPerSeed(t *testing.T) {
 		}
 		cl := fs.NewClient(1)
 		eng.At(4, func() { fs.Scrub(nil) })
-		eng.At(9, func() { cl.ReadErr(f, 0, f.Size(), func(error) {}) })
+		eng.At(9, func() { cl.ReadOp(f, 0, f.st.size, nil, func(error) {}) })
 		eng.Run()
 		var buf bytes.Buffer
 		if err := reg.WriteJSON(&buf); err != nil {

@@ -15,9 +15,6 @@ type File struct {
 	st *fileState
 }
 
-// Size returns the current end-of-file offset.
-func (f *File) Size() int64 { return f.st.size }
-
 // Name returns the file's path name.
 func (f *File) Name() string { return f.st.name }
 
@@ -34,9 +31,6 @@ type Client struct {
 func (fs *FS) NewClient(id int) *Client {
 	return &Client{fs: fs, id: id, nic: sim.NewServer(fs.eng, 1)}
 }
-
-// ID returns the client id.
-func (c *Client) ID() int { return c.id }
 
 // parentDir returns the directory component of a path.
 func parentDir(name string) string {
@@ -158,47 +152,19 @@ func checkRange(op string, off, size int64) {
 	}
 }
 
-// Write writes [off, off+size) and calls done at completion. The path per
-// stripe unit is: client NIC transfer -> stripe lock acquisition (revoke
-// if another client owns it) -> RPC latency -> server NIC -> disk write,
-// with read-modify-write if the piece does not cover its unit.
-// Write ignores server failures; fault-aware callers use WriteErr.
-func (c *Client) Write(f *File, off, size int64, done func()) {
-	if done == nil {
-		c.WriteErr(f, off, size, nil)
-		return
-	}
-	c.WriteErr(f, off, size, func(error) { done() }) //lint:allow errflow -- Write is the fault-blind variant; its doc sends fault-aware callers to WriteErr
-}
-
-// WriteErr is Write with failure reporting: done receives ErrServerDown
-// when any piece's server crashed before acknowledging. The file size
-// only advances on full success, so a failed checkpoint write leaves no
-// phantom extent. Write and WriteErr issue the same events. When op
-// timers are enabled the write carries a stage timer, observed into the
-// pfs.write quantiles on success.
-func (c *Client) WriteErr(f *File, off, size int64, done func(error)) {
-	set := c.fs.otWrite
-	if set == nil {
-		c.WriteOp(f, off, size, nil, done)
-		return
-	}
-	ot := c.fs.StartWriteOp(nil)
-	c.WriteOp(f, off, size, ot, func(err error) {
-		if err == nil {
-			c.fs.FinishWriteOp(ot)
-		}
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
-// WriteOp is WriteErr with a caller-owned stage timer: ot (which may be
-// nil) accumulates per-stage sim-time but is NOT observed at
-// completion, so a retry loop can carry one timer across attempts and
-// fold it in once via FinishWriteOp. The event trajectory is identical
-// to WriteErr's. A negative off, or an off+size past MaxInt64, panics.
+// WriteOp writes [off, off+size) and calls done at completion. The path
+// per stripe unit is: client NIC transfer -> stripe lock acquisition
+// (revoke if another client owns it) -> RPC latency -> server NIC ->
+// disk write, with read-modify-write if the piece does not cover its
+// unit. done receives ErrServerDown when any piece's server crashed
+// before acknowledging; the file size only advances on full success, so
+// a failed checkpoint write leaves no phantom extent.
+//
+// ot is the caller's stage timer and nil leaves the op untimed. The op
+// charges each stage to ot but never observes it: the caller folds it
+// in with FinishWriteOp once the logical op has succeeded, so a retry
+// loop can carry one timer across attempts. A negative off, or an
+// off+size past MaxInt64, panics.
 func (c *Client) WriteOp(f *File, off, size int64, ot *obs.OpTimer, done func(error)) {
 	checkRange("WriteOp", off, size)
 	fs := c.fs
@@ -216,41 +182,13 @@ func (c *Client) WriteOp(f *File, off, size int64, ot *obs.OpTimer, done func(er
 	}
 }
 
-// Read reads [off, off+size) and calls done at completion. Reads skip the
-// lock manager and RMW but follow the same network/disk path. Read
-// ignores server failures; fault-aware callers use ReadErr.
-func (c *Client) Read(f *File, off, size int64, done func()) {
-	if done == nil {
-		c.ReadErr(f, off, size, nil)
-		return
-	}
-	c.ReadErr(f, off, size, func(error) { done() }) //lint:allow errflow -- Read is the fault-blind variant; its doc sends fault-aware callers to ReadErr
-}
-
-// ReadErr is Read with failure reporting. A piece whose home server is
-// down is reconstructed from k survivors of its redundancy group at
-// degraded cost; done receives ErrServerDown when there is no group to
-// reconstruct from, and ErrDataLoss when the group lost more than m.
-// When op timers are enabled the read carries a stage timer, observed
-// into the pfs.read quantiles on success.
-func (c *Client) ReadErr(f *File, off, size int64, done func(error)) {
-	set := c.fs.otRead
-	if set == nil {
-		c.ReadOp(f, off, size, nil, done)
-		return
-	}
-	ot := c.fs.StartReadOp(nil)
-	c.ReadOp(f, off, size, ot, func(err error) {
-		if err == nil {
-			c.fs.FinishReadOp(ot)
-		}
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
-// ReadOp is ReadErr with a caller-owned stage timer (see WriteOp).
+// ReadOp reads [off, off+size) and calls done at completion. Reads skip
+// the lock manager and RMW but follow the same network/disk path. A
+// piece whose home server is down is reconstructed from k survivors of
+// its redundancy group at degraded cost; done receives ErrServerDown
+// when there is no group to reconstruct from, and ErrDataLoss when the
+// group lost more than m. ot is timed as WriteOp's is, and folded in
+// with FinishReadOp.
 func (c *Client) ReadOp(f *File, off, size int64, ot *obs.OpTimer, done func(error)) {
 	checkRange("ReadOp", off, size)
 	fs := c.fs

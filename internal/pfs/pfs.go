@@ -363,7 +363,6 @@ type FS struct {
 	live []liveMember
 
 	metadataOps int64
-	lockRevokes int64
 
 	// Fault accounting (see faults.go).
 	faults FaultStats
@@ -541,14 +540,8 @@ func (fs *FS) instrument() {
 // Engine returns the engine the file system is bound to.
 func (fs *FS) Engine() *sim.Engine { return fs.eng }
 
-// NumFiles reports how many files exist.
-func (fs *FS) NumFiles() int { return len(fs.files) }
-
 // MetadataOps reports completed metadata operations.
 func (fs *FS) MetadataOps() int64 { return fs.metadataOps }
-
-// LockRevokes reports how many times a stripe lock changed owner.
-func (fs *FS) LockRevokes() int64 { return fs.lockRevokes }
 
 // serverFor maps a file's stripe unit to a server, offsetting by file id so
 // different files start their stripe rotation on different servers (as real
@@ -573,7 +566,6 @@ func (fs *FS) grant(lk *stripeLock, client int, h sim.Handler) {
 	delay := sim.Time(0)
 	if lk.owner != -1 && lk.owner != client {
 		delay = fs.Cfg.LockRevoke
-		fs.lockRevokes++
 		fs.cRevokes.Inc()
 	}
 	lk.owner = client
@@ -616,23 +608,4 @@ func (fs *FS) releaseDir(dir string) {
 		lk.owner = next.client
 		next.h.Handle()
 	}
-}
-
-// BytesWritten sums payload bytes written across servers (excludes RMW
-// traffic).
-func (fs *FS) BytesWritten() int64 {
-	var n int64
-	for _, s := range fs.servers {
-		n += s.bytesWritten
-	}
-	return n
-}
-
-// ServerUtilizations returns each server's disk-queue utilization.
-func (fs *FS) ServerUtilizations() []float64 {
-	out := make([]float64, len(fs.servers))
-	for i, s := range fs.servers {
-		out[i] = s.dq.Utilization()
-	}
-	return out
 }

@@ -58,20 +58,24 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 	cl := fs.NewClient(0)
 	var wrote, read bool
 	cl.Create("/ckpt", func(f *File) {
-		cl.Write(f, 0, 1<<20, func() {
+		cl.WriteOp(f, 0, 1<<20, nil, func(error) {
 			wrote = true
-			if f.Size() != 1<<20 {
-				t.Errorf("Size = %d, want %d", f.Size(), 1<<20)
+			if f.st.size != 1<<20 {
+				t.Errorf("Size = %d, want %d", f.st.size, 1<<20)
 			}
-			cl.Read(f, 0, 1<<20, func() { read = true })
+			cl.ReadOp(f, 0, 1<<20, nil, func(error) { read = true })
 		})
 	})
 	eng.Run()
 	if !wrote || !read {
 		t.Fatalf("wrote=%v read=%v, want both true", wrote, read)
 	}
-	if fs.BytesWritten() != 1<<20 {
-		t.Fatalf("BytesWritten = %d, want %d", fs.BytesWritten(), 1<<20)
+	var written int64
+	for _, s := range fs.servers {
+		written += s.bytesWritten
+	}
+	if written != 1<<20 {
+		t.Fatalf("servers wrote %d bytes, want %d", written, 1<<20)
 	}
 	if fs.MetadataOps() != 1 {
 		t.Fatalf("MetadataOps = %d, want 1", fs.MetadataOps())
@@ -83,13 +87,13 @@ func TestWriteGrowsFileMonotonically(t *testing.T) {
 	fs := New(eng, testConfig(2))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 100, 50, nil)
-		cl.Write(f, 0, 10, nil) // does not shrink
+		cl.WriteOp(f, 100, 50, nil, nil)
+		cl.WriteOp(f, 0, 10, nil, nil) // does not shrink
 	})
 	eng.Run()
 	cl2 := fs.NewClient(1)
 	var size int64
-	cl2.Open("/f", func(f *File) { size = f.Size() })
+	cl2.Open("/f", func(f *File) { size = f.st.size })
 	eng.Run()
 	if size != 150 {
 		t.Fatalf("size = %d, want 150", size)
@@ -102,8 +106,8 @@ func TestZeroSizeOpsCompleteImmediately(t *testing.T) {
 	cl := fs.NewClient(0)
 	calls := 0
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 0, func() { calls++ })
-		cl.Read(f, 0, 0, func() { calls++ })
+		cl.WriteOp(f, 0, 0, nil, func(error) { calls++ })
+		cl.ReadOp(f, 0, 0, nil, func(error) { calls++ })
 	})
 	eng.Run()
 	if calls != 2 {
@@ -137,7 +141,7 @@ func aggregateWrite(t *testing.T, cfg Config, nClients int, perClient int64, rec
 			} else {
 				off = i * recSize
 			}
-			cl.Write(f, off, recSize, func() { issue(i + 1) })
+			cl.WriteOp(f, off, recSize, nil, func(error) { issue(i + 1) })
 		}
 		issue(0)
 	}
@@ -216,10 +220,13 @@ func TestServerUtilizationBalancedUnderStriping(t *testing.T) {
 	fs := New(eng, cfg)
 	cl := fs.NewClient(0)
 	cl.Create("/big", func(f *File) {
-		cl.Write(f, 0, 64<<20, nil)
+		cl.WriteOp(f, 0, 64<<20, nil, nil)
 	})
 	eng.Run()
-	utils := fs.ServerUtilizations()
+	utils := make([]float64, len(fs.servers))
+	for i, s := range fs.servers {
+		utils[i] = s.dq.Utilization()
+	}
 	lo, hi := utils[0], utils[0]
 	for _, u := range utils {
 		if u < lo {
@@ -240,7 +247,7 @@ func TestReadOfHoleCostsNoDiskTime(t *testing.T) {
 	cl := fs.NewClient(0)
 	var done bool
 	cl.Create("/sparse", func(f *File) {
-		cl.Read(f, 10<<20, 4096, func() { done = true })
+		cl.ReadOp(f, 10<<20, 4096, nil, func(error) { done = true })
 	})
 	eng.Run()
 	if !done {

@@ -3,6 +3,7 @@ package pfs
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -17,7 +18,7 @@ func aggregateRead(t *testing.T, cfg Config, nClients int, perClient, recSize in
 	written := 0
 	populate := func(name string, size int64, then func(*File)) {
 		writer.Create(name, func(f *File) {
-			writer.Write(f, 0, size, func() { written++; then(f) })
+			writer.WriteOp(f, 0, size, nil, func(error) { written++; then(f) })
 		})
 	}
 	var start, end sim.Time
@@ -36,7 +37,7 @@ func aggregateRead(t *testing.T, cfg Config, nClients int, perClient, recSize in
 			} else {
 				off = i * recSize
 			}
-			cl.Read(f, off, recSize, func() { issue(i + 1) })
+			cl.ReadOp(f, off, recSize, nil, func(error) { issue(i + 1) })
 		}
 		issue(0)
 	}
@@ -86,27 +87,21 @@ func TestLargeReadsBeatSmallStridedReads(t *testing.T) {
 func TestSharedReadsNeedNoLockRevokes(t *testing.T) {
 	cfg := PanFSLike(4)
 	eng := sim.NewEngine()
+	reg := obs.NewRegistry()
+	eng.Instrument(reg, nil)
 	fs := New(eng, cfg)
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 4<<20, func() {
-			before := fs.LockRevokes()
-			readers := make([]*Client, 4)
-			for i := range readers {
-				readers[i] = fs.NewClient(i + 1)
+		cl.WriteOp(f, 0, 4<<20, nil, func(error) {
+			for i := 0; i < 4; i++ {
+				fs.NewClient(i+1).ReadOp(f, int64(i)*47008, 47008, nil, nil)
 			}
-			for i, r := range readers {
-				r.Read(f, int64(i)*47008, 47008, nil)
-			}
-			eng.Schedule(0, func() {
-				_ = before
-			})
 		})
 	})
 	eng.Run()
-	// Writers grabbed locks; the concurrent readers must not have added
-	// revocations beyond the write phase's.
-	if fs.LockRevokes() != 0 {
-		t.Fatalf("single-writer + readers produced %d revokes, want 0", fs.LockRevokes())
+	// The writer grabbed locks; the concurrent readers must not have
+	// added revocations.
+	if n := reg.Snapshot().Counters["pfs.lock.revokes"]; n != 0 {
+		t.Fatalf("single-writer + readers produced %d revokes, want 0", n)
 	}
 }

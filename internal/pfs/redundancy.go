@@ -27,7 +27,7 @@ import (
 // panic. With the zero Redundancy value none of this exists: data is
 // unprotected, and a down server's reads fail with ErrServerDown.
 
-// ErrDataLoss is returned by ReadErr completions when more than m
+// ErrDataLoss is returned by ReadOp completions when more than m
 // members of the piece's redundancy group are concurrently failed —
 // fewer than k survivors remain, so nothing can reconstruct the data.
 var ErrDataLoss = errors.New("pfs: data loss: redundancy group lost more than m members")

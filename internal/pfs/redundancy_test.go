@@ -57,7 +57,7 @@ func TestRedundancyZeroValueInert(t *testing.T) {
 		Add(OSSTarget(1), 0, 0))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 1<<20, func(error) {})
+		cl.WriteOp(f, 0, 1<<20, nil, func(error) {})
 	})
 	eng.Run()
 	if fs.RedundancyGroups() != 0 {
@@ -84,7 +84,7 @@ func TestECWriteUpdatesRedundancyFragments(t *testing.T) {
 	cl := fs.NewClient(0)
 	var wrote bool
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 64<<10, func(err error) {
+		cl.WriteOp(f, 0, 64<<10, nil, func(err error) {
 			if err != nil {
 				t.Errorf("write failed: %v", err)
 			}
@@ -128,9 +128,9 @@ func TestECDegradedReadReconstructsFromKSurvivors(t *testing.T) {
 	var readErr error
 	var read bool
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 64<<10, func(error) {})
+		cl.WriteOp(f, 0, 64<<10, nil, func(error) {})
 		eng.Schedule(sim.Time(1.0001), func() {
-			cl.ReadErr(f, 0, 64<<10, func(err error) { readErr = err; read = true })
+			cl.ReadOp(f, 0, 64<<10, nil, func(err error) { readErr = err; read = true })
 		})
 	})
 	eng.Run()
@@ -171,9 +171,9 @@ func TestOverlappingFailuresBeyondMAreTypedLossEvents(t *testing.T) {
 	cl := fs.NewClient(0)
 	var readErr error
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 64<<10, func(error) {})
+		cl.WriteOp(f, 0, 64<<10, nil, func(error) {})
 		eng.Schedule(sim.Time(2), func() {
-			cl.ReadErr(f, 0, 64<<10, func(err error) { readErr = err })
+			cl.ReadOp(f, 0, 64<<10, nil, func(err error) { readErr = err })
 		})
 	})
 	eng.Run()
@@ -387,13 +387,13 @@ func TestScrubJoinsInFlightRepairWithoutDoubleCounting(t *testing.T) {
 	cl := fs.NewClient(0)
 	var errs []error
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 64<<10, func(error) {})
+		cl.WriteOp(f, 0, 64<<10, nil, func(error) {})
 		eng.Schedule(sim.Time(1), func() {
 			if n := fs.CorruptExtent("/f", 0, 64<<10); n != 1 {
 				t.Errorf("corrupted %d pieces, want 1", n)
 			}
 			for i := 0; i < 2; i++ {
-				cl.ReadErr(f, 0, 64<<10, func(err error) { errs = append(errs, err) })
+				cl.ReadOp(f, 0, 64<<10, nil, func(err error) { errs = append(errs, err) })
 			}
 		})
 		eng.Schedule(sim.Time(2), func() { fs.Scrub(nil) })
@@ -427,7 +427,7 @@ func TestScrubDuringRebuildStormStaysConsistent(t *testing.T) {
 	cl := fs.NewClient(0)
 	var scrubbed bool
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 1<<20, func(error) {})
+		cl.WriteOp(f, 0, 1<<20, nil, func(error) {})
 	})
 	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(2), sim.Time(1), 0))
 	eng.Schedule(sim.Time(1.0001), func() {
@@ -456,11 +456,11 @@ func TestECRunDeterministicSnapshot(t *testing.T) {
 			Add(OSSTarget(7), sim.Time(0.75), sim.Time(2)))
 		cl := fs.NewClient(0)
 		cl.Create("/f", func(f *File) {
-			cl.WriteErr(f, 0, 4<<20, func(error) {
-				cl.ReadErr(f, 0, 4<<20, func(error) {})
+			cl.WriteOp(f, 0, 4<<20, nil, func(error) {
+				cl.ReadOp(f, 0, 4<<20, nil, func(error) {})
 			})
 			eng.Schedule(sim.Time(1), func() {
-				cl.ReadErr(f, 0, 4<<20, func(error) {})
+				cl.ReadOp(f, 0, 4<<20, nil, func(error) {})
 			})
 		})
 		eng.Run()

@@ -168,15 +168,3 @@ func MixedPhases(blocks int, stride int, passes int) []int64 {
 	}
 	return out
 }
-
-// NestedLoop builds a stream of an outer loop re-reading an inner block
-// sequence (e.g. per-timestep analysis passes over the same file region).
-func NestedLoop(outer, inner int) []int64 {
-	out := make([]int64, 0, outer*inner)
-	for o := 0; o < outer; o++ {
-		for i := 0; i < inner; i++ {
-			out = append(out, int64(i))
-		}
-	}
-	return out
-}

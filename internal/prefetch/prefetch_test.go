@@ -25,7 +25,7 @@ func TestNoPredictionOnColdStart(t *testing.T) {
 }
 
 func TestSequentialStreamLearned(t *testing.T) {
-	m := Evaluate(NestedLoop(10, 100), 1)
+	m := Evaluate(nestedLoop(10, 100), 1)
 	// After the first pass the order-1 model knows i -> i+1 (and the wrap).
 	if m.Accuracy < 0.85 {
 		t.Fatalf("order-1 accuracy on nested loop = %v, want high", m.Accuracy)
@@ -64,7 +64,7 @@ func TestGMCBeatsOrderOne(t *testing.T) {
 }
 
 func TestHigherOrderNotWorseOnSequential(t *testing.T) {
-	stream := NestedLoop(10, 100)
+	stream := nestedLoop(10, 100)
 	m1 := Evaluate(stream, 1)
 	m3 := Evaluate(stream, 3)
 	if m3.Accuracy < m1.Accuracy*0.95 {
@@ -88,7 +88,7 @@ func TestPredictDeterministicTieBreak(t *testing.T) {
 
 func TestCountersConsistent(t *testing.T) {
 	p := New(2)
-	stream := NestedLoop(5, 20)
+	stream := nestedLoop(5, 20)
 	for _, b := range stream {
 		p.Observe(b)
 	}
@@ -115,4 +115,16 @@ func TestMixedPhasesCoverAllBlocks(t *testing.T) {
 			t.Fatalf("block %d touched %d times, want 2", b, n)
 		}
 	}
+}
+
+// nestedLoop builds a stream of an outer loop re-reading an inner block
+// sequence (e.g. per-timestep analysis passes over the same file region).
+func nestedLoop(outer, inner int) []int64 {
+	out := make([]int64, 0, outer*inner)
+	for o := 0; o < outer; o++ {
+		for i := 0; i < inner; i++ {
+			out = append(out, int64(i))
+		}
+	}
+	return out
 }

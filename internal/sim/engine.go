@@ -31,9 +31,6 @@ type Time float64
 // Infinity is a time later than any event the engine will ever dispatch.
 const Infinity = Time(math.MaxFloat64)
 
-// Seconds formats a Time for human-readable output.
-func (t Time) Seconds() float64 { return float64(t) }
-
 func (t Time) String() string {
 	switch {
 	case t >= 1:

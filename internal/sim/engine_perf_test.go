@@ -198,8 +198,8 @@ func TestServerResubmitFromDoneReusesRequest(t *testing.T) {
 			t.Fatalf("completions = %v, want %v", got, want)
 		}
 	}
-	if s.Served() != 4 || s.QueueLen() != 0 {
-		t.Fatalf("Served() = %d, QueueLen() = %d, want 4, 0", s.Served(), s.QueueLen())
+	if s.served != 4 || s.QueueLen() != 0 {
+		t.Fatalf("served = %d, QueueLen() = %d, want 4, 0", s.served, s.QueueLen())
 	}
 }
 

@@ -141,8 +141,8 @@ func TestServerSerializesRequests(t *testing.T) {
 			t.Fatalf("completions = %v, want %v", completions, want)
 		}
 	}
-	if s.Served() != 3 {
-		t.Errorf("Served() = %d, want 3", s.Served())
+	if s.served != 3 {
+		t.Errorf("served = %d, want 3", s.served)
 	}
 }
 
@@ -191,8 +191,8 @@ func TestBarrier(t *testing.T) {
 	if doneAt != 9 {
 		t.Fatalf("barrier completed at %v, want 9 (last arrival)", doneAt)
 	}
-	if b.Remaining() != 0 {
-		t.Fatalf("Remaining() = %d, want 0", b.Remaining())
+	if b.got != b.need {
+		t.Fatalf("%d of %d arrivals after completion", b.got, b.need)
 	}
 }
 

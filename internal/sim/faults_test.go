@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -92,8 +94,16 @@ func TestFaultPlanInstrumentsInjections(t *testing.T) {
 	if got := s.Counters["sim.faults.recovered"]; got != 1 {
 		t.Fatalf("sim.faults.recovered = %d, want 1", got)
 	}
-	if tr.Len() != 3 { // 2 crashes + 1 recovery
-		t.Fatalf("trace events = %d, want 3", tr.Len())
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct{ TraceEvents []obs.TraceEvent }
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.TraceEvents) != 3 { // 2 crashes + 1 recovery
+		t.Fatalf("trace events = %d, want 3", len(f.TraceEvents))
 	}
 }
 

@@ -79,8 +79,8 @@ func TestServerMeanWait(t *testing.T) {
 	s.Submit(2, nil)
 	s.Submit(2, nil)
 	e.Run()
-	if got := s.WaitedTime(); got != 6 {
-		t.Fatalf("WaitedTime() = %v, want 6", got)
+	if got := s.waitedTime; got != 6 {
+		t.Fatalf("waitedTime = %v, want 6", got)
 	}
 	if got := s.MeanWait(); got != 2 {
 		t.Fatalf("MeanWait() = %v, want 2", got)
@@ -159,7 +159,7 @@ func TestUninstrumentedServerStillAccounts(t *testing.T) {
 	s.Submit(1, nil)
 	s.Submit(1, nil)
 	e.Run()
-	if s.Served() != 2 || s.MeanWait() != 0.5 {
-		t.Fatalf("served %d meanWait %v", s.Served(), s.MeanWait())
+	if s.served != 2 || s.MeanWait() != 0.5 {
+		t.Fatalf("served %d meanWait %v", s.served, s.MeanWait())
 	}
 }

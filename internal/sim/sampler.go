@@ -52,12 +52,3 @@ func (e *Engine) Sample(interval Time, fn func(now Time)) {
 	}
 	e.Schedule(e.sampleEvery, tick)
 }
-
-// SampleInterval returns the armed sampling cadence (0 when sampling is
-// off); a cluster shard reports the cluster's.
-func (e *Engine) SampleInterval() Time {
-	if e.cluster != nil {
-		return e.cluster.sampleEvery
-	}
-	return e.sampleEvery
-}

@@ -6,8 +6,8 @@ func TestSampleCadenceAndTermination(t *testing.T) {
 	e := NewEngine()
 	var at []Time
 	e.Sample(1, func(now Time) { at = append(at, now) })
-	if e.SampleInterval() != 1 {
-		t.Fatalf("SampleInterval = %v, want 1", e.SampleInterval())
+	if e.sampleEvery != 1 {
+		t.Fatalf("sampleEvery = %v, want 1", e.sampleEvery)
 	}
 	// A model event keeps the engine alive past several ticks; once it
 	// fires and the queue drains, the sampler must stop rescheduling
@@ -33,8 +33,8 @@ func TestSampleLaterCallsJoinCadence(t *testing.T) {
 	var a, b int
 	e.Sample(2, func(Time) { a++ })
 	e.Sample(99, func(Time) { b++ }) // interval ignored: joins the grid
-	if e.SampleInterval() != 2 {
-		t.Fatalf("SampleInterval = %v, want 2", e.SampleInterval())
+	if e.sampleEvery != 2 {
+		t.Fatalf("sampleEvery = %v, want 2", e.sampleEvery)
 	}
 	e.Schedule(5, func() {})
 	e.Run()
@@ -47,8 +47,8 @@ func TestSampleNoOpCases(t *testing.T) {
 	e := NewEngine()
 	e.Sample(1, nil)
 	e.Sample(0, func(Time) { t.Fatal("armed with non-positive interval") })
-	if e.SampleInterval() != 0 {
-		t.Fatalf("SampleInterval = %v, want 0 (never armed)", e.SampleInterval())
+	if e.sampleEvery != 0 {
+		t.Fatalf("sampleEvery = %v, want 0 (never armed)", e.sampleEvery)
 	}
 	e.Schedule(1, func() {})
 	e.Run()

@@ -134,13 +134,6 @@ func (s *Server) finish(r *request) {
 // QueueLen reports the number of requests waiting (not in service).
 func (s *Server) QueueLen() int { return len(s.waiting) }
 
-// Served reports the number of completed requests.
-func (s *Server) Served() uint64 { return s.served }
-
-// WaitedTime reports the total queue wait accumulated by requests that
-// have entered service.
-func (s *Server) WaitedTime() Time { return s.waitedTime }
-
 // MeanWait reports the mean queue wait over all requests that have
 // entered service (requests that started immediately contribute zero).
 func (s *Server) MeanWait() Time {
@@ -196,6 +189,3 @@ func (b *Barrier) Arrive() {
 		panic("sim: barrier arrivals exceed n")
 	}
 }
-
-// Remaining reports how many arrivals are still outstanding.
-func (b *Barrier) Remaining() int { return b.need - b.got }

@@ -55,22 +55,6 @@ func (d Weibull) Sample(r *rand.Rand) float64 {
 // Mean returns lambda * Gamma(1 + 1/k).
 func (d Weibull) Mean() float64 { return d.Scale * math.Gamma(1+1/d.Shape) }
 
-// Hazard returns the instantaneous failure rate at age t.
-func (d Weibull) Hazard(t float64) float64 {
-	if t <= 0 {
-		t = 1e-12
-	}
-	return (d.Shape / d.Scale) * math.Pow(t/d.Scale, d.Shape-1)
-}
-
-// CDF returns P(X <= t).
-func (d Weibull) CDF(t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-math.Pow(t/d.Scale, d.Shape))
-}
-
 // Lognormal has the given mu and sigma of the underlying normal. File size
 // distributions in the Dayal fsstats survey are heavy-tailed and well
 // approximated by lognormals with large sigma.
@@ -86,14 +70,6 @@ func (d Lognormal) Sample(r *rand.Rand) float64 {
 
 // Mean returns exp(mu + sigma^2/2).
 func (d Lognormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
-
-// CDF returns P(X <= t).
-func (d Lognormal) CDF(t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return 0.5 * math.Erfc(-(math.Log(t)-d.Mu)/(d.Sigma*math.Sqrt2))
-}
 
 // Pareto is the heavy-tailed distribution with minimum xm and tail index
 // alpha, used for burst sizes and large-file tails.

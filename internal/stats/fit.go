@@ -85,30 +85,3 @@ func FitWeibull(sample []float64) (Weibull, error) {
 	lambda := math.Exp(-fit.Intercept / k)
 	return Weibull{Shape: k, Scale: lambda}, nil
 }
-
-// AutoCorrelation returns the lag-k sample autocorrelation, used to show
-// failure interarrivals are correlated (another FAST'07 finding that
-// contradicts Poisson-failure assumptions).
-func AutoCorrelation(sample []float64, lag int) float64 {
-	n := len(sample)
-	if lag <= 0 || lag >= n {
-		return math.NaN()
-	}
-	mean := 0.0
-	for _, v := range sample {
-		mean += v
-	}
-	mean /= float64(n)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := sample[i] - mean
-		den += d * d
-	}
-	for i := 0; i < n-lag; i++ {
-		num += (sample[i] - mean) * (sample[i+lag] - mean)
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
-}

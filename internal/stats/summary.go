@@ -94,12 +94,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(i) / float64(len(e.sorted))
 }
 
-// Quantile returns the value below which fraction p of the sample lies.
-func (e *ECDF) Quantile(p float64) float64 { return Percentile(e.sorted, p) }
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // Points returns up to n (x, F(x)) pairs spanning the sample, suitable for
 // plotting a CDF curve like Figure 3 of the report.
 func (e *ECDF) Points(n int) (xs, ys []float64) {
@@ -117,46 +111,4 @@ func (e *ECDF) Points(n int) (xs, ys []float64) {
 		ys[i] = float64(idx+1) / float64(len(e.sorted))
 	}
 	return xs, ys
-}
-
-// Histogram counts samples into k equal-width bins over [min, max].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-}
-
-// NewHistogram builds a histogram with k bins spanning [lo, hi].
-func NewHistogram(lo, hi float64, k int) *Histogram {
-	if k < 1 {
-		k = 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, k)}
-}
-
-// Add records one observation; out-of-range values clamp to the end bins.
-func (h *Histogram) Add(x float64) {
-	k := len(h.Counts)
-	var i int
-	switch {
-	case x <= h.Lo:
-		i = 0
-	case x >= h.Hi:
-		i = k - 1
-	default:
-		i = int(float64(k) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i >= k {
-			i = k - 1
-		}
-	}
-	h.Counts[i]++
-	h.Total++
-}
-
-// Fraction returns the share of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
 }

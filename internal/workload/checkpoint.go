@@ -240,18 +240,23 @@ func programs(spec Spec, unit int64) []Program {
 // is opened once per run.
 type rankSet struct {
 	eng     *sim.Engine
+	fs      *pfs.FS
 	progs   []Program
 	clients []*pfs.Client
 	handles []map[string]*pfs.File
 }
 
 // opStep issues op o of rank r on the open file h and calls next when
-// the rank may move on to its following op.
-type opStep func(r int, h *pfs.File, o Op, next func())
+// the rank may move on to its following op. ot is the rank's stage
+// timer, restarted for this op (nil when op timers are off): the step
+// passes it to every attempt and, once the op succeeds, to
+// rankSet.observe.
+type opStep func(r int, h *pfs.File, o Op, ot *obs.OpTimer, next func())
 
 func newRankSet(eng *sim.Engine, fs *pfs.FS, progs []Program) *rankSet {
 	rs := &rankSet{
 		eng:     eng,
+		fs:      fs,
 		progs:   progs,
 		clients: make([]*pfs.Client, len(progs)),
 		handles: make([]map[string]*pfs.File, len(progs)),
@@ -298,8 +303,56 @@ func (rs *rankSet) phase(step opStep, done func(elapsed sim.Time)) {
 	}
 }
 
+// observe folds a succeeded op's stage timer into the file system's
+// read or write quantiles.
+func (rs *rankSet) observe(o Op, ot *obs.OpTimer) {
+	if o.Read {
+		rs.fs.FinishReadOp(ot)
+	} else {
+		rs.fs.FinishWriteOp(ot)
+	}
+}
+
+// direct returns the step of a harness that issues each op once,
+// straight to pfs: a succeeded op's timer is observed, a failed op's
+// error goes to failed, and the rank moves on either way. Each rank's
+// completion is bound once.
+func (rs *rankSet) direct(failed func(r int, err error)) opStep {
+	type inflight struct {
+		o    Op
+		ot   *obs.OpTimer
+		next func()
+	}
+	cur := make([]inflight, len(rs.progs))
+	completes := make([]func(error), len(rs.progs))
+	for r := range completes {
+		completes[r] = func(err error) {
+			c := &cur[r]
+			if err == nil {
+				rs.observe(c.o, c.ot)
+			} else {
+				failed(r, err)
+			}
+			c.next()
+		}
+	}
+	return func(r int, h *pfs.File, o Op, ot *obs.OpTimer, next func()) {
+		cur[r] = inflight{o: o, ot: ot, next: next}
+		if o.Read {
+			rs.clients[r].ReadOp(h, o.Off, o.Size, ot, completes[r])
+		} else {
+			rs.clients[r].WriteOp(h, o.Off, o.Size, ot, completes[r])
+		}
+	}
+}
+
 // rankRun is one rank's place in a phase. Its continuations are bound
-// once per phase, so an op allocates none of its own.
+// once per phase and its stage timer is restarted for each op, so an op
+// allocates nothing of its own. Reusing the timer is safe because no
+// layer charges it after the op's done runs: pfs calls done after the
+// op's last piece has charged it, and bb's absorbOp calls done after
+// recycling itself. A layer that kept charging after done would fold
+// one op's stages into the next.
 type rankRun struct {
 	rs       *rankSet
 	r        int
@@ -309,6 +362,7 @@ type rankRun struct {
 	h        *pfs.File // its open file
 	step     opStep
 	finished *sim.Barrier
+	timer    obs.OpTimer
 
 	// advance, open and perform, bound once per phase; compute runs
 	// perform once the op's CPU time is spent.
@@ -345,7 +399,17 @@ func (rr *rankRun) open(h *pfs.File) {
 	rr.issue()
 }
 
-func (rr *rankRun) perform() { rr.step(rr.r, rr.h, rr.ops[rr.i], rr.next) }
+// perform starts the op's stage timer, after its CPU time, and steps.
+func (rr *rankRun) perform() {
+	o := rr.ops[rr.i]
+	var ot *obs.OpTimer
+	if o.Read {
+		ot = rr.rs.fs.StartReadOp(&rr.timer)
+	} else {
+		ot = rr.rs.fs.StartWriteOp(&rr.timer)
+	}
+	rr.step(rr.r, rr.h, o, ot, rr.next)
+}
 
 func (rr *rankRun) advance() {
 	rr.i++
@@ -365,29 +429,15 @@ func RunPrograms(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *obs.Tra
 	fs := pfs.New(eng, cfg)
 	rs := newRankSet(eng, fs, progs)
 
-	// Each rank's completion is bound once. No fault plan runs here, so
-	// pfs returns no error; only a bug can make one.
-	nexts := make([]func(), len(progs))
-	completes := make([]func(error), len(progs))
-	for r := range completes {
-		completes[r] = func(err error) {
-			if err != nil {
-				panic(fmt.Sprintf("workload: rank %d: fault-free op failed: %v", r, err))
-			}
-			nexts[r]()
-		}
-	}
+	// No fault plan runs here, so pfs returns no error; only a bug can
+	// make one.
+	step := rs.direct(func(r int, err error) {
+		panic(fmt.Sprintf("workload: rank %d: fault-free op failed: %v", r, err))
+	})
 	var result Result
 	rs.create(func() {
 		result.SetupElapsed = eng.Now()
-		rs.phase(func(r int, h *pfs.File, o Op, next func()) {
-			nexts[r] = next
-			if o.Read {
-				rs.clients[r].ReadErr(h, o.Off, o.Size, completes[r])
-			} else {
-				rs.clients[r].WriteErr(h, o.Off, o.Size, completes[r])
-			}
-		}, func(elapsed sim.Time) { result.Elapsed = elapsed })
+		rs.phase(step, func(elapsed sim.Time) { result.Elapsed = elapsed })
 	})
 
 	eng.Run()

@@ -165,6 +165,23 @@ func rebuildGoldenRun(t *testing.T) map[string][]byte {
 	return capture(t, reg, nil, false)
 }
 
+// timedOp issues one write or read under a fresh stage timer and
+// observes the timer when the op succeeds, as the rank loops time a
+// logical op.
+func timedOp(fs *pfs.FS, c *pfs.Client, f *pfs.File, read bool, off, size int64, done func(error)) {
+	start, op, finish := fs.StartWriteOp, c.WriteOp, fs.FinishWriteOp
+	if read {
+		start, op, finish = fs.StartReadOp, c.ReadOp, fs.FinishReadOp
+	}
+	ot := start(new(obs.OpTimer))
+	op(f, off, size, ot, func(err error) {
+		if err == nil {
+			finish(ot)
+		}
+		done(err)
+	})
+}
+
 // degradedReadGoldenRun writes a checkpoint onto 2+1 groups with
 // checksums on, then reads it back while servers are down: reads of a
 // crashed home reconstruct from survivors, reads of a group past m
@@ -220,7 +237,7 @@ func degradedReadGoldenRun(t *testing.T) map[string][]byte {
 					if off >= 2*perRank {
 						return
 					}
-					c.ReadErr(f, off%perRank, rec, func(err error) {
+					timedOp(fs, c, f, true, off%perRank, rec, func(err error) {
 						count(err)
 						next(off + rec)
 					})
@@ -239,7 +256,7 @@ func degradedReadGoldenRun(t *testing.T) map[string][]byte {
 				if off >= perRank {
 					return
 				}
-				clients[r].WriteErr(f, off, rec, func(err error) {
+				timedOp(fs, clients[r], f, false, off, rec, func(err error) {
 					count(err)
 					next(off + rec)
 				})

@@ -177,11 +177,7 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		}
 		rt.complete = func(err error) {
 			if err == nil {
-				if rt.o.Read {
-					fs.FinishReadOp(rt.ot)
-				} else {
-					fs.FinishWriteOp(rt.ot)
-				}
+				rs.observe(rt.o, rt.ot)
 				rt.next()
 				return
 			}
@@ -206,20 +202,13 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 	}
 
 	// step retries a failed op with capped exponential backoff and drops
-	// it, counted, once MaxRetries is spent.
-	step := func(r int, h *pfs.File, o Op, next func()) {
+	// it, counted, once MaxRetries is spent. The rank's stage timer spans
+	// the whole logical op — every attempt's stages plus the backoff
+	// between them — and is observed once, on final success. Dropped ops
+	// never fold in, so the quantiles describe completed operations.
+	step := func(r int, h *pfs.File, o Op, ot *obs.OpTimer, next func()) {
 		rt := &retries[r]
-		rt.h, rt.o, rt.next, rt.attempt, rt.backoff = h, o, next, 0, fspec.RetryBackoff
-		// One stage timer spans the whole logical op — every attempt's
-		// stages plus the backoff between them — and is observed once, on
-		// final success. Dropped ops never fold in, so the quantiles
-		// describe completed operations. Nil (one branch per probe)
-		// unless op timers are enabled.
-		if o.Read {
-			rt.ot = fs.StartReadOp(&rt.timer)
-		} else {
-			rt.ot = fs.StartWriteOp(&rt.timer)
-		}
+		rt.h, rt.o, rt.ot, rt.next, rt.attempt, rt.backoff = h, o, ot, next, 0, fspec.RetryBackoff
 		rt.try()
 	}
 
@@ -268,23 +257,15 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 }
 
 // retryOp is one rank's logical op under RunFaults' retry loop: its
-// handle, the op, the rank's next continuation, the attempt count and
-// backoff, and the stage timer spanning every attempt.
-//
-// The timer is the rank's own, restarted for each op, so op timers cost
-// no allocation per op. Reuse is safe because nothing charges a timer
-// after the op's done runs: pfs calls done after the op's last piece has
-// charged it, and bb's absorbOp calls done after recycling itself. A
-// layer that kept charging after done would fold one op's stages into
-// the next.
+// handle, the op, the rank's stage timer spanning every attempt, the
+// rank's next continuation, and the attempt count and backoff.
 type retryOp struct {
 	h       *pfs.File
 	o       Op
+	ot      *obs.OpTimer
 	next    func()
 	attempt int
 	backoff sim.Time
-	ot      *obs.OpTimer // &timer when op timers are on, else nil
-	timer   obs.OpTimer
 
 	try      func()
 	complete func(error)

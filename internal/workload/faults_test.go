@@ -190,6 +190,51 @@ func TestFaultSpecValidation(t *testing.T) {
 	RunFaults(pfs.PanFSLike(2), bad, nil, nil)
 }
 
+// TestRankLoopOpTimerAllocsPerOp is TestFaultRunAllocsPerOp's op-timer
+// row for the other two harnesses on the shared rank loop: with op
+// timers on, Run and RunIntegrity restart each rank's own stage timer
+// for every op instead of allocating one, so an op allocates about
+// nothing. Comparing a checkpoint three times as large with the base one
+// cancels the set-up.
+func TestRankLoopOpTimerAllocsPerOp(t *testing.T) {
+	cfg := pfs.PanFSLike(4)
+	sized := func(n int) Spec {
+		return Spec{Ranks: 16, BytesPerRank: int64(n) << 22, RecordSize: 256 << 10, Pattern: NN}
+	}
+	ops := func(n int) int {
+		var total int
+		for r := 0; r < 16; r++ {
+			total += len(rankOps(sized(n), cfg.StripeUnit, r))
+		}
+		return total
+	}
+	for _, tc := range []struct {
+		name   string
+		phases int // phases that issue the checkpoint's ops
+		run    func(spec Spec, reg *obs.Registry)
+	}{
+		{"Run", 1, func(spec Spec, reg *obs.Registry) { Run(cfg, spec, reg, nil) }},
+		{"RunIntegrity", 2, func(spec Spec, reg *obs.Registry) {
+			RunIntegrity(cfg, IntegritySpec{Spec: spec}, reg, nil)
+		}},
+	} {
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				reg := obs.NewRegistry()
+				reg.EnableOpTimers()
+				tc.run(sized(n), reg)
+				reg.Snapshot()
+			})
+		}
+		extra := tc.phases * (ops(3) - ops(1))
+		perOp := (allocs(3) - allocs(1)) / float64(extra)
+		t.Logf("%s with op timers: %.2f allocations per op over %d extra ops", tc.name, perOp, extra)
+		if perOp > 0.25 {
+			t.Errorf("%s with op timers: %.2f allocations per op, want at most 0.25", tc.name, perOp)
+		}
+	}
+}
+
 // TestFaultRunAllocsPerOp pins the harness's per-op cost at about zero
 // allocations, straight into the file system and through a write-back
 // burst-buffer tier: each rank's continuations and retry state, and the

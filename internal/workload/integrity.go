@@ -90,34 +90,23 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 
 	var result IntegrityResult
 
-	// step issues each op as a read or a write; errors count into
-	// FlaggedReads rather than aborting (a flagged checkpoint record is
-	// an outcome to measure, not a harness failure). Each rank's
-	// completion is bound once.
-	nexts := make([]func(), spec.Ranks)
-	completes := make([]func(error), spec.Ranks)
-	for r := range completes {
-		completes[r] = func(err error) {
-			if err != nil {
-				result.FlaggedReads++
-			}
-			nexts[r]()
+	// Errors count into FlaggedReads rather than aborting (a flagged
+	// checkpoint record is an outcome to measure, not a harness failure).
+	step := rs.direct(func(_ int, err error) {
+		if err != nil {
+			result.FlaggedReads++
 		}
-	}
-	step := func(read bool) opStep {
-		return func(r int, h *pfs.File, o Op, next func()) {
-			nexts[r] = next
-			if read {
-				rs.clients[r].ReadErr(h, o.Off, o.Size, completes[r])
-			} else {
-				rs.clients[r].WriteErr(h, o.Off, o.Size, completes[r])
-			}
-		}
-	}
+	})
 
 	readBack := func() {
 		result.UnrepairedAtRead = fs.UnrepairedCorruption()
-		rs.phase(step(true), func(elapsed sim.Time) {
+		// The read-back phase reads what the write phase wrote.
+		for _, p := range rs.progs {
+			for i := range p.Ops {
+				p.Ops[i].Read = true
+			}
+		}
+		rs.phase(step, func(elapsed sim.Time) {
 			result.ReadElapsed = elapsed
 		})
 	}
@@ -140,7 +129,7 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 
 	rs.create(func() {
 		result.Write.SetupElapsed = eng.Now()
-		rs.phase(step(false), func(elapsed sim.Time) {
+		rs.phase(step, func(elapsed sim.Time) {
 			result.Write.Elapsed = elapsed
 			afterWrites()
 		})

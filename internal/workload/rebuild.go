@@ -89,7 +89,23 @@ func (s RebuildSpec) Validate() error {
 	case s.Shards < 1:
 		return fmt.Errorf("workload: Shards %d < 1", s.Shards)
 	}
-	return s.Red.Validate()
+	return s.podConfig(0).Validate()
+}
+
+// podConfig is pod p's file system: Servers OSSes of one drive each on
+// the spec's redundancy groups, checksummed when latent sector errors
+// are armed.
+func (s RebuildSpec) podConfig(p int) pfs.Config {
+	cfg := pfs.PanFSLike(s.Servers)
+	cfg.DisksPerServer = 1 // one OSS = one drive in this experiment
+	cfg.Redundancy = s.Red
+	if s.Pods > 1 {
+		cfg.MetricPrefix = fmt.Sprintf("pod%03d.", p)
+	}
+	if s.LSE != nil {
+		cfg.Checksums = true
+	}
+	return cfg
 }
 
 // RebuildResult reports one rebuild-storm population run.
@@ -153,6 +169,8 @@ type rebuildPod struct {
 
 	ops, retries, dropped, dataLoss int64
 	writeLat, readLat               []float64
+
+	timer obs.OpTimer // the foreground op's stage timer
 }
 
 // RunRebuild executes the rebuild-storm population. The registry
@@ -169,17 +187,8 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 	pods := make([]*rebuildPod, spec.Pods)
 	result := RebuildResult{Pods: spec.Pods, Servers: spec.Servers, Drives: spec.Pods * spec.Servers}
 	for p := range pods {
-		cfg := pfs.PanFSLike(spec.Servers)
-		cfg.DisksPerServer = 1 // one OSS = one drive in this experiment
-		cfg.Redundancy = spec.Red
-		if spec.Pods > 1 {
-			cfg.MetricPrefix = fmt.Sprintf("pod%03d.", p)
-		}
-		if spec.LSE != nil {
-			cfg.Checksums = true
-		}
 		eng := shards[p%spec.Shards]
-		pod := &rebuildPod{eng: eng, fs: pfs.New(eng, cfg)}
+		pod := &rebuildPod{eng: eng, fs: pfs.New(eng, spec.podConfig(p))}
 		seed := spec.Seed + int64(p)*1_000_003
 
 		fspec := spec.Faults
@@ -259,43 +268,59 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 // checkpoint range, read it back, repeat — retrying failed ops with
 // exponential backoff and dropping (counted) what cannot complete.
 func startRebuildPod(pod *rebuildPod, spec RebuildSpec) {
-	client := pod.fs.NewClient(0)
+	fs := pod.fs
+	client := fs.NewClient(0)
 	maxBackoff := spec.RetryBackoff * 8
 
-	// attempt runs op with the retry loop; done receives whether it
-	// completed. Latency spans all attempts and their backoffs.
-	attempt := func(op func(done func(error)), lat *[]float64, done func(ok bool)) {
+	// attempt writes or reads the checkpoint range with the retry loop;
+	// done receives whether it completed. Latency spans all attempts and
+	// their backoffs, but each attempt restarts the pod's stage timer, so
+	// the stage quantiles cover only the attempt that succeeded.
+	attempt := func(f *pfs.File, read bool, lat *[]float64, done func(ok bool)) {
 		start := pod.eng.Now()
 		tries := 0
 		backoff := spec.RetryBackoff
+		var ot *obs.OpTimer
 		var try func()
-		try = func() {
-			op(func(err error) {
-				if err == nil {
-					*lat = append(*lat, float64(pod.eng.Now()-start))
-					pod.ops++
-					done(true)
-					return
+		complete := func(err error) {
+			if err == nil {
+				if read {
+					fs.FinishReadOp(ot)
+				} else {
+					fs.FinishWriteOp(ot)
 				}
-				if errors.Is(err, pfs.ErrDataLoss) {
-					// No retry resurrects a lost group.
-					pod.dataLoss++
-					done(false)
-					return
-				}
-				if tries < spec.MaxRetries {
-					tries++
-					pod.retries++
-					d := backoff
-					if backoff *= 2; backoff > maxBackoff {
-						backoff = maxBackoff
-					}
-					pod.eng.Schedule(d, try)
-					return
-				}
-				pod.dropped++
+				*lat = append(*lat, float64(pod.eng.Now()-start))
+				pod.ops++
+				done(true)
+				return
+			}
+			if errors.Is(err, pfs.ErrDataLoss) {
+				// No retry resurrects a lost group.
+				pod.dataLoss++
 				done(false)
-			})
+				return
+			}
+			if tries < spec.MaxRetries {
+				tries++
+				pod.retries++
+				d := backoff
+				if backoff *= 2; backoff > maxBackoff {
+					backoff = maxBackoff
+				}
+				pod.eng.Schedule(d, try)
+				return
+			}
+			pod.dropped++
+			done(false)
+		}
+		try = func() {
+			if read {
+				ot = fs.StartReadOp(&pod.timer)
+				client.ReadOp(f, 0, spec.WriteBytes, ot, complete)
+			} else {
+				ot = fs.StartWriteOp(&pod.timer)
+				client.WriteOp(f, 0, spec.WriteBytes, ot, complete)
+			}
 		}
 		try()
 	}
@@ -309,15 +334,11 @@ func startRebuildPod(pod *rebuildPod, spec RebuildSpec) {
 			}
 			round++
 			run := func() {
-				attempt(func(done func(error)) {
-					client.WriteErr(f, 0, spec.WriteBytes, done)
-				}, &pod.writeLat, func(bool) {
+				attempt(f, false, &pod.writeLat, func(bool) {
 					// Read back even after a dropped write — a restarting
 					// application probes its checkpoint regardless, and
 					// that is where lost groups surface as ErrDataLoss.
-					attempt(func(done func(error)) {
-						client.ReadErr(f, 0, spec.WriteBytes, done)
-					}, &pod.readLat, func(bool) { next() })
+					attempt(f, true, &pod.readLat, func(bool) { next() })
 				})
 			}
 			if spec.ComputeTime > 0 {

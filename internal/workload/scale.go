@@ -115,6 +115,7 @@ type scalePod struct {
 	handles []*pfs.File
 
 	next     []int         // per rank: the op in flight
+	timers   []obs.OpTimer // per rank: the op's stage timer
 	written  []func(error) // per rank: completes the op in flight
 	finished *sim.Barrier  // this round's checkpoint barrier
 }
@@ -127,7 +128,8 @@ func (pod *scalePod) issue(r int, ops []Op) {
 		return
 	}
 	o := ops[pod.next[r]]
-	pod.clients[r].WriteErr(pod.handles[r], o.Off, o.Size, pod.written[r])
+	ot := pod.fs.StartWriteOp(&pod.timers[r])
+	pod.clients[r].WriteOp(pod.handles[r], o.Off, o.Size, ot, pod.written[r])
 }
 
 // RunScale executes the sharded many-pod experiment. The registry
@@ -162,6 +164,7 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 			clients: make([]*pfs.Client, spec.RanksPerPod),
 			handles: make([]*pfs.File, spec.RanksPerPod),
 			next:    make([]int, spec.RanksPerPod),
+			timers:  make([]obs.OpTimer, spec.RanksPerPod),
 			written: make([]func(error), spec.RanksPerPod),
 		}
 		for r := range pod.clients {
@@ -181,6 +184,7 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 				if err != nil {
 					panic(fmt.Sprintf("workload: pod %d rank %d: fault-free write failed: %v", p, r, err))
 				}
+				pod.fs.FinishWriteOp(&pod.timers[r])
 				pod.next[r]++
 				pod.issue(r, rankOpsOnce[r])
 			}
