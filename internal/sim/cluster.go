@@ -190,8 +190,9 @@ func (c *Cluster) Send(src, dst int, key string, delay Time, fn func()) {
 
 // inject drains every outbox into the destination engines in the merge
 // order (at, key, seq). Runs only at barriers, when all workers are
-// idle. Engine seq numbers assigned here are deterministic because the
-// window sequence and the merge order both are.
+// idle. The engines' insertion order, which breaks their same-time
+// ties, is deterministic here because the window sequence and the merge
+// order both are.
 func (c *Cluster) inject() {
 	buf := c.injectBuf[:0]
 	for src := range c.outbox {

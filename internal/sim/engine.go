@@ -57,12 +57,12 @@ type HandlerFunc func()
 // Handle calls f.
 func (f HandlerFunc) Handle() { f() }
 
-// An event is a continuation scheduled on the engine's queue; its
-// timestamp and tie-breaking sequence number live in its heap slot
-// (heap.go). gen distinguishes incarnations of a recycled event struct:
-// the engine keeps dispatched and cancelled events on a free list, and
-// gen is bumped on every recycle so a stale EventID held by the model can
-// never cancel the struct's next occupant.
+// An event is a continuation scheduled on the engine's queue. Events
+// live in the engine's arena and the queue holds only their index and
+// timestamp (heap.go). gen distinguishes incarnations of a recycled
+// arena entry: the engine keeps dispatched and cancelled entries on a
+// free list, and gen is bumped on every recycle so a stale EventID held
+// by the model can never cancel the entry's next occupant.
 type event struct {
 	h    Handler
 	dead bool
@@ -73,12 +73,12 @@ type event struct {
 // retransmission timer that is disarmed when the ACK arrives). The zero
 // EventID is valid and cancels nothing.
 type EventID struct {
-	e   *event
+	i   uint32 // arena index + 1; 0 in the zero EventID
 	gen uint32
 }
 
 // compactMinDead is the floor below which cancelled events are left in
-// the heap: tiny queues are cheaper to pop through than to rebuild.
+// the queue: tiny queues are cheaper to pop through than to filter.
 const compactMinDead = 32
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -88,10 +88,10 @@ const compactMinDead = 32
 // touched by one goroutine at a time.)
 type Engine struct {
 	now    Time
-	seq    uint64
-	queue  eventHeap
-	free   []*event // recycled event structs, reused by At
-	dead   int      // cancelled events still occupying heap slots
+	queue  radixQueue
+	events []event  // arena of scheduled events, indexed by the queue
+	free   []uint32 // recycled arena indices, reused by At
+	dead   int      // cancelled events still occupying queue slots
 	nsteps uint64
 	live   int // scheduled, not yet dispatched or cancelled
 	depth  int // high-water mark of queue length
@@ -180,74 +180,73 @@ func (e *Engine) ScheduleHandler(delay Time, h Handler) EventID {
 }
 
 // AtHandler is At for a Handler: h.Handle runs at absolute time t. It is
-// the one scheduling path; At and Schedule are adapters over it.
+// the one scheduling path; At and Schedule are adapters over it. A NaN
+// time panics like a past one: it would order nowhere.
 func (e *Engine) AtHandler(t Time, h Handler) EventID {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	var ev *event
+	var i uint32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		i = e.free[n-1]
 		e.free = e.free[:n-1]
-		ev.h, ev.dead = h, false
+		e.events[i].h, e.events[i].dead = h, false
 	} else {
-		ev = &event{h: h}
+		i = uint32(len(e.events))
+		e.events = append(e.events, event{h: h})
 	}
-	e.queue.push(slot{at: t, seq: e.seq, ev: ev})
-	e.seq++
+	e.queue.push(timeKey(t), i)
 	e.live++
 	if e.queue.len() > e.depth {
 		e.depth = e.queue.len()
 	}
 	e.cScheduled.Inc()
-	return EventID{e: ev, gen: ev.gen}
+	return EventID{i: i + 1, gen: e.events[i].gen}
 }
 
-// recycle returns a dispatched or cancelled event struct to the free
+// recycle returns a dispatched or cancelled arena entry to the free
 // list. The generation bump invalidates every EventID pointing at it,
 // and dropping the handler releases what it references immediately.
-func (e *Engine) recycle(ev *event) {
+func (e *Engine) recycle(i uint32) {
+	ev := &e.events[i]
 	ev.h = nil
 	ev.gen++
-	e.free = append(e.free, ev)
+	e.free = append(e.free, i)
 }
 
 // Cancel disarms a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Engine) Cancel(id EventID) {
-	ev := id.e
-	if ev == nil || ev.dead || ev.gen != id.gen {
+	if id.i == 0 {
+		return
+	}
+	ev := &e.events[id.i-1]
+	if ev.dead || ev.gen != id.gen {
 		return
 	}
 	ev.dead = true
 	e.dead++
 	e.live--
 	e.cCancelled.Inc()
-	// Lazy deletion leaves the corpse in the heap until it reaches the
-	// top. Cancel-heavy models (incast retransmission timers, lease
+	// Lazy deletion leaves the corpse in the queue until it reaches the
+	// front. Cancel-heavy models (incast retransmission timers, lease
 	// guards) can cancel far faster than the clock drains corpses, so
-	// once the majority of the heap is dead we compact: filter the slice
-	// in place and re-heapify. The (at, seq) order is untouched, so
-	// dispatch order — and therefore the trajectory — is identical.
+	// once the majority of the queue is dead we compact: filter the front
+	// and every bucket in place, in order. The dispatch order is
+	// untouched, so the trajectory is identical.
 	if e.dead > compactMinDead && e.dead*2 > e.queue.len() {
 		e.compact()
 	}
 }
 
 func (e *Engine) compact() {
-	s := e.queue.s
-	kept := s[:0]
-	for _, x := range s {
-		if x.ev.dead {
-			e.recycle(x.ev)
-			continue
+	e.queue.filter(func(i uint32) bool {
+		if e.events[i].dead {
+			e.recycle(i)
+			return true
 		}
-		kept = append(kept, x)
-	}
-	clear(s[len(kept):])
-	e.queue.s = kept
-	e.queue.reinit()
+		return false
+	})
 	e.dead = 0
 }
 
@@ -256,24 +255,16 @@ func (e *Engine) compact() {
 func (e *Engine) Run() Time { return e.RunUntil(Infinity) }
 
 // RunUntil dispatches events with timestamps <= deadline. The clock is left
-// at the timestamp of the last dispatched event (or at deadline if that is
-// earlier than the next pending event and deadline is finite).
+// at the timestamp of the last dispatched event, or at deadline if that is
+// finite and later. The clock never moves backwards: a deadline before
+// Now() dispatches nothing and leaves the clock where it is.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for e.queue.len() > 0 {
-		next := e.queue.s[0]
-		if next.at > deadline {
-			if deadline < Infinity {
-				e.now = deadline
-			}
-			return e.now
+		at := e.queue.peek().time()
+		if at > deadline {
+			break
 		}
-		e.queue.pop()
-		if next.ev.dead {
-			e.dead--
-			e.recycle(next.ev)
-			continue
-		}
-		e.dispatch(next)
+		e.step(e.queue.pop(), at)
 	}
 	if deadline < Infinity && deadline > e.now {
 		e.now = deadline
@@ -288,43 +279,44 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // have been merged in.
 func (e *Engine) runBefore(w Time) {
 	for e.queue.len() > 0 {
-		next := e.queue.s[0]
-		if next.at >= w {
+		at := e.queue.peek().time()
+		if at >= w {
 			return
 		}
-		e.queue.pop()
-		if next.ev.dead {
-			e.dead--
-			e.recycle(next.ev)
-			continue
-		}
-		e.dispatch(next)
+		e.step(e.queue.pop(), at)
 	}
 }
 
-func (e *Engine) dispatch(x slot) {
+// step dispatches the slot just popped at time at, or recycles it if its
+// event was cancelled.
+func (e *Engine) step(x slot, at Time) {
+	ev := &e.events[x.ev]
+	if ev.dead {
+		e.dead--
+		e.recycle(x.ev)
+		return
+	}
 	// Marking the event dead makes a late Cancel of a fired event a
 	// no-op and keeps the live count exact; recycling before the call
-	// lets the handler's own scheduling reuse the struct (the generation
+	// lets the handler's own scheduling reuse the entry (the generation
 	// bump keeps the old EventID inert).
-	ev := x.ev
 	ev.dead = true
 	e.live--
-	e.now = x.at
+	e.now = at
 	e.nsteps++
 	e.cDispatched.Inc()
 	h := ev.h
-	e.recycle(ev)
+	e.recycle(x.ev)
 	h.Handle()
 }
 
 // nextAt returns the timestamp of the earliest live event, sweeping any
-// dead corpses off the top of the heap on the way.
+// dead corpses off the front of the queue on the way.
 func (e *Engine) nextAt() (Time, bool) {
 	for e.queue.len() > 0 {
-		next := e.queue.s[0]
-		if !next.ev.dead {
-			return next.at, true
+		next := e.queue.peek()
+		if !e.events[next.ev].dead {
+			return next.time(), true
 		}
 		e.queue.pop()
 		e.dead--
@@ -335,10 +327,10 @@ func (e *Engine) nextAt() (Time, bool) {
 
 // Pending reports the number of live events still queued. It is O(1):
 // the engine maintains a live-event count decremented on cancel and
-// dispatch instead of scanning the heap.
+// dispatch instead of scanning the queue.
 func (e *Engine) Pending() int { return e.live }
 
-// QueueLen reports occupied heap slots, live or dead. It exceeds
+// QueueLen reports occupied queue slots, live or dead. It exceeds
 // Pending() by exactly the cancelled events not yet compacted or popped,
 // which is what the compaction regression test pins down.
 func (e *Engine) QueueLen() int { return e.queue.len() }

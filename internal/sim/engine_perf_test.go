@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -203,13 +204,19 @@ func TestServerResubmitFromDoneReusesRequest(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineDeepHeap is the hold model at the depth of one shard
-// carrying a whole rebuild-figure population: 64k pending events, each
-// dispatch rescheduling itself at a pseudo-random future time, so every
-// operation is a pop and a push on a 16-level heap. An op is one
-// dispatched event.
+// BenchmarkEngineDeepHeap is the hold model at two depths: 2048 pending
+// events, about the mean depth at push of the sim_scale_2shard
+// benchmark workload, and 64k, one shard carrying a whole rebuild-figure
+// population. Each dispatch reschedules itself at a pseudo-random
+// future time, so every operation is a pop and a push on a queue that
+// stays at its depth. An op is one dispatched event.
 func BenchmarkEngineDeepHeap(b *testing.B) {
-	const depth = 1 << 16
+	for _, depth := range []int{2048, 1 << 16} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchHold(b, depth) })
+	}
+}
+
+func benchHold(b *testing.B, depth int) {
 	e := NewEngine()
 	x := uint64(88172645463325252)
 	delay := func() Time { // xorshift64: uniform in [0, 2), mean 1
@@ -229,6 +236,6 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for e.Steps()-start < uint64(b.N) {
-		e.RunUntil(e.Now() + 1.0/depth*64)
+		e.RunUntil(e.Now() + 64/Time(depth))
 	}
 }

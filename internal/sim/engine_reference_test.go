@@ -5,9 +5,12 @@ package sim
 // boxed push/pop, one allocation per scheduled event, lazy deletion with
 // no compaction. The Benchmark* pairs in engine_perf_test.go measure the
 // rewrite against this baseline (the speedups quoted in EXPERIMENTS.md
-// come from these benchmarks), and TestEngineMatchesBoxedReference
-// checks that the engine dispatches in exactly its order, so keep the
-// reference faithful.
+// come from these benchmarks), and TestEngineMatchesBoxedReference and
+// FuzzEngineOrder check that the engine dispatches in exactly its order,
+// so keep the reference faithful. Its RunUntil still moves the clock
+// back for a deadline before Now() and it accepts NaN times; the fuzz
+// target keeps both off the reference and checks the engine's fixed
+// behaviour directly.
 
 import (
 	"container/heap"
@@ -52,7 +55,11 @@ func (e *boxedEngine) Schedule(delay Time, fn func()) *boxedEvent {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := &boxedEvent{at: e.now + delay, seq: e.seq, fn: fn}
+	return e.At(e.now+delay, fn)
+}
+
+func (e *boxedEngine) At(t Time, fn func()) *boxedEvent {
+	ev := &boxedEvent{at: t, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	e.live++
@@ -91,6 +98,18 @@ func (e *boxedEngine) RunUntil(deadline Time) Time {
 }
 
 func (e *boxedEngine) Run() Time { return e.RunUntil(Infinity) }
+
+// nextAt is Engine.nextAt: the earliest live time, popping cancelled
+// events off the top on the way.
+func (e *boxedEngine) nextAt() (Time, bool) {
+	for len(e.queue) > 0 {
+		if next := e.queue[0]; !next.dead {
+			return next.at, true
+		}
+		heap.Pop(&e.queue)
+	}
+	return 0, false
+}
 
 // BenchmarkBoxedEngineSchedule is BenchmarkEngineSchedule on the old
 // engine.

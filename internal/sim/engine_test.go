@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -83,6 +84,59 @@ func TestEngineRunUntil(t *testing.T) {
 	e.Run()
 	if len(fired) != 2 {
 		t.Fatalf("remaining event not dispatched: %v", fired)
+	}
+}
+
+// TestRunUntilNeverMovesClockBack: a deadline before the clock
+// dispatches nothing and leaves the clock where it is, whether or not
+// events are pending, so a zero-delay event scheduled next runs at the
+// clock, before every later event.
+func TestRunUntilNeverMovesClockBack(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	e.Schedule(10, record)
+	e.Schedule(20, record)
+	e.RunUntil(10)
+	if got := e.RunUntil(5); got != 10 || e.Now() != 10 {
+		t.Fatalf("RunUntil(5) after RunUntil(10) = %v, Now() = %v; want the clock to stay at 10", got, e.Now())
+	}
+	e.Schedule(0, record)
+	e.Run()
+	if want := []Time{10, 10, 20}; len(fired) != len(want) || fired[0] != want[0] || fired[1] != want[1] || fired[2] != want[2] {
+		t.Fatalf("events fired at %v, want %v", fired, want)
+	}
+	if got := e.RunUntil(5); got != 20 {
+		t.Fatalf("RunUntil(5) on a drained engine at 20 = %v, want 20", got)
+	}
+}
+
+// TestEngineRejectsNaNTime: a NaN time orders nowhere, so scheduling at
+// one panics like scheduling in the past, and the events after it run
+// in time order at real times.
+func TestEngineRejectsNaNTime(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	for _, schedule := range []func(){
+		func() { e.Schedule(Time(math.NaN()), record) },
+		func() { e.At(Time(math.NaN()), record) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("scheduling at NaN did not panic")
+				}
+			}()
+			schedule()
+		}()
+	}
+	e.Schedule(3, record)
+	e.Schedule(1, record)
+	e.Schedule(2, record)
+	e.Run()
+	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 {
+		t.Fatalf("events fired at %v, want [1 2 3]", fired)
 	}
 }
 
