@@ -119,11 +119,6 @@ type Config struct {
 	// against a down node errors with ErrNodeDown (default 25 ms,
 	// matching the FS's RPC timeout).
 	FailTimeout sim.Time
-
-	// MetricPrefix namespaces the tier's bb.* instruments, exactly like
-	// pfs.Config.MetricPrefix ("pod00." etc.). Empty for single-tier
-	// runs.
-	MetricPrefix string
 }
 
 // DefaultConfig returns a write-back tier of n nodes backed by the

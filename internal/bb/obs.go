@@ -15,9 +15,6 @@ import (
 // style of pfs.ossNN.*; sim-time series join the engine's shared
 // sampling cadence only when the registry has series enabled.
 
-// metric prepends the configured pod prefix to an instrument name.
-func (t *Tier) metric(name string) string { return t.cfg.MetricPrefix + name }
-
 // instrument registers the tier's probes in the engine's metrics
 // registry. A no-op (leaving all handles nil) when the engine is
 // uninstrumented.
@@ -26,28 +23,28 @@ func (t *Tier) instrument() {
 	if reg == nil {
 		return
 	}
-	t.cAbsorbOps = reg.Counter(t.metric("bb.absorb.ops"))
-	t.cAbsorbBytes = reg.Counter(t.metric("bb.absorb.bytes"))
-	t.cForward = reg.Counter(t.metric("bb.forward.bytes"))
-	t.cPassthrough = reg.Counter(t.metric("bb.passthrough.bytes"))
-	t.cDrainOps = reg.Counter(t.metric("bb.drain.ops"))
-	t.cDrainBytes = reg.Counter(t.metric("bb.drain.bytes"))
-	t.cDrainRetry = reg.Counter(t.metric("bb.drain.retries"))
-	t.cDrainDrop = reg.Counter(t.metric("bb.drain.dropped_bytes"))
-	t.cTorn = reg.Counter(t.metric("bb.drain.torn"))
-	t.cStalls = reg.Counter(t.metric("bb.stall.ops"))
-	t.cLost = reg.Counter(t.metric("bb.faults.lost_bytes"))
-	t.cCrashes = reg.Counter(t.metric("bb.faults.crashes"))
-	t.cRecoveries = reg.Counter(t.metric("bb.faults.recoveries"))
-	t.cFailedOps = reg.Counter(t.metric("bb.faults.failed_ops"))
-	t.hStallWait = reg.Histogram(t.metric("bb.stall.wait_s"), obs.TimeBuckets())
-	t.hDrainLag = reg.Histogram(t.metric("bb.drain.lag_s"), obs.TimeBuckets())
-	t.gPeakOcc = reg.Gauge(t.metric("bb.occupancy.peak_frac"))
-	t.gMaxLag = reg.Gauge(t.metric("bb.drain.max_lag_s"))
+	t.cAbsorbOps = reg.Counter("bb.absorb.ops")
+	t.cAbsorbBytes = reg.Counter("bb.absorb.bytes")
+	t.cForward = reg.Counter("bb.forward.bytes")
+	t.cPassthrough = reg.Counter("bb.passthrough.bytes")
+	t.cDrainOps = reg.Counter("bb.drain.ops")
+	t.cDrainBytes = reg.Counter("bb.drain.bytes")
+	t.cDrainRetry = reg.Counter("bb.drain.retries")
+	t.cDrainDrop = reg.Counter("bb.drain.dropped_bytes")
+	t.cTorn = reg.Counter("bb.drain.torn")
+	t.cStalls = reg.Counter("bb.stall.ops")
+	t.cLost = reg.Counter("bb.faults.lost_bytes")
+	t.cCrashes = reg.Counter("bb.faults.crashes")
+	t.cRecoveries = reg.Counter("bb.faults.recoveries")
+	t.cFailedOps = reg.Counter("bb.faults.failed_ops")
+	t.hStallWait = reg.Histogram("bb.stall.wait_s", obs.TimeBuckets())
+	t.hDrainLag = reg.Histogram("bb.drain.lag_s", obs.TimeBuckets())
+	t.gPeakOcc = reg.Gauge("bb.occupancy.peak_frac")
+	t.gMaxLag = reg.Gauge("bb.drain.max_lag_s")
 	capacity := float64(t.cfg.CapacityBytes()) * float64(len(t.nodes))
-	reg.GaugeFunc(t.metric("bb.capacity.bytes"), func() float64 { return capacity })
+	reg.GaugeFunc("bb.capacity.bytes", func() float64 { return capacity })
 	for i, n := range t.nodes {
-		name := t.metric(fmt.Sprintf("bb.node%02d", i))
+		name := fmt.Sprintf("bb.node%02d", i)
 		n.dev.Instrument(reg, name+".flash")
 		n.nic.Instrument(name + ".nic")
 		n.drainq.Instrument(name + ".drain")
@@ -61,8 +58,8 @@ func (t *Tier) instrument() {
 // sampling grid: aggregate occupancy (the saturation curve the sizing
 // experiment sweeps) and the drain scheduler's remaining debt.
 func (t *Tier) armSeries(reg *obs.Registry, window float64) {
-	tsOcc := reg.TimeSeries(t.metric("bb.occupancy.frac"))
-	tsBacklog := reg.TimeSeries(t.metric("bb.drain.backlog_bytes"))
+	tsOcc := reg.TimeSeries("bb.occupancy.frac")
+	tsBacklog := reg.TimeSeries("bb.drain.backlog_bytes")
 	t.eng.Sample(sim.Time(window), func(now sim.Time) {
 		ts := float64(now)
 		tsOcc.Observe(ts, t.Occupancy())

@@ -68,9 +68,9 @@ type node struct {
 	cursor  int // next log page (lpn), wraps over UserPages
 	pending int // admitted pages not yet released — the occupancy bound
 
-	dirty    fifo[record]    // undrained write-back records
-	waiters  fifo[*absorbOp] // writes stalled on capacity
-	draining bool            // one drain in flight per node
+	dirty    sim.FIFO[record]    // undrained write-back records
+	waiters  sim.FIFO[*absorbOp] // writes stalled on capacity
+	draining bool                // one drain in flight per node
 
 	// Fault state, same shape as a pfs server: the epoch lets work in
 	// flight discover at its next completion that the node died under
@@ -160,7 +160,7 @@ func (t *Tier) WriteOp(rank int, f *pfs.File, off, size int64, ot *obs.OpTimer, 
 // content was released.
 func (t *Tier) admit(op *absorbOp) {
 	n := op.n
-	if n.pending+op.pages <= t.capPages && n.waiters.len() == 0 {
+	if n.pending+op.pages <= t.capPages && n.waiters.Len() == 0 {
 		t.reserve(n, op.pages)
 		op.start()
 		return
@@ -168,7 +168,7 @@ func (t *Tier) admit(op *absorbOp) {
 	t.stats.Stalls++
 	t.cStalls.Inc()
 	op.enq = t.eng.Now()
-	n.waiters.push(op)
+	n.waiters.Push(op)
 }
 
 // reserve/release maintain the occupancy accounting on both the node
@@ -191,12 +191,12 @@ func (t *Tier) release(n *node, pages int) {
 // admitWaiters drains the stall FIFO in order while capacity lasts.
 func (t *Tier) admitWaiters(n *node) {
 	now := t.eng.Now()
-	for n.waiters.len() > 0 {
-		op := n.waiters.front()
+	for n.waiters.Len() > 0 {
+		op := n.waiters.Front()
 		if n.pending+op.pages > t.capPages {
 			return
 		}
-		n.waiters.pop()
+		n.waiters.Pop()
 		wait := now - op.enq
 		t.stats.StallTime += wait
 		t.hStallWait.Observe(float64(wait))
@@ -310,7 +310,7 @@ func (op *absorbOp) absorbed() {
 		n.client.WriteOp(op.f, op.off, op.size, op.ot, op.forwarded)
 		return
 	}
-	n.dirty.push(record{f: op.f, off: op.off, size: op.size, pages: op.pages, enq: t.eng.Now()})
+	n.dirty.Push(record{f: op.f, off: op.off, size: op.size, pages: op.pages, enq: t.eng.Now()})
 	t.backlogBytes += op.size
 	t.kickDrain(n)
 	op.finish(nil)
@@ -346,7 +346,7 @@ func (op *absorbOp) finish(err error) {
 // record back from flash (TRead per page across channels) and stream it
 // to the FS at the configured drain pace, then issue the FS write.
 func (t *Tier) kickDrain(n *node) {
-	if n.draining || n.down || n.dirty.len() == 0 {
+	if n.draining || n.down || n.dirty.Len() == 0 {
 		return
 	}
 	n.draining = true
@@ -355,7 +355,7 @@ func (t *Tier) kickDrain(n *node) {
 		d.t = t
 		d.written = d.write
 	}
-	d.n, d.rec, d.epoch, d.backoff, d.readback = n, n.dirty.pop(), n.epoch, t.cfg.DrainRetryBackoff, true
+	d.n, d.rec, d.epoch, d.backoff, d.readback = n, n.dirty.Pop(), n.epoch, t.cfg.DrainRetryBackoff, true
 	readback := sim.Time(float64(d.rec.pages) * float64(t.cfg.Flash.TRead) / float64(n.dev.Spec.Channels))
 	pace := sim.Time(float64(d.rec.size) / t.cfg.DrainBandwidth)
 	n.drainq.SubmitHandler(readback+pace, d)
@@ -502,8 +502,8 @@ func (t *Tier) CrashTarget(target string) {
 	n.epoch++
 	t.stats.Crashes++
 	t.cCrashes.Inc()
-	for n.dirty.len() > 0 {
-		rec := n.dirty.pop()
+	for n.dirty.Len() > 0 {
+		rec := n.dirty.Pop()
 		t.stats.LostBytes += rec.size
 		t.cLost.Add(rec.size)
 		t.backlogBytes -= rec.size
@@ -529,41 +529,4 @@ func (t *Tier) RecoverTarget(target string) {
 	t.stats.Recoveries++
 	t.cRecoveries.Inc()
 	t.kickDrain(n)
-}
-
-// fifo is a FIFO queue on a ring buffer. Pops advance a head index and
-// pushes fill the slots behind it, so a queue that moves without growing
-// reuses one backing array; it grows, doubling, only when full.
-type fifo[T any] struct {
-	buf  []T
-	head int // index of the front element
-	n    int // queued elements
-}
-
-func (q *fifo[T]) len() int { return q.n }
-
-func (q *fifo[T]) push(x T) {
-	if q.n == len(q.buf) {
-		buf := make([]T, max(2*len(q.buf), 4))
-		k := copy(buf, q.buf[q.head:])
-		copy(buf[k:], q.buf[:q.head])
-		q.buf, q.head = buf, 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = x
-	q.n++
-}
-
-// front returns the element pop would return; the queue must be
-// non-empty.
-func (q *fifo[T]) front() T { return q.buf[q.head] }
-
-// pop removes and returns the front element; the queue must be
-// non-empty. The vacated slot is zeroed so it holds no references.
-func (q *fifo[T]) pop() T {
-	x := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return x
 }

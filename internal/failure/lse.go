@@ -17,6 +17,13 @@ import (
 // corrupted extents over the run, discovered only when the integrity
 // layer in internal/pfs reads or scrubs them.
 
+// Every event is sector-aligned and a whole number of sectors long; a
+// torn write spans 2 to tornSectors sectors, uniformly.
+const (
+	sectorSize  = 512
+	tornSectors = 8
+)
+
 // LSESpec parameterizes a latent-sector-error draw for a set of drives.
 type LSESpec struct {
 	// Disks is the number of drives (one event stream each).
@@ -25,9 +32,6 @@ type LSESpec struct {
 	// CapacityBytes bounds corrupted offsets: events land uniformly in
 	// [0, CapacityBytes), sector-aligned.
 	CapacityBytes int64
-
-	// SectorSize aligns event offsets and sizes (default 512).
-	SectorSize int64
 
 	// MTBC is each drive's mean time between corruption events in
 	// seconds — the per-drive LSE arrival rate inverted.
@@ -41,10 +45,6 @@ type LSESpec struct {
 	// TornFraction is the probability an event is a torn write spanning
 	// several sectors instead of a single-sector media error.
 	TornFraction float64
-
-	// TornSectors is the maximum torn-write span in sectors (uniform in
-	// [2, TornSectors]; default 8, minimum 2).
-	TornSectors int
 
 	// Horizon bounds the draw: events arrive in [0, Horizon) seconds.
 	Horizon float64
@@ -68,15 +68,7 @@ func DrawLSE(spec LSESpec, seed int64) [][]disk.CorruptionEvent {
 	if err := spec.validate(); err != nil {
 		panic(err)
 	}
-	sector := spec.SectorSize
-	if sector <= 0 {
-		sector = 512
-	}
-	maxTorn := spec.TornSectors
-	if maxTorn < 2 {
-		maxTorn = 8
-	}
-	sectors := spec.CapacityBytes / sector
+	sectors := spec.CapacityBytes / sectorSize
 	if sectors < 1 {
 		sectors = 1
 	}
@@ -90,14 +82,14 @@ func DrawLSE(spec LSESpec, seed int64) [][]disk.CorruptionEvent {
 		var evs []disk.CorruptionEvent
 		for t := d.Sample(r); t < spec.Horizon; t += d.Sample(r) {
 			ev := disk.CorruptionEvent{
-				Offset: r.Int63n(sectors) * sector,
-				Length: sector,
+				Offset: r.Int63n(sectors) * sectorSize,
+				Length: sectorSize,
 				At:     sim.Time(t),
 				Mode:   disk.MediaError,
 			}
 			if r.Float64() < spec.TornFraction {
 				ev.Mode = disk.TornWrite
-				ev.Length = sector * int64(2+r.Intn(maxTorn-1))
+				ev.Length = sectorSize * int64(2+r.Intn(tornSectors-1))
 			}
 			if ev.Offset+ev.Length > spec.CapacityBytes {
 				ev.Offset = spec.CapacityBytes - ev.Length

@@ -117,14 +117,7 @@ func TestDrawOSSFaultsMatchesMathRandReference(t *testing.T) {
 
 // drawLSEReference is DrawLSE as it was written against math/rand.
 func drawLSEReference(spec LSESpec, seed int64) [][]disk.CorruptionEvent {
-	sector := spec.SectorSize
-	if sector <= 0 {
-		sector = 512
-	}
-	maxTorn := spec.TornSectors
-	if maxTorn < 2 {
-		maxTorn = 8
-	}
+	const sector, maxTorn = 512, 8
 	sectors := spec.CapacityBytes / sector
 	if sectors < 1 {
 		sectors = 1

@@ -219,7 +219,7 @@ func (fs *FS) repairUnit(s *server, gid int, diskOff, size int64, done func(erro
 			fs.failOp(done)
 			return
 		}
-		wsvc := s.dsk.Access(diskOff, size)
+		wsvc, _ := s.write(diskOff, size)
 		sepoch := s.epoch
 		s.dq.Submit(wsvc, func(sim.Time) {
 			if s.epoch != sepoch {
@@ -235,10 +235,7 @@ func (fs *FS) repairUnit(s *server, gid int, diskOff, size int64, done func(erro
 	for _, m := range readers {
 		m := m
 		roff := fs.ecExtent(m.srv, gid, m.slot)
-		svc := m.srv.dsk.Access(roff, size)
-		m.srv.bytesRead += size
-		m.srv.cOps.Inc()
-		m.srv.cBytesR.Add(size)
+		svc, _ := m.srv.read(roff, size)
 		epoch := m.srv.epoch
 		m.srv.dq.Submit(svc, func(sim.Time) {
 			if m.srv.epoch != epoch {
@@ -334,7 +331,7 @@ func (fs *FS) scrubServer(s *server, rep *ScrubReport, done func()) {
 				gid, _ = fs.red.groupOf(u.file, u.unit)
 			}
 		}
-		svc := s.dsk.Access(diskOff, size)
+		svc, _ := s.read(diskOff, size)
 		epoch := s.epoch
 		s.dq.Submit(svc, func(sim.Time) {
 			if s.epoch != epoch {

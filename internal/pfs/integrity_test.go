@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -72,6 +73,37 @@ func writeUnits(t *testing.T, eng *sim.Engine, fs *FS, n int) *File {
 		t.Fatalf("setup write failed: %+v", f)
 	}
 	return f
+}
+
+// TestEveryDiskAccessIsCounted: scrub reads and repair rewrites reach
+// the disk model, so they bump pfs.ossNN.ops, bytes_read and
+// bytes_written like every other disk access. With no read-modify-write
+// in the run, each server's ops equal its disk's accesses, and its byte
+// counters equal the bytes the disk transferred.
+func TestEveryDiskAccessIsCounted(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Instrument(obs.NewRegistry(), nil)
+	fs := New(eng, ecIntConfig())
+	f := writeUnits(t, eng, fs, 8)
+	if err := fs.InjectCorruption(unitCorruption(fs, f, 0, eng.Now())); err != nil {
+		t.Fatal(err)
+	}
+	var rep ScrubReport
+	fs.Scrub(func(r ScrubReport) { rep = r })
+	eng.Run()
+	if rep.Units == 0 || rep.Repaired != 1 {
+		t.Fatalf("scrub pass %+v, want every unit swept and one repair", rep)
+	}
+	for i, s := range fs.servers {
+		st := s.dsk.Stats()
+		if ops := s.cOps.Value(); ops != st.Accesses {
+			t.Errorf("oss%02d: %d ops counted for %d disk accesses", i, ops, st.Accesses)
+		}
+		counted := float64(s.cBytesR.Value() + s.cBytesW.Value())
+		if moved := st.TransferSec * s.dsk.Geom.SeqBandwidth; math.Abs(counted-moved) > 1 {
+			t.Errorf("oss%02d: %.0f bytes counted for %.0f bytes transferred", i, counted, moved)
+		}
+	}
 }
 
 func TestChecksumReadDetectsAndRepairs(t *testing.T) {

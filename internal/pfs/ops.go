@@ -485,25 +485,12 @@ func (pc *piece) diskWrite() {
 	var svc sim.Time
 	var det disk.AccessDetail
 	if !full && fs.Cfg.RMWPartialStripe && existed {
-		// Partial overwrite of an existing unit: read it, modify, write it
-		// back — two unit-sized disk ops.
-		t1, d1 := s.dsk.AccessTimed(pc.diskOff, fs.Cfg.StripeUnit)
-		t2, d2 := s.dsk.AccessTimed(pc.diskOff, fs.Cfg.StripeUnit)
-		svc = t1 + t2
-		det = disk.AccessDetail{
-			SeekSec:     d1.SeekSec + d2.SeekSec,
-			RotationSec: d1.RotationSec + d2.RotationSec,
-			TransferSec: d1.TransferSec + d2.TransferSec,
-		}
+		svc, det = s.rmw(pc.diskOff, fs.Cfg.StripeUnit, p.size)
 		fs.cRMW.Inc()
-		s.cRMW.Inc()
 	} else {
-		svc, det = s.dsk.AccessTimed(pc.diskOff+p.offIn, p.size)
+		svc, det = s.write(pc.diskOff+p.offIn, p.size)
 	}
 	pc.diskDetail(det)
-	s.bytesWritten += p.size
-	s.cOps.Inc()
-	s.cBytesW.Add(p.size)
 	pc.queue(writeDisk, s.dq, svc)
 }
 
@@ -535,11 +522,8 @@ func (pc *piece) diskRead() {
 		return
 	}
 	pc.diskOff = diskOff
-	svc, det := s.dsk.AccessTimed(diskOff+p.offIn, p.size)
+	svc, det := s.read(diskOff+p.offIn, p.size)
 	pc.diskDetail(det)
-	s.bytesRead += p.size
-	s.cOps.Inc()
-	s.cBytesR.Add(p.size)
 	pc.epoch = s.epoch
 	pc.queue(readDisk, s.dq, svc)
 }

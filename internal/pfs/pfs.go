@@ -272,14 +272,43 @@ type server struct {
 	// first repair).
 	repairing map[int64][]func(error)
 
-	bytesWritten int64
-	bytesRead    int64
-
 	// Per-OSS instrument handles (nil when uninstrumented).
 	cOps    *obs.Counter
 	cBytesW *obs.Counter
 	cBytesR *obs.Counter
 	cRMW    *obs.Counter
+}
+
+// read, write and rmw are the server's only ways to its disk: each
+// charges the disk model and counts one pfs.ossNN.ops plus its bytes in
+// bytes_read or bytes_written, and returns the service time and its
+// split.
+func (s *server) read(off, size int64) (sim.Time, disk.AccessDetail) {
+	s.cOps.Inc()
+	s.cBytesR.Add(size)
+	return s.dsk.AccessTimed(off, size)
+}
+
+func (s *server) write(off, size int64) (sim.Time, disk.AccessDetail) {
+	s.cOps.Inc()
+	s.cBytesW.Add(size)
+	return s.dsk.AccessTimed(off, size)
+}
+
+// rmw is a partial overwrite of size bytes into the existing unit at
+// off: the unit is read, modified and written back, two unit-sized
+// accesses counted as one op of size bytes written.
+func (s *server) rmw(off, unit, size int64) (sim.Time, disk.AccessDetail) {
+	s.cOps.Inc()
+	s.cBytesW.Add(size)
+	s.cRMW.Inc()
+	t1, d1 := s.dsk.AccessTimed(off, unit)
+	t2, d2 := s.dsk.AccessTimed(off, unit)
+	return t1 + t2, disk.AccessDetail{
+		SeekSec:     d1.SeekSec + d2.SeekSec,
+		RotationSec: d1.RotationSec + d2.RotationSec,
+		TransferSec: d1.TransferSec + d2.TransferSec,
+	}
 }
 
 // ecRegion is one group-unit region on a server: the UnitBytes its
@@ -409,9 +438,9 @@ type FS struct {
 // stripeLock is a FIFO mutex; stripe locks add an ownership-transfer
 // penalty (grant), directory locks do not.
 type stripeLock struct {
+	waiters sim.FIFO[lockWaiter]
+	owner   int32 // client that last held the lock, -1 for none
 	held    bool
-	owner   int
-	waiters []lockWaiter
 }
 
 type lockWaiter struct {
@@ -424,7 +453,7 @@ type lockWaiter struct {
 // holder and reports false.
 func (lk *stripeLock) take(client int, h sim.Handler, now sim.Time) bool {
 	if lk.held {
-		lk.waiters = append(lk.waiters, lockWaiter{client: client, h: h, since: now})
+		lk.waiters.Push(lockWaiter{client: client, h: h, since: now})
 		return false
 	}
 	lk.held = true
@@ -437,16 +466,11 @@ func (lk *stripeLock) handoff() (lockWaiter, bool) {
 	if !lk.held {
 		panic("pfs: release of unheld lock")
 	}
-	n := len(lk.waiters)
-	if n == 0 {
+	if lk.waiters.Len() == 0 {
 		lk.held = false
 		return lockWaiter{}, false
 	}
-	next := lk.waiters[0]
-	copy(lk.waiters, lk.waiters[1:])
-	lk.waiters[n-1] = lockWaiter{}
-	lk.waiters = lk.waiters[:n-1]
-	return next, true
+	return lk.waiters.Pop(), true
 }
 
 // New creates a file system on the given engine.
@@ -564,11 +588,11 @@ func (fs *FS) acquire(st *fileState, unit int64, client int, h sim.Handler) {
 
 func (fs *FS) grant(lk *stripeLock, client int, h sim.Handler) {
 	delay := sim.Time(0)
-	if lk.owner != -1 && lk.owner != client {
+	if lk.owner != -1 && lk.owner != int32(client) {
 		delay = fs.Cfg.LockRevoke
 		fs.cRevokes.Inc()
 	}
-	lk.owner = client
+	lk.owner = int32(client)
 	if delay > 0 {
 		fs.eng.ScheduleHandler(delay, h)
 	} else {
@@ -594,7 +618,7 @@ func (fs *FS) acquireDir(dir string, client int, fn func()) {
 		fs.dirLocks[dir] = lk
 	}
 	if lk.take(client, sim.HandlerFunc(fn), fs.eng.Now()) {
-		lk.owner = client
+		lk.owner = int32(client)
 		fn()
 	}
 }
@@ -605,7 +629,7 @@ func (fs *FS) releaseDir(dir string) {
 		panic("pfs: release of unheld directory lock")
 	}
 	if next, ok := lk.handoff(); ok {
-		lk.owner = next.client
+		lk.owner = int32(next.client)
 		next.h.Handle()
 	}
 }

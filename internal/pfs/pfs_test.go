@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -54,6 +55,7 @@ func TestSplitCoversRangeExactly(t *testing.T) {
 
 func TestCreateWriteReadRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.Instrument(obs.NewRegistry(), nil)
 	fs := New(eng, testConfig(4))
 	cl := fs.NewClient(0)
 	var wrote, read bool
@@ -72,7 +74,7 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 	}
 	var written int64
 	for _, s := range fs.servers {
-		written += s.bytesWritten
+		written += s.cBytesW.Value()
 	}
 	if written != 1<<20 {
 		t.Fatalf("servers wrote %d bytes, want %d", written, 1<<20)

@@ -58,14 +58,9 @@ type Redundancy struct {
 	UnitBytes int64
 
 	// ChunkBytes is the rebuild I/O granularity: each chunk is k
-	// parallel partner reads plus one spare write (default 2 MiB).
+	// parallel partner reads plus one spare write (default 2 MiB). A
+	// rebuild runs at full speed, one chunk after another.
 	ChunkBytes int64
-
-	// Throttle is the fraction of its partners' disk time a rebuild may
-	// consume, in (0, 1]; default 1 (rebuild at full speed). Lower
-	// values idle the rebuild between chunks, trading longer rebuild
-	// windows for less foreground interference.
-	Throttle float64
 }
 
 // Enabled reports whether the redundancy layer is active.
@@ -85,8 +80,6 @@ func (r Redundancy) Validate() error {
 		return fmt.Errorf("pfs: GroupsPerServer %d < 0", r.GroupsPerServer)
 	case r.UnitBytes < 0 || r.ChunkBytes < 0:
 		return fmt.Errorf("pfs: negative rebuild sizes")
-	case r.Throttle < 0 || r.Throttle > 1:
-		return fmt.Errorf("pfs: rebuild throttle %v outside (0, 1]", r.Throttle)
 	}
 	return nil
 }
@@ -115,13 +108,6 @@ func (r Redundancy) chunkBytes() int64 {
 func (r Redundancy) ratio() float64 {
 	if r.Declustering > 0 {
 		return r.Declustering
-	}
-	return 1
-}
-
-func (r Redundancy) throttle() float64 {
-	if r.Throttle > 0 {
-		return r.Throttle
 	}
 	return 1
 }
@@ -454,11 +440,8 @@ func (fs *FS) writeFragments(pc *piece) {
 			continue
 		}
 		off := fs.ecExtent(s, pc.gid, slot)
-		svc, det := s.dsk.AccessTimed(off+posIn, pc.p.size)
+		svc, det := s.write(off+posIn, pc.p.size)
 		pc.diskDetail(det)
-		s.bytesWritten += pc.p.size
-		s.cOps.Inc()
-		s.cBytesW.Add(pc.p.size)
 		fs.memberIO(pc, s, svc)
 	}
 	if pc.pending == 0 {
@@ -489,15 +472,12 @@ func (fs *FS) readReconstruct(pc *piece) {
 	pc.stage, pc.failed, pc.first = readReconstruct, false, fs.live[0].srv
 	for i, m := range fs.live {
 		off := fs.ecExtent(m.srv, pc.gid, m.slot)
-		svc, det := m.srv.dsk.AccessTimed(off+posIn, pc.p.size)
+		svc, det := m.srv.read(off+posIn, pc.p.size)
 		pc.diskDetail(det)
 		total += svc
 		if i == 0 {
 			base = svc
 		}
-		m.srv.bytesRead += pc.p.size
-		m.srv.cOps.Inc()
-		m.srv.cBytesR.Add(pc.p.size)
 		fs.memberIO(pc, m.srv, svc)
 	}
 	// The reads beyond one nominal fragment are the reconstruction cost.
@@ -681,8 +661,8 @@ func (fs *FS) rebuildGroup(inc *ecIncident, gid int) {
 }
 
 // rebuildChain is one group's rebuild (rebuildGroup): the Handler of
-// its spare writes and throttle idles, with one reader sub-record per
-// partner, all reused for every chunk.
+// its spare writes, with one reader sub-record per partner, all reused
+// for every chunk.
 type rebuildChain struct {
 	fs   *FS
 	inc  *ecIncident
@@ -690,12 +670,10 @@ type rebuildChain struct {
 	slot int
 
 	spare   *server
-	off, n  int64    // the chunk in flight
-	t0      sim.Time // when the chunk's reads were issued
-	epoch   int      // the spare's epoch when its write was issued
-	writing bool     // the event in flight is the spare write, not an idle
-	pending int      // partner reads outstanding
-	failed  bool     // a partner crashed mid-read
+	off, n  int64 // the chunk in flight
+	epoch   int   // the spare's epoch when its write was issued
+	pending int   // partner reads outstanding
+	failed  bool  // a partner crashed mid-read
 
 	live    []liveMember // the chunk's partners
 	readers []chainRead
@@ -744,13 +722,10 @@ func (c *rebuildChain) step(off int64) {
 		return
 	}
 	c.off, c.n = off, min(red.cfg.chunkBytes(), total-off)
-	c.t0, c.failed, c.pending = fs.eng.Now(), false, len(c.live)
+	c.failed, c.pending = false, len(c.live)
 	for i, m := range c.live {
 		roff := fs.ecExtent(m.srv, c.gid, m.slot)
-		svc, _ := m.srv.dsk.AccessTimed(roff+off, c.n)
-		m.srv.bytesRead += c.n
-		m.srv.cOps.Inc()
-		m.srv.cBytesR.Add(c.n)
+		svc, _ := m.srv.read(roff+off, c.n)
 		r := &c.readers[i]
 		r.srv, r.epoch = m.srv, m.srv.epoch
 		m.srv.dq.SubmitHandler(svc, r)
@@ -778,23 +753,15 @@ func (r *chainRead) Handle() {
 	}
 	fs, spare := c.fs, c.spare
 	woff := fs.ecExtent(spare, c.gid, c.slot)
-	svc, _ := spare.dsk.AccessTimed(woff+c.off, c.n)
-	spare.bytesWritten += c.n
-	spare.cOps.Inc()
-	spare.cBytesW.Add(c.n)
-	c.epoch, c.writing = spare.epoch, true
+	svc, _ := spare.write(woff+c.off, c.n)
+	c.epoch = spare.epoch
 	spare.dq.SubmitHandler(svc, c)
 }
 
-// Handle completes the chain's spare write, or the throttle idle after
-// it, and moves on to the next chunk.
+// Handle completes the chain's spare write and moves on to the next
+// chunk.
 func (c *rebuildChain) Handle() {
-	if !c.writing {
-		c.step(c.off)
-		return
-	}
-	c.writing = false
-	fs, red := c.fs, c.fs.red
+	red := c.fs.red
 	if c.spare.epoch != c.epoch {
 		c.step(c.off) // the spare died: step re-picks and restarts
 		return
@@ -802,12 +769,6 @@ func (c *rebuildChain) Handle() {
 	red.stats.Bytes += c.n
 	red.cRebBytes.Add(c.n)
 	c.off += c.n
-	if th := red.cfg.throttle(); th < 1 {
-		// Idle between chunks so foreground traffic keeps
-		// (1 - throttle) of the spindles.
-		fs.eng.ScheduleHandler(sim.Time(float64(fs.eng.Now()-c.t0)*(1-th)/th), c)
-		return
-	}
 	c.step(c.off)
 }
 

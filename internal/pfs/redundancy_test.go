@@ -24,7 +24,6 @@ func TestRedundancyValidate(t *testing.T) {
 		{K: 1},                          // M = 0 while enabled
 		{M: 2},                          // K = 0 while enabled
 		{K: 4, M: 2, Declustering: 1.5}, // ratio out of range
-		{K: 4, M: 2, Throttle: -1},
 		{K: 4, M: 2, UnitBytes: -1},
 	}
 	for _, r := range bad {
@@ -80,6 +79,7 @@ func TestECWriteUpdatesRedundancyFragments(t *testing.T) {
 	// A data write must fan fragment updates to the group's m redundancy
 	// members before acknowledging.
 	eng := sim.NewEngine()
+	eng.Instrument(obs.NewRegistry(), nil)
 	fs := New(eng, ecConfig(12, 4, 2))
 	cl := fs.NewClient(0)
 	var wrote bool
@@ -98,12 +98,12 @@ func TestECWriteUpdatesRedundancyFragments(t *testing.T) {
 	gid, slot := fs.red.groupOf(0, 0)
 	g := fs.red.groups[gid]
 	home := fs.servers[g.members[slot]]
-	if home.bytesWritten != 64<<10 {
-		t.Fatalf("home member wrote %d bytes, want %d", home.bytesWritten, 64<<10)
+	if w := home.cBytesW.Value(); w != 64<<10 {
+		t.Fatalf("home member wrote %d bytes, want %d", w, 64<<10)
 	}
 	frags := 0
 	for i := fs.red.cfg.K; i < len(g.members); i++ {
-		if fs.servers[g.members[i]].bytesWritten > 0 {
+		if fs.servers[g.members[i]].cBytesW.Value() > 0 {
 			frags++
 		}
 	}
@@ -114,6 +114,7 @@ func TestECWriteUpdatesRedundancyFragments(t *testing.T) {
 
 func TestECDegradedReadReconstructsFromKSurvivors(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.Instrument(obs.NewRegistry(), nil)
 	cfg := ecConfig(12, 4, 2)
 	// Big units keep the rebuild running while the degraded read lands —
 	// once a spare takes over, reads stop being degraded.
@@ -143,7 +144,7 @@ func TestECDegradedReadReconstructsFromKSurvivors(t *testing.T) {
 	// The decode touched exactly k surviving members' disks.
 	readers := 0
 	for _, idx := range fs.red.groups[gid].members {
-		if int(idx) != home && fs.servers[idx].bytesRead > 0 {
+		if int(idx) != home && fs.servers[idx].cBytesR.Value() > 0 {
 			readers++
 		}
 	}
@@ -205,6 +206,7 @@ func TestCrashTriggersDeclusteredRebuild(t *testing.T) {
 	// reading from partners spread across the population and re-creating
 	// the shares on spares.
 	eng := sim.NewEngine()
+	eng.Instrument(obs.NewRegistry(), nil)
 	fs := New(eng, ecConfig(16, 4, 2))
 	dead := 3
 	affected := len(fs.red.byServer[dead])
@@ -233,7 +235,7 @@ func TestCrashTriggersDeclusteredRebuild(t *testing.T) {
 	// Rebuild reads fanned out across many partners, not one neighbour.
 	partners := 0
 	for i, s := range fs.servers {
-		if i != dead && s.bytesRead > 0 {
+		if i != dead && s.cBytesR.Value() > 0 {
 			partners++
 		}
 	}

@@ -10,7 +10,7 @@ type Server struct {
 	eng     *Engine
 	cap     int
 	busy    int
-	waiting []*request
+	waiting FIFO[*request]
 	free    []*request // recycled requests, reused by Submit
 
 	// Busy time accounting for utilization reporting.
@@ -90,7 +90,7 @@ func (s *Server) submit(service Time, done func(Time), h Handler) {
 		s.start(r, s.eng.Now())
 		return
 	}
-	s.waiting = append(s.waiting, r)
+	s.waiting.Push(r)
 }
 
 // start dequeues r into service at time at, recording the queue wait it
@@ -123,16 +123,13 @@ func (s *Server) finish(r *request) {
 	} else if done != nil {
 		done(s.eng.Now())
 	}
-	if len(s.waiting) > 0 && s.busy < s.cap {
-		next := s.waiting[0]
-		copy(s.waiting, s.waiting[1:])
-		s.waiting = s.waiting[:len(s.waiting)-1]
-		s.start(next, s.eng.Now())
+	if s.waiting.Len() > 0 && s.busy < s.cap {
+		s.start(s.waiting.Pop(), s.eng.Now())
 	}
 }
 
 // QueueLen reports the number of requests waiting (not in service).
-func (s *Server) QueueLen() int { return len(s.waiting) }
+func (s *Server) QueueLen() int { return s.waiting.Len() }
 
 // MeanWait reports the mean queue wait over all requests that have
 // entered service (requests that started immediately contribute zero).

@@ -152,7 +152,7 @@ func bbGoldenRun(t *testing.T) map[string][]byte {
 
 // rebuildGoldenRun is a two-pod 4+2 storm on 16 OSS per pod.
 func rebuildGoldenRun(t *testing.T) map[string][]byte {
-	spec := rebuildSpec(1)
+	spec := rebuildSpec()
 	spec.Pods = 2
 	spec.Servers = 16
 	spec.Red = pfs.Redundancy{K: 4, M: 2, UnitBytes: 256 << 10, ChunkBytes: 64 << 10}

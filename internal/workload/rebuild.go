@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/failure"
 	"repro/internal/obs"
@@ -22,8 +23,8 @@ import (
 // rebuild behaviour, and the foreground latency quantiles under the
 // storm — the trade the paper's petascale reliability argument is about.
 // Pods never talk to each other, so the pod population shards
-// embarrassingly: the metrics snapshot is byte-identical for any shard
-// count.
+// embarrassingly over GOMAXPROCS engines: the metrics snapshot is
+// byte-identical for any shard count.
 
 // RebuildSpec describes one rebuild-storm population run.
 type RebuildSpec struct {
@@ -62,11 +63,6 @@ type RebuildSpec struct {
 	// hits data loss, which no retry cures — is dropped and counted.
 	MaxRetries   int
 	RetryBackoff sim.Time
-
-	// Shards is the number of event-queue shards (>= 1); pod p lives
-	// whole on shard p % Shards. Snapshots are byte-identical for any
-	// value.
-	Shards int
 }
 
 // Validate reports problems with the spec.
@@ -86,8 +82,6 @@ func (s RebuildSpec) Validate() error {
 		return fmt.Errorf("workload: negative time in rebuild spec")
 	case s.MaxRetries < 0:
 		return fmt.Errorf("workload: MaxRetries %d < 0", s.MaxRetries)
-	case s.Shards < 1:
-		return fmt.Errorf("workload: Shards %d < 1", s.Shards)
 	}
 	return s.podConfig(0).Validate()
 }
@@ -173,21 +167,21 @@ type rebuildPod struct {
 	timer obs.OpTimer // the foreground op's stage timer
 }
 
-// RunRebuild executes the rebuild-storm population. The registry
-// snapshot and its time series are byte-identical for any spec.Shards
-// >= 1 and any GOMAXPROCS; pods are fully independent, so the cluster runs with
-// unbounded lookahead.
+// RunRebuild executes the rebuild-storm population on min(GOMAXPROCS,
+// Pods) shards, pod p whole on shard p % shards. The registry snapshot
+// and its time series are byte-identical for any GOMAXPROCS; pods are
+// fully independent, so the cluster runs with unbounded lookahead.
 func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	cl, shards := sim.NewCluster(spec.Shards, sim.Infinity)
+	cl, shards := sim.NewCluster(min(runtime.GOMAXPROCS(0), spec.Pods), sim.Infinity)
 	cl.Instrument(reg)
 
 	pods := make([]*rebuildPod, spec.Pods)
 	result := RebuildResult{Pods: spec.Pods, Servers: spec.Servers, Drives: spec.Pods * spec.Servers}
 	for p := range pods {
-		eng := shards[p%spec.Shards]
+		eng := shards[p%len(shards)]
 		pod := &rebuildPod{eng: eng, fs: pfs.New(eng, spec.podConfig(p))}
 		seed := spec.Seed + int64(p)*1_000_003
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/failure"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-func rebuildSpec(shards int) RebuildSpec {
+func rebuildSpec() RebuildSpec {
 	return RebuildSpec{
 		Pods:    4,
 		Servers: 12,
@@ -28,19 +29,22 @@ func rebuildSpec(shards int) RebuildSpec {
 		WriteBytes:   1 << 20,
 		MaxRetries:   3,
 		RetryBackoff: sim.Time(5e-3),
-		Shards:       shards,
 	}
 }
 
 // TestRunRebuildShardCountInvariant: the storm's result, snapshot, and
-// time series are identical on 1 and 3 shards, with series off and on.
+// time series are identical at GOMAXPROCS 1 and 3, that is on 1 and 3
+// shards, with series off and on.
 func TestRunRebuildShardCountInvariant(t *testing.T) {
-	run := func(shards int, series bool) (RebuildResult, string, string) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	run := func(procs int, series bool) (RebuildResult, string, string) {
+		runtime.GOMAXPROCS(procs)
 		reg := obs.NewRegistry()
 		if series {
 			reg.EnableTimeSeries(0.1)
 		}
-		res := RunRebuild(rebuildSpec(shards), reg)
+		res := RunRebuild(rebuildSpec(), reg)
 		var snap, csv bytes.Buffer
 		if err := reg.WriteJSON(&snap); err != nil {
 			t.Fatal(err)
@@ -69,7 +73,7 @@ func TestRunRebuildShardCountInvariant(t *testing.T) {
 }
 
 func TestRunRebuildStormAccounting(t *testing.T) {
-	res := RunRebuild(rebuildSpec(2), obs.NewRegistry())
+	res := RunRebuild(rebuildSpec(), obs.NewRegistry())
 	if res.Drives != 48 || res.Groups == 0 {
 		t.Fatalf("population not realized: %+v", res)
 	}
@@ -100,7 +104,7 @@ func TestRunRebuildDataLossOpsTyped(t *testing.T) {
 	// A tiny pod where every server but one dies at once: the foreground
 	// read after the storm must be dropped as a typed data-loss op, not
 	// retried forever and not silently completed.
-	spec := rebuildSpec(1)
+	spec := rebuildSpec()
 	spec.Pods = 1
 	spec.Servers = 7
 	spec.Red = pfs.Redundancy{K: 4, M: 1, UnitBytes: 256 << 10, ChunkBytes: 64 << 10}
@@ -122,7 +126,7 @@ func TestRunRebuildDataLossOpsTyped(t *testing.T) {
 }
 
 func TestRunRebuildLSERoutesRepairsThroughGroups(t *testing.T) {
-	spec := rebuildSpec(1)
+	spec := rebuildSpec()
 	spec.Pods = 1
 	spec.Faults.Bursts = failure.BurstSpec{}
 	spec.Faults.MTBF = 1e6 // crash-free: isolate the latent-error path
@@ -148,7 +152,7 @@ func TestRunRebuildLSERoutesRepairsThroughGroups(t *testing.T) {
 func BenchmarkRunRebuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		spec := rebuildSpec(1)
+		spec := rebuildSpec()
 		spec.Pods = 2
 		spec.Rounds = 2
 		RunRebuild(spec, nil)
