@@ -37,3 +37,4 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='Rebuild|WriteOp|ReadOp' -benchtime=1x -benchmem ./internal/pfs/...
 	$(GO) test -run=NONE -bench='Rebuild|Scale|Faults' -benchtime=1x -benchmem ./internal/workload/...
 	$(GO) test -run=NONE -bench=Declustered -benchtime=1x ./internal/placement/...
+	$(GO) test -run=NONE -bench=Ablation -benchtime=1x -benchmem .

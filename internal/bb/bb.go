@@ -98,28 +98,25 @@ type Config struct {
 	// absorption speed (see internal/flash's Table 1 presets).
 	Flash flash.Spec
 
-	// IngestBandwidth is the rank→node link speed in bytes/sec
-	// (default 1.25e9, a 10 GbE-class private link — buffer nodes sit
-	// on the compute fabric, closer than the FS).
-	IngestBandwidth float64
-
 	// DrainBandwidth paces each node's asynchronous drain to the
 	// parallel FS in bytes/sec (default 100e6). Lower values lose the
 	// race against the next checkpoint round sooner.
 	DrainBandwidth float64
-
-	// MaxDrainRetries bounds retries of a drain write that failed
-	// (e.g. against a crashed OSS) before its bytes are dropped and
-	// counted; default 4. DrainRetryBackoff is the first retry delay,
-	// doubling per attempt (default 10 ms, capped at 8×).
-	MaxDrainRetries   int
-	DrainRetryBackoff sim.Time
-
-	// FailTimeout is how long a client waits before an operation
-	// against a down node errors with ErrNodeDown (default 25 ms,
-	// matching the FS's RPC timeout).
-	FailTimeout sim.Time
 }
+
+// The tier's fixed link and drain-retry parameters. A rank reaches its
+// node over a 10 GbE-class private link: buffer nodes sit on the
+// compute fabric, closer than the FS. A drain write that failed (e.g.
+// against a crashed OSS) is retried up to maxDrainRetries times, the
+// first after drainRetryBackoff and each later one after twice the
+// last, capped at 8×, before its bytes are dropped and counted. An
+// operation against a down node errors with ErrNodeDown after the file
+// system's RPC timeout (pfs.FS.FailTimeout).
+const (
+	ingestBandwidth   = 1.25e9 // bytes/sec
+	maxDrainRetries   = 4
+	drainRetryBackoff = sim.Time(10e-3)
+)
 
 // DefaultConfig returns a write-back tier of n nodes backed by the
 // FusionIO-class PCIe preset — the device Table 1 shows absorbing
@@ -147,32 +144,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("bb: unknown mode %d", int(c.Mode))
 	case c.Flash.PageSize <= 0 || c.Flash.UserPages <= 0 || c.Flash.PagesPerBlock <= 0:
 		return fmt.Errorf("bb: invalid flash spec (page size %d, user pages %d)", c.Flash.PageSize, c.Flash.UserPages)
-	case c.IngestBandwidth < 0 || c.DrainBandwidth < 0:
+	case c.DrainBandwidth < 0:
 		return fmt.Errorf("bb: negative bandwidth")
-	case c.MaxDrainRetries < 0:
-		return fmt.Errorf("bb: MaxDrainRetries %d < 0", c.MaxDrainRetries)
-	case c.DrainRetryBackoff < 0 || c.FailTimeout < 0:
-		return fmt.Errorf("bb: negative time in config")
 	}
 	return nil
 }
 
 // withDefaults fills the zero-value knobs.
 func (c Config) withDefaults() Config {
-	if c.IngestBandwidth == 0 {
-		c.IngestBandwidth = 1.25e9
-	}
 	if c.DrainBandwidth == 0 {
 		c.DrainBandwidth = 100e6
-	}
-	if c.MaxDrainRetries == 0 {
-		c.MaxDrainRetries = 4
-	}
-	if c.DrainRetryBackoff == 0 {
-		c.DrainRetryBackoff = sim.Time(10e-3)
-	}
-	if c.FailTimeout == 0 {
-		c.FailTimeout = sim.Time(25e-3)
 	}
 	return c
 }

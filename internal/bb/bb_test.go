@@ -25,12 +25,18 @@ type rig struct {
 
 func newRig(t *testing.T, cfg Config, ranks int, reg *obs.Registry) *rig {
 	t.Helper()
+	return newRigOn(t, pfs.PanFSLike(4), cfg, ranks, reg)
+}
+
+// newRigOn is newRig on a file system built from fsCfg.
+func newRigOn(t *testing.T, fsCfg pfs.Config, cfg Config, ranks int, reg *obs.Registry) *rig {
+	t.Helper()
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	eng := sim.NewEngine()
 	eng.Instrument(reg, nil)
-	fs := pfs.New(eng, pfs.PanFSLike(4))
+	fs := pfs.New(eng, fsCfg)
 	r := &rig{eng: eng, reg: reg, fs: fs, tier: NewTier(fs, cfg), files: make([]*pfs.File, ranks)}
 	for i := 0; i < ranks; i++ {
 		i := i
@@ -276,9 +282,10 @@ func TestWriteBackCrashLosesDirtyData(t *testing.T) {
 func TestWriteThroughCrashLosesNothing(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = WriteThrough
-	cfg.FailTimeout = sim.Time(5e-3)
+	fsCfg := pfs.PanFSLike(4)
+	fsCfg.FailTimeout = sim.Time(5e-3)
 	const ranks, size = 4, int64(256 << 10)
-	r := newRig(t, cfg, ranks, nil)
+	r := newRigOn(t, fsCfg, cfg, ranks, nil)
 	// Crash mid-ingest: the serialized node link moves one 256 KiB write
 	// every ~0.21 ms, so at +0.5 ms the later ranks are still queued.
 	plan := sim.NewFaultPlan().Add(NodeTarget(0), r.eng.Now()+0.0005, 0)
@@ -446,9 +453,6 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Nodes: 1, Mode: Mode(7), Flash: flash.FusionIODuo()},
 		{Nodes: 1, Flash: flash.Spec{}},
-		func() Config { c := testConfig(); c.IngestBandwidth = -1; return c }(),
-		func() Config { c := testConfig(); c.MaxDrainRetries = -1; return c }(),
-		func() Config { c := testConfig(); c.DrainRetryBackoff = -1; return c }(),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -233,7 +233,7 @@ const (
 
 // absorbOp is one admitted write on its way into a node's log. It is
 // the Handler of its ingest-link and flash-program completions, and of
-// the FailTimeout that errors it against a dead node. absorbOps are
+// the FS's RPC timeout that errors it against a dead node. absorbOps are
 // pooled on the Tier; t and forwarded (the write-through forward's
 // completion) are bound once per struct and survive recycling.
 type absorbOp struct {
@@ -256,7 +256,7 @@ type absorbOp struct {
 // start sends the admitted write over the node's ingest link.
 func (op *absorbOp) start() {
 	op.epoch = op.n.epoch
-	op.queue(absorbIngest, op.n.nic, sim.Time(float64(op.size)/op.t.cfg.IngestBandwidth))
+	op.queue(absorbIngest, op.n.nic, sim.Time(float64(op.size)/ingestBandwidth))
 }
 
 func (op *absorbOp) queue(next absorbStage, q *sim.Server, svc sim.Time) {
@@ -330,7 +330,7 @@ func (op *absorbOp) fail() {
 	t.cFailedOps.Inc()
 	t.release(op.n, op.pages)
 	op.stage = absorbFailed
-	t.eng.ScheduleHandler(t.cfg.FailTimeout, op)
+	t.eng.ScheduleHandler(t.fs.FailTimeout(), op)
 }
 
 // finish recycles the op and acknowledges the write. Recycling first
@@ -355,7 +355,7 @@ func (t *Tier) kickDrain(n *node) {
 		d.t = t
 		d.written = d.write
 	}
-	d.n, d.rec, d.epoch, d.backoff, d.readback = n, n.dirty.Pop(), n.epoch, t.cfg.DrainRetryBackoff, true
+	d.n, d.rec, d.epoch, d.backoff, d.readback = n, n.dirty.Pop(), n.epoch, drainRetryBackoff, true
 	readback := sim.Time(float64(d.rec.pages) * float64(t.cfg.Flash.TRead) / float64(n.dev.Spec.Channels))
 	pace := sim.Time(float64(d.rec.size) / t.cfg.DrainBandwidth)
 	n.drainq.SubmitHandler(readback+pace, d)
@@ -406,13 +406,13 @@ func (d *drainOp) Handle() {
 func (d *drainOp) write(err error) {
 	t, n, rec := d.t, d.n, d.rec
 	torn := n.epoch != d.epoch
-	if !torn && err != nil && d.attempt < t.cfg.MaxDrainRetries {
+	if !torn && err != nil && d.attempt < maxDrainRetries {
 		d.attempt++
 		t.stats.DrainRetries++
 		t.cDrainRetry.Inc()
 		delay := d.backoff
-		if d.backoff *= 2; d.backoff > 8*t.cfg.DrainRetryBackoff {
-			d.backoff = 8 * t.cfg.DrainRetryBackoff
+		if d.backoff *= 2; d.backoff > 8*drainRetryBackoff {
+			d.backoff = 8 * drainRetryBackoff
 		}
 		t.eng.ScheduleHandler(delay, d)
 		return

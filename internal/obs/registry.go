@@ -279,15 +279,19 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 
 	// Quantiles and Series exist only on analytics-enabled runs; omitempty
-	// leaves both keys out of a default snapshot, whose shape
-	// TestFaultFreeRunMatchesPrePRGolden pins.
+	// leaves quantiles out of a default snapshot, whose shape
+	// TestFaultFreeRunMatchesPrePRGolden pins. Series feed the report's
+	// sparklines and never serialize: WriteSeriesCSV is their one file.
 	Quantiles map[string]QuantileSnapshot   `json:"quantiles,omitempty"`
-	Series    map[string]TimeSeriesSnapshot `json:"timeseries,omitempty"`
+	Series    map[string]TimeSeriesSnapshot `json:"-"`
 }
 
 // Snapshot captures current values, evaluating gauge callbacks. A nil
 // registry yields an empty snapshot.
-func (r *Registry) Snapshot() Snapshot {
+func (r *Registry) Snapshot() Snapshot { return r.snapshot(true) }
+
+// snapshot is Snapshot, leaving Series empty unless withSeries.
+func (r *Registry) snapshot(withSeries bool) Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
@@ -317,9 +321,12 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.quants {
 		quants[k] = v
 	}
-	series := make(map[string]*TimeSeries, len(r.series))
-	for k, v := range r.series {
-		series[k] = v
+	var series map[string]*TimeSeries
+	if withSeries {
+		series = make(map[string]*TimeSeries, len(r.series))
+		for k, v := range r.series {
+			series[k] = v
+		}
 	}
 	r.mu.Unlock()
 
@@ -360,9 +367,10 @@ func finite(v float64) float64 {
 	return v
 }
 
-// WriteJSON serializes a snapshot as indented, stable-ordered JSON.
+// WriteJSON serializes a snapshot, without its series, as indented,
+// stable-ordered JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	buf, err := json.MarshalIndent(r.Snapshot(), "", "  ")
+	buf, err := json.MarshalIndent(r.snapshot(false), "", "  ")
 	if err != nil {
 		return err
 	}

@@ -107,9 +107,9 @@ func (fs *FS) RecoverTarget(target string) {
 	}
 }
 
-// failTimeout is the client-visible RPC timeout (Config.FailTimeout,
-// default 25ms).
-func (fs *FS) failTimeout() sim.Time {
+// FailTimeout is the client-visible RPC timeout: Config.FailTimeout,
+// or 25ms when that is zero.
+func (fs *FS) FailTimeout() sim.Time {
 	if fs.Cfg.FailTimeout > 0 {
 		return fs.Cfg.FailTimeout
 	}
@@ -121,7 +121,7 @@ func (fs *FS) failTimeout() sim.Time {
 func (fs *FS) failOp(done func(error)) {
 	fs.faults.FailedOps++
 	fs.cFailedOps.Inc()
-	fs.eng.Schedule(fs.failTimeout(), func() { done(ErrServerDown) })
+	fs.eng.Schedule(fs.FailTimeout(), func() { done(ErrServerDown) })
 }
 
 // expireLease reclaims a stripe lock abandoned by a failed write. With

@@ -490,7 +490,7 @@ func (fs *FS) readReconstruct(pc *piece) {
 func (fs *FS) lossRead(done func(error)) {
 	fs.red.loss.Reads++
 	fs.red.cLossReads.Inc()
-	fs.eng.Schedule(fs.failTimeout(), func() { done(ErrDataLoss) })
+	fs.eng.Schedule(fs.FailTimeout(), func() { done(ErrDataLoss) })
 }
 
 // ecOnCrash is the redundancy layer's CrashTarget hook: bump every

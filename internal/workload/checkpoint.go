@@ -7,8 +7,10 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/bb"
 	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -235,44 +237,54 @@ func programs(spec Spec, unit int64) []Program {
 	return progs
 }
 
-// rankSet is the rank loop every single-file-system harness shares: one
-// client and one open-file cache per rank, kept across phases so a file
-// is opened once per run.
+// rankSet runs one file system's ranks: every workload harness drives
+// its checkpoints through one. A rank keeps its client, open files and
+// stage timer across phases, so a file is opened once per run.
 type rankSet struct {
-	eng     *sim.Engine
-	fs      *pfs.FS
-	progs   []Program
-	clients []*pfs.Client
-	handles []map[string]*pfs.File
+	eng   *sim.Engine
+	fs    *pfs.FS
+	tier  *bb.Tier // when set, writes go through the burst buffer
+	ranks []rank
+
+	// A failed attempt is retried up to maxRetries times, the first
+	// after backoff and each later one after twice the last, capped at
+	// maxBackoff. pfs.ErrDataLoss is never retried: no retry resurrects
+	// a lost group. retries counts the retries.
+	maxRetries          int
+	backoff, maxBackoff sim.Time
+	retries             int64
+	cRetries            *obs.Counter
+
+	// outcome hears how each logical op ended: its latency on success,
+	// or the error that ended it. Without one an error panics: a run
+	// that injects no fault fails an op only through a bug.
+	outcome func(o *Op, lat sim.Time, err error)
+
+	finished *sim.Barrier // the phase in progress
 }
 
-// opStep issues op o of rank r on the open file h and calls next when
-// the rank may move on to its following op. ot is the rank's stage
-// timer, restarted for this op (nil when op timers are off): the step
-// passes it to every attempt and, once the op succeeds, to
-// rankSet.observe.
-type opStep func(r int, h *pfs.File, o Op, ot *obs.OpTimer, next func())
-
-func newRankSet(eng *sim.Engine, fs *pfs.FS, progs []Program) *rankSet {
-	rs := &rankSet{
-		eng:     eng,
-		fs:      fs,
-		progs:   progs,
-		clients: make([]*pfs.Client, len(progs)),
-		handles: make([]map[string]*pfs.File, len(progs)),
-	}
-	for r := range progs {
-		rs.clients[r] = fs.NewClient(r)
-		rs.handles[r] = make(map[string]*pfs.File)
+// newRankSet builds rank r of progs with client id r on fs, and gives
+// each rank a stage timer when op timers are on. The ranks share the
+// programs' ops, which must not change while a phase runs.
+func newRankSet(fs *pfs.FS, progs []Program) *rankSet {
+	rs := &rankSet{eng: fs.Engine(), fs: fs, ranks: make([]rank, len(progs))}
+	timed := rs.eng.Metrics().OpTimersEnabled()
+	for r := range rs.ranks {
+		rk := &rs.ranks[r]
+		rk.rs, rk.id, rk.client, rk.ops = rs, r, fs.NewClient(r), progs[r].Ops
+		rk.complete = rk.done
+		if timed {
+			rk.timer = new(obs.OpTimer)
+		}
 	}
 	return rs
 }
 
-// create issues every rank's creates and calls start once all of them
-// have completed (at once when there are none).
-func (rs *rankSet) create(start func()) {
+// create issues every program's creates and calls start once all of
+// them have completed (at once when there are none).
+func (rs *rankSet) create(progs []Program, start func()) {
 	var n int
-	for _, p := range rs.progs {
+	for _, p := range progs {
 		n += len(p.Creates)
 	}
 	if n == 0 {
@@ -280,140 +292,164 @@ func (rs *rankSet) create(start func()) {
 		return
 	}
 	created := sim.NewBarrier(rs.eng, n, func(sim.Time) { start() })
-	for r, p := range rs.progs {
+	for r, p := range progs {
 		for _, name := range p.Creates {
-			rs.clients[r].Create(name, func(*pfs.File) { created.Arrive() })
+			rs.ranks[r].client.Create(name, func(*pfs.File) { created.Arrive() })
 		}
 	}
 }
 
-// phase runs every rank's ops concurrently, each rank in program order:
-// open the file on first use, spend the op's CPU time (e.g.
-// compression), then step. done receives the phase's elapsed time once
-// the last rank finishes.
-func (rs *rankSet) phase(step opStep, done func(elapsed sim.Time)) {
+// phase runs every rank's program from its first op, the ranks
+// concurrently, and passes done the phase's elapsed time once the last
+// rank finishes.
+func (rs *rankSet) phase(done func(elapsed sim.Time)) {
 	start := rs.eng.Now()
-	finished := sim.NewBarrier(rs.eng, len(rs.progs), func(at sim.Time) { done(at - start) })
-	runs := make([]rankRun, len(rs.progs))
-	for r := range runs {
-		rr := &runs[r]
-		*rr = rankRun{rs: rs, r: r, ops: rs.progs[r].Ops, handles: rs.handles[r], step: step, finished: finished}
-		rr.next, rr.opened, rr.compute = rr.advance, rr.open, rr.perform
-		rr.issue()
+	rs.finished = sim.NewBarrier(rs.eng, len(rs.ranks), func(at sim.Time) { done(at - start) })
+	for r := range rs.ranks {
+		rs.ranks[r].i = 0
+		rs.ranks[r].issue()
 	}
 }
 
-// observe folds a succeeded op's stage timer into the file system's
-// read or write quantiles.
-func (rs *rankSet) observe(o Op, ot *obs.OpTimer) {
-	if o.Read {
-		rs.fs.FinishReadOp(ot)
-	} else {
-		rs.fs.FinishWriteOp(ot)
-	}
-}
-
-// direct returns the step of a harness that issues each op once,
-// straight to pfs: a succeeded op's timer is observed, a failed op's
-// error goes to failed, and the rank moves on either way. Each rank's
-// completion is bound once.
-func (rs *rankSet) direct(failed func(r int, err error)) opStep {
-	type inflight struct {
-		o    Op
-		ot   *obs.OpTimer
-		next func()
-	}
-	cur := make([]inflight, len(rs.progs))
-	completes := make([]func(error), len(rs.progs))
-	for r := range completes {
-		completes[r] = func(err error) {
-			c := &cur[r]
-			if err == nil {
-				rs.observe(c.o, c.ot)
-			} else {
-				failed(r, err)
-			}
-			c.next()
-		}
-	}
-	return func(r int, h *pfs.File, o Op, ot *obs.OpTimer, next func()) {
-		cur[r] = inflight{o: o, ot: ot, next: next}
-		if o.Read {
-			rs.clients[r].ReadOp(h, o.Off, o.Size, ot, completes[r])
-		} else {
-			rs.clients[r].WriteOp(h, o.Off, o.Size, ot, completes[r])
-		}
-	}
-}
-
-// rankRun is one rank's place in a phase. Its continuations are bound
-// once per phase and its stage timer is restarted for each op, so an op
-// allocates nothing of its own. Reusing the timer is safe because no
-// layer charges it after the op's done runs: pfs calls done after the
-// op's last piece has charged it, and bb's absorbOp calls done after
-// recycling itself. A layer that kept charging after done would fold
-// one op's stages into the next.
-type rankRun struct {
+// rank is one rank's place in its program. It issues its ops in order:
+// it opens the op's file on first use, spends the op's CPU time (e.g.
+// compression), issues the op, and retries a failed attempt. Its
+// completion is bound once per run and its stage timer is restarted
+// for each logical op, so an op allocates nothing of its own.
+//
+// The timer spans the whole logical op, every attempt's stages and the
+// backoff between them, and is observed once, on success; a dropped op
+// never folds in, so the quantiles describe completed operations.
+// Reusing the timer is safe because no layer charges it after the
+// op's done runs: pfs calls done after the op's last piece has charged
+// it, and bb's absorbOp calls done after recycling itself. A layer that
+// kept charging after done would fold one op's stages into the next.
+type rank struct {
 	rs       *rankSet
-	r        int
 	ops      []Op
-	handles  map[string]*pfs.File
 	i        int       // the op in flight
-	h        *pfs.File // its open file
-	step     opStep
-	finished *sim.Barrier
-	timer    obs.OpTimer
+	h        *pfs.File // the file of op i
+	client   *pfs.Client
+	complete func(error) // done, bound once
 
-	// advance, open and perform, bound once per phase; compute runs
-	// perform once the op's CPU time is spent.
-	next    func()
-	opened  func(*pfs.File)
-	compute func()
+	timer   *obs.OpTimer // nil with op timers off
+	files   []*pfs.File  // the files the rank has open
+	begin   sim.Time     // when the op's first attempt was issued
+	backoff sim.Time     // the delay before its next retry
+	id      int
+	attempt int // the op's retries so far
 }
 
-// issue starts op i, or arrives at the barrier after the last one: open
-// the file on first use, spend the op's CPU time, then step.
-func (rr *rankRun) issue() {
-	if rr.i == len(rr.ops) {
-		rr.finished.Arrive()
+// issue starts op i, or arrives at the phase's barrier after the last
+// one.
+func (rk *rank) issue() {
+	if rk.i == len(rk.ops) {
+		rk.rs.finished.Arrive()
 		return
 	}
-	o := &rr.ops[rr.i]
-	h, ok := rr.handles[o.File]
-	if !ok {
-		rr.rs.clients[rr.r].Open(o.File, rr.opened)
-		return
+	o := &rk.ops[rk.i]
+	// h is still the previous op's file, which is usually this op's too.
+	if rk.i == 0 || o.File != rk.ops[rk.i-1].File {
+		if rk.h = rk.file(o.File); rk.h == nil {
+			rk.client.Open(o.File, rk.open)
+			return
+		}
 	}
-	rr.h = h
+	rk.attempt = 0
 	if o.CPU > 0 {
-		rr.rs.eng.Schedule(o.CPU, rr.compute)
+		rk.rs.eng.ScheduleHandler(o.CPU, rk)
 		return
 	}
-	rr.perform()
+	rk.start()
 }
 
-// open caches the handle of a file the rank opened and issues the op
-// that needed it.
-func (rr *rankRun) open(h *pfs.File) {
-	rr.handles[rr.ops[rr.i].File] = h
-	rr.issue()
-}
-
-// perform starts the op's stage timer, after its CPU time, and steps.
-func (rr *rankRun) perform() {
-	o := rr.ops[rr.i]
-	var ot *obs.OpTimer
-	if o.Read {
-		ot = rr.rs.fs.StartReadOp(&rr.timer)
-	} else {
-		ot = rr.rs.fs.StartWriteOp(&rr.timer)
+// file returns the rank's handle of the named file, or nil if the rank
+// has not opened it.
+func (rk *rank) file(name string) *pfs.File {
+	for _, h := range rk.files {
+		if h.Name() == name {
+			return h
+		}
 	}
-	rr.step(rr.r, rr.h, o, ot, rr.next)
+	return nil
 }
 
-func (rr *rankRun) advance() {
-	rr.i++
-	rr.issue()
+// open keeps a file the rank opened and issues the op that needed it.
+func (rk *rank) open(h *pfs.File) {
+	rk.files = append(rk.files, h)
+	rk.issue()
+}
+
+// Handle resumes the rank when its op's CPU time (no attempt made yet)
+// or a retry's backoff is over.
+func (rk *rank) Handle() {
+	if rk.attempt == 0 {
+		rk.start()
+	} else {
+		rk.try()
+	}
+}
+
+// start restarts the stage timer for the op and makes its first
+// attempt.
+func (rk *rank) start() {
+	rs := rk.rs
+	switch {
+	case rk.timer == nil:
+	case rk.ops[rk.i].Read:
+		rs.fs.StartReadOp(rk.timer)
+	default:
+		rs.fs.StartWriteOp(rk.timer)
+	}
+	rk.begin, rk.backoff = rs.eng.Now(), rs.backoff
+	rk.try()
+}
+
+// try makes one attempt at the op: a write goes to the burst-buffer
+// tier when there is one, everything else straight to pfs.
+func (rk *rank) try() {
+	o := &rk.ops[rk.i]
+	switch {
+	case o.Read:
+		rk.client.ReadOp(rk.h, o.Off, o.Size, rk.timer, rk.complete)
+	case rk.rs.tier != nil:
+		rk.rs.tier.WriteOp(rk.id, rk.h, o.Off, o.Size, rk.timer, rk.complete)
+	default:
+		rk.client.WriteOp(rk.h, o.Off, o.Size, rk.timer, rk.complete)
+	}
+}
+
+// done ends an attempt. A failure with a retry left schedules the next
+// attempt after the backoff, charged to the timer. Otherwise the op is
+// over: a success is observed, the outcome heard, and the rank moves
+// on.
+func (rk *rank) done(err error) {
+	rs, o := rk.rs, &rk.ops[rk.i]
+	if err != nil && rk.attempt < rs.maxRetries && !errors.Is(err, pfs.ErrDataLoss) {
+		rk.attempt++
+		rs.retries++
+		rs.cRetries.Inc()
+		d := rk.backoff
+		if rk.backoff *= 2; rk.backoff > rs.maxBackoff {
+			rk.backoff = rs.maxBackoff
+		}
+		rk.timer.Add(obs.StageBackoff, float64(d))
+		rs.eng.ScheduleHandler(d, rk)
+		return
+	}
+	switch {
+	case err == nil && o.Read:
+		rs.fs.FinishReadOp(rk.timer)
+	case err == nil:
+		rs.fs.FinishWriteOp(rk.timer)
+	case rs.outcome == nil:
+		panic(fmt.Sprintf("workload: rank %d: op failed with no fault injected: %v", rk.id, err))
+	}
+	if rs.outcome != nil {
+		rs.outcome(o, rs.eng.Now()-rk.begin, err)
+	}
+	rk.i++
+	rk.issue()
 }
 
 // RunPrograms executes arbitrary per-rank programs against a fresh file
@@ -427,17 +463,12 @@ func RunPrograms(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *obs.Tra
 	eng := sim.NewEngine()
 	eng.Instrument(reg, tr)
 	fs := pfs.New(eng, cfg)
-	rs := newRankSet(eng, fs, progs)
+	rs := newRankSet(fs, progs)
 
-	// No fault plan runs here, so pfs returns no error; only a bug can
-	// make one.
-	step := rs.direct(func(r int, err error) {
-		panic(fmt.Sprintf("workload: rank %d: fault-free op failed: %v", r, err))
-	})
 	var result Result
-	rs.create(func() {
+	rs.create(progs, func() {
 		result.SetupElapsed = eng.Now()
-		rs.phase(step, func(elapsed sim.Time) { result.Elapsed = elapsed })
+		rs.phase(func(elapsed sim.Time) { result.Elapsed = elapsed })
 	})
 
 	eng.Run()

@@ -36,7 +36,8 @@ type FaultSpec struct {
 	Plan *sim.FaultPlan
 
 	// MaxRetries bounds per-op retries of a failed write or read before
-	// the op is dropped. Zero drops on the first error.
+	// the op is dropped. Zero drops on the first error, and so does
+	// pfs.ErrDataLoss, which no retry cures.
 	MaxRetries int
 
 	// RetryBackoff is the delay before the first retry; it doubles per
@@ -152,64 +153,22 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 	}
 
 	spec := fspec.Spec
-	rs := newRankSet(eng, fs, programs(spec, cfg.StripeUnit))
+	progs := programs(spec, cfg.StripeUnit)
+	rs := newRankSet(fs, progs)
+	rs.tier, rs.cRetries = tier, cRetries
+	rs.maxRetries, rs.backoff, rs.maxBackoff = fspec.MaxRetries, fspec.RetryBackoff, fspec.MaxBackoff
+	if rs.maxBackoff <= 0 {
+		rs.maxBackoff = fspec.RetryBackoff
+	}
 
 	result := FaultResult{Checkpoints: fspec.Checkpoints, ComputeTime: fspec.ComputeTime}
-	maxBackoff := fspec.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = fspec.RetryBackoff
-	}
-
-	// Each rank's retry state is built once: a rank has one op in
-	// flight, so its try and complete are bound once per rank, not per op.
-	retries := make([]retryOp, len(rs.progs))
-	for r := range retries {
-		rt := &retries[r]
-		rt.try = func() {
-			switch {
-			case rt.o.Read:
-				rs.clients[r].ReadOp(rt.h, rt.o.Off, rt.o.Size, rt.ot, rt.complete)
-			case tier != nil:
-				tier.WriteOp(r, rt.h, rt.o.Off, rt.o.Size, rt.ot, rt.complete)
-			default:
-				rs.clients[r].WriteOp(rt.h, rt.o.Off, rt.o.Size, rt.ot, rt.complete)
-			}
-		}
-		rt.complete = func(err error) {
-			if err == nil {
-				rs.observe(rt.o, rt.ot)
-				rt.next()
-				return
-			}
-			if rt.attempt < fspec.MaxRetries {
-				rt.attempt++
-				result.Retries++
-				cRetries.Inc()
-				d := rt.backoff
-				if rt.backoff *= 2; rt.backoff > maxBackoff {
-					rt.backoff = maxBackoff
-				}
-				rt.ot.Add(obs.StageBackoff, float64(d))
-				eng.Schedule(d, rt.try)
-				return
-			}
-			// Persistent failure: abandon the op and move on — the
-			// degraded checkpoint is accounted, not hung.
+	// An op that fails past its retries is abandoned and the rank moves
+	// on: the degraded checkpoint is accounted, not hung.
+	rs.outcome = func(_ *Op, _ sim.Time, err error) {
+		if err != nil {
 			result.DroppedOps++
 			cDropped.Inc()
-			rt.next()
 		}
-	}
-
-	// step retries a failed op with capped exponential backoff and drops
-	// it, counted, once MaxRetries is spent. The rank's stage timer spans
-	// the whole logical op — every attempt's stages plus the backoff
-	// between them — and is observed once, on final success. Dropped ops
-	// never fold in, so the quantiles describe completed operations.
-	step := func(r int, h *pfs.File, o Op, ot *obs.OpTimer, next func()) {
-		rt := &retries[r]
-		rt.h, rt.o, rt.ot, rt.next, rt.attempt, rt.backoff = h, o, ot, next, 0, fspec.RetryBackoff
-		rt.try()
 	}
 
 	round := 0
@@ -221,7 +180,7 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		}
 		begin := func() {
 			cRounds.Inc()
-			rs.phase(step, func(elapsed sim.Time) {
+			rs.phase(func(elapsed sim.Time) {
 				result.Elapsed += elapsed
 				round++
 				startRound()
@@ -233,13 +192,14 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 			begin()
 		}
 	}
-	rs.create(func() {
+	rs.create(progs, func() {
 		result.SetupElapsed = eng.Now()
 		startRound()
 	})
 
 	eng.Run()
 	result.Spec = spec
+	result.Retries = rs.retries
 	result.TotalBytes = int64(spec.Ranks) * spec.BytesPerRank * int64(fspec.Checkpoints)
 	if result.Elapsed > 0 {
 		result.Bandwidth = float64(result.TotalBytes) / float64(result.Elapsed)
@@ -254,19 +214,4 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		result.Utilization = float64(fspec.ComputeTime) * float64(fspec.Checkpoints) / float64(result.WallClock)
 	}
 	return result
-}
-
-// retryOp is one rank's logical op under RunFaults' retry loop: its
-// handle, the op, the rank's stage timer spanning every attempt, the
-// rank's next continuation, and the attempt count and backoff.
-type retryOp struct {
-	h       *pfs.File
-	o       Op
-	ot      *obs.OpTimer
-	next    func()
-	attempt int
-	backoff sim.Time
-
-	try      func()
-	complete func(error)
 }

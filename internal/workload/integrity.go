@@ -86,27 +86,28 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 	}
 
 	spec := ispec.Spec
-	rs := newRankSet(eng, fs, programs(spec, cfg.StripeUnit))
+	progs := programs(spec, cfg.StripeUnit)
+	rs := newRankSet(fs, progs)
 
 	var result IntegrityResult
 
 	// Errors count into FlaggedReads rather than aborting (a flagged
 	// checkpoint record is an outcome to measure, not a harness failure).
-	step := rs.direct(func(_ int, err error) {
+	rs.outcome = func(_ *Op, _ sim.Time, err error) {
 		if err != nil {
 			result.FlaggedReads++
 		}
-	})
+	}
 
 	readBack := func() {
 		result.UnrepairedAtRead = fs.UnrepairedCorruption()
 		// The read-back phase reads what the write phase wrote.
-		for _, p := range rs.progs {
+		for _, p := range progs {
 			for i := range p.Ops {
 				p.Ops[i].Read = true
 			}
 		}
-		rs.phase(step, func(elapsed sim.Time) {
+		rs.phase(func(elapsed sim.Time) {
 			result.ReadElapsed = elapsed
 		})
 	}
@@ -127,9 +128,9 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 		}
 	}
 
-	rs.create(func() {
+	rs.create(progs, func() {
 		result.Write.SetupElapsed = eng.Now()
-		rs.phase(step, func(elapsed sim.Time) {
+		rs.phase(func(elapsed sim.Time) {
 			result.Write.Elapsed = elapsed
 			afterWrites()
 		})

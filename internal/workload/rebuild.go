@@ -155,16 +155,30 @@ type RebuildResult struct {
 // rebuildPod is one pod's harness state; everything here is touched only
 // by events on the pod's own shard, so pods run in parallel untouched.
 type rebuildPod struct {
-	eng *sim.Engine
-	fs  *pfs.FS
+	rs *rankSet // the pod's foreground: one rank
 
 	burstEvents int64
 	burstCrash  int64
 
-	ops, retries, dropped, dataLoss int64
-	writeLat, readLat               []float64
+	ops, dropped, dataLoss int64
+	writeLat, readLat      []float64
+}
 
-	timer obs.OpTimer // the foreground op's stage timer
+// outcome counts how one foreground op ended: a completed op's latency,
+// or the data loss or persistent failure that dropped it.
+func (pod *rebuildPod) outcome(o *Op, lat sim.Time, err error) {
+	switch {
+	case err == nil && o.Read:
+		pod.ops++
+		pod.readLat = append(pod.readLat, float64(lat))
+	case err == nil:
+		pod.ops++
+		pod.writeLat = append(pod.writeLat, float64(lat))
+	case errors.Is(err, pfs.ErrDataLoss):
+		pod.dataLoss++
+	default:
+		pod.dropped++
+	}
 }
 
 // RunRebuild executes the rebuild-storm population on min(GOMAXPROCS,
@@ -178,43 +192,62 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 	cl, shards := sim.NewCluster(min(runtime.GOMAXPROCS(0), spec.Pods), sim.Infinity)
 	cl.Instrument(reg)
 
+	// Each pod's foreground is one rank that computes, writes the
+	// checkpoint range and reads it back, Rounds times. The read follows
+	// even a dropped write: a restarting application probes its
+	// checkpoint regardless, and that is where lost groups surface as
+	// ErrDataLoss.
+	prog := []Program{{Ops: make([]Op, 0, 2*spec.Rounds)}}
+	for range spec.Rounds {
+		prog[0].Ops = append(prog[0].Ops,
+			Op{File: "/ckpt", Size: spec.WriteBytes, CPU: spec.ComputeTime},
+			Op{File: "/ckpt", Size: spec.WriteBytes, Read: true})
+	}
+
 	pods := make([]*rebuildPod, spec.Pods)
 	result := RebuildResult{Pods: spec.Pods, Servers: spec.Servers, Drives: spec.Pods * spec.Servers}
 	for p := range pods {
-		eng := shards[p%len(shards)]
-		pod := &rebuildPod{eng: eng, fs: pfs.New(eng, spec.podConfig(p))}
+		fs := pfs.New(shards[p%len(shards)], spec.podConfig(p))
 		seed := spec.Seed + int64(p)*1_000_003
 
 		fspec := spec.Faults
 		fspec.Servers = spec.Servers
 		fspec.Target = nil
 		plan, bs := failure.DrawOSSFaultsDetailed(fspec, seed)
-		pod.burstEvents = int64(bs.Bursts)
-		pod.burstCrash = int64(bs.Crashes)
-		if err := pod.fs.InjectFaults(plan); err != nil {
+		if err := fs.InjectFaults(plan); err != nil {
 			panic(err)
 		}
 		if spec.LSE != nil {
 			lspec := *spec.LSE
 			lspec.Disks = spec.Servers
-			if err := pod.fs.InjectCorruption(failure.DrawLSE(lspec, seed^0x15e)); err != nil {
+			if err := fs.InjectCorruption(failure.DrawLSE(lspec, seed^0x15e)); err != nil {
 				panic(err)
 			}
 		}
+		result.Groups += fs.RedundancyGroups()
+
+		rs := newRankSet(fs, prog)
+		rs.maxRetries, rs.backoff, rs.maxBackoff = spec.MaxRetries, spec.RetryBackoff, 8*spec.RetryBackoff
+		pod := &rebuildPod{rs: rs, burstEvents: int64(bs.Bursts), burstCrash: int64(bs.Crashes)}
+		rs.outcome = pod.outcome
 		pods[p] = pod
-		result.Groups += pod.fs.RedundancyGroups()
-		startRebuildPod(pod, spec)
+		rk := &rs.ranks[0]
+		rk.client.Create("/ckpt", func(f *pfs.File) {
+			rk.files = append(rk.files, f)
+			rs.phase(func(sim.Time) {})
+		})
 	}
 
 	result.WallClock = cl.Run()
 
 	var lost, groups int64
 	for _, pod := range pods {
-		fst := pod.fs.FaultStats()
+		fs := pod.rs.fs
+		fst := fs.FaultStats()
 		result.Crashes += fst.Crashes
 		result.Recoveries += fst.Recoveries
 		result.DegradedReads += fst.DegradedReads
-		rst := pod.fs.RebuildStats()
+		rst := fs.RebuildStats()
 		result.Rebuild.Started += rst.Started
 		result.Rebuild.Completed += rst.Completed
 		result.Rebuild.Aborted += rst.Aborted
@@ -225,7 +258,7 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 		if rst.MaxDuration > result.Rebuild.MaxDuration {
 			result.Rebuild.MaxDuration = rst.MaxDuration
 		}
-		ls := pod.fs.LossStats()
+		ls := fs.LossStats()
 		result.Loss.Events += ls.Events
 		result.Loss.Groups += ls.Groups
 		result.Loss.Bytes += ls.Bytes
@@ -234,11 +267,11 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 			result.PodsWithLoss++
 		}
 		lost += ls.Groups
-		groups += int64(pod.fs.RedundancyGroups())
+		groups += int64(fs.RedundancyGroups())
 		result.BurstEvents += pod.burstEvents
 		result.BurstCrash += pod.burstCrash
 		result.Ops += pod.ops
-		result.Retries += pod.retries
+		result.Retries += pod.rs.retries
 		result.Dropped += pod.dropped
 		result.DataLossOps += pod.dataLoss
 	}
@@ -256,91 +289,4 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 	result.ReadP50 = obs.Percentile(reads, 0.50)
 	result.ReadP99 = obs.Percentile(reads, 0.99)
 	return result
-}
-
-// startRebuildPod chains one pod's foreground rounds: compute, write the
-// checkpoint range, read it back, repeat — retrying failed ops with
-// exponential backoff and dropping (counted) what cannot complete.
-func startRebuildPod(pod *rebuildPod, spec RebuildSpec) {
-	fs := pod.fs
-	client := fs.NewClient(0)
-	maxBackoff := spec.RetryBackoff * 8
-
-	// attempt writes or reads the checkpoint range with the retry loop;
-	// done receives whether it completed. Latency spans all attempts and
-	// their backoffs, but each attempt restarts the pod's stage timer, so
-	// the stage quantiles cover only the attempt that succeeded.
-	attempt := func(f *pfs.File, read bool, lat *[]float64, done func(ok bool)) {
-		start := pod.eng.Now()
-		tries := 0
-		backoff := spec.RetryBackoff
-		var ot *obs.OpTimer
-		var try func()
-		complete := func(err error) {
-			if err == nil {
-				if read {
-					fs.FinishReadOp(ot)
-				} else {
-					fs.FinishWriteOp(ot)
-				}
-				*lat = append(*lat, float64(pod.eng.Now()-start))
-				pod.ops++
-				done(true)
-				return
-			}
-			if errors.Is(err, pfs.ErrDataLoss) {
-				// No retry resurrects a lost group.
-				pod.dataLoss++
-				done(false)
-				return
-			}
-			if tries < spec.MaxRetries {
-				tries++
-				pod.retries++
-				d := backoff
-				if backoff *= 2; backoff > maxBackoff {
-					backoff = maxBackoff
-				}
-				pod.eng.Schedule(d, try)
-				return
-			}
-			pod.dropped++
-			done(false)
-		}
-		try = func() {
-			if read {
-				ot = fs.StartReadOp(&pod.timer)
-				client.ReadOp(f, 0, spec.WriteBytes, ot, complete)
-			} else {
-				ot = fs.StartWriteOp(&pod.timer)
-				client.WriteOp(f, 0, spec.WriteBytes, ot, complete)
-			}
-		}
-		try()
-	}
-
-	client.Create("/ckpt", func(f *pfs.File) {
-		round := 0
-		var next func()
-		next = func() {
-			if round == spec.Rounds {
-				return
-			}
-			round++
-			run := func() {
-				attempt(f, false, &pod.writeLat, func(bool) {
-					// Read back even after a dropped write — a restarting
-					// application probes its checkpoint regardless, and
-					// that is where lost groups surface as ErrDataLoss.
-					attempt(f, true, &pod.readLat, func(bool) { next() })
-				})
-			}
-			if spec.ComputeTime > 0 {
-				pod.eng.Schedule(spec.ComputeTime, run)
-			} else {
-				run()
-			}
-		}
-		next()
-	})
 }

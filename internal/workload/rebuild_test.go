@@ -149,6 +149,25 @@ func TestRunRebuildLSERoutesRepairsThroughGroups(t *testing.T) {
 	}
 }
 
+// TestRunRebuildOpTimersSpanRetries: a foreground op's stage timer
+// spans all of its attempts, as the result's latency does, so the write
+// p99 the report shows is the result's and a retried write charges its
+// backoff.
+func TestRunRebuildOpTimersSpanRetries(t *testing.T) {
+	spec := rebuildSpec()
+	spec.Pods = 1
+	reg := obs.NewRegistry()
+	reg.EnableOpTimers()
+	res := RunRebuild(spec, reg)
+	q := reg.Snapshot().Quantiles
+	if got := q["pfs.write.latency_s"].P99; got != res.WriteP99 {
+		t.Errorf("pfs.write.latency_s p99 = %v, want the result's WriteP99 %v", got, res.WriteP99)
+	}
+	if q["pfs.write.stage.backoff_s"].Sum == 0 {
+		t.Errorf("no write charged backoff over %d retries", res.Retries)
+	}
+}
+
 func BenchmarkRunRebuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

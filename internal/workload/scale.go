@@ -104,34 +104,6 @@ type ScaleResult struct {
 	Events uint64
 }
 
-// scalePod is one pod's harness state. Each rank's place in its op
-// program and its write completion live here, the completion bound once
-// per rank, so a round's writes allocate no continuations.
-type scalePod struct {
-	shard   int
-	eng     *sim.Engine
-	fs      *pfs.FS
-	clients []*pfs.Client
-	handles []*pfs.File
-
-	next     []int         // per rank: the op in flight
-	timers   []obs.OpTimer // per rank: the op's stage timer
-	written  []func(error) // per rank: completes the op in flight
-	finished *sim.Barrier  // this round's checkpoint barrier
-}
-
-// issue writes rank r's op in flight, or arrives at the round's barrier
-// after its last one.
-func (pod *scalePod) issue(r int, ops []Op) {
-	if pod.next[r] == len(ops) {
-		pod.finished.Arrive()
-		return
-	}
-	o := ops[pod.next[r]]
-	ot := pod.fs.StartWriteOp(&pod.timers[r])
-	pod.clients[r].WriteOp(pod.handles[r], o.Off, o.Size, ot, pod.written[r])
-}
-
 // RunScale executes the sharded many-pod experiment. The registry
 // snapshot and its time series are byte-identical for any spec.Shards
 // >= 1 and any GOMAXPROCS. The run is not traced: a cluster takes no
@@ -143,52 +115,20 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	cl, shards := sim.NewCluster(spec.Shards, spec.InterPodLatency)
 	cl.Instrument(reg)
 
+	// Every pod runs the same N-N programs against its own file system
+	// and files, so one set of programs serves them all.
 	wspec := Spec{
 		Ranks:        spec.RanksPerPod,
 		BytesPerRank: spec.BytesPerRank,
 		RecordSize:   spec.BytesPerRank,
 		Pattern:      NN,
 	}
-	// One op program per rank, shared across pods (every pod runs the
-	// same ranks against its own file system and files).
-	pods := make([]*scalePod, spec.Pods)
+	progs := programs(wspec, pfs.PanFSLike(spec.ServersPerPod).StripeUnit)
+	pods := make([]*rankSet, spec.Pods)
 	for p := range pods {
-		shard := p % spec.Shards
 		cfg := pfs.PanFSLike(spec.ServersPerPod)
 		cfg.MetricPrefix = fmt.Sprintf("pod%03d.", p)
-		eng := shards[shard]
-		pod := &scalePod{
-			shard:   shard,
-			eng:     eng,
-			fs:      pfs.New(eng, cfg),
-			clients: make([]*pfs.Client, spec.RanksPerPod),
-			handles: make([]*pfs.File, spec.RanksPerPod),
-			next:    make([]int, spec.RanksPerPod),
-			timers:  make([]obs.OpTimer, spec.RanksPerPod),
-			written: make([]func(error), spec.RanksPerPod),
-		}
-		for r := range pod.clients {
-			pod.clients[r] = pod.fs.NewClient(r)
-		}
-		pods[p] = pod
-	}
-	rankOpsOnce := make([][]Op, spec.RanksPerPod)
-	for r := range rankOpsOnce {
-		rankOpsOnce[r] = rankOps(wspec, pods[0].fs.Cfg.StripeUnit, r)
-	}
-	for p, pod := range pods {
-		for r := range pod.written {
-			// No fault plan runs here, so pfs returns no error; only a
-			// bug can make one.
-			pod.written[r] = func(err error) {
-				if err != nil {
-					panic(fmt.Sprintf("workload: pod %d rank %d: fault-free write failed: %v", p, r, err))
-				}
-				pod.fs.FinishWriteOp(&pod.timers[r])
-				pod.next[r]++
-				pod.issue(r, rankOpsOnce[r])
-			}
-		}
+		pods[p] = newRankSet(pfs.New(shards[p%spec.Shards], cfg), progs)
 	}
 
 	result := ScaleResult{
@@ -216,8 +156,8 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	podRound := func(p int) {
 		pod := pods[p]
 		checkpoint := func() {
-			pod.finished = sim.NewBarrier(pod.eng, len(pod.clients), func(sim.Time) {
-				cl.Send(pod.shard, 0, podKey(p), spec.InterPodLatency, func() {
+			pod.phase(func(sim.Time) {
+				cl.Send(p%spec.Shards, 0, podKey(p), spec.InterPodLatency, func() {
 					arrived++
 					if arrived == spec.Pods {
 						result.RoundElapsed = append(result.RoundElapsed, coord.Now()-roundStart)
@@ -226,10 +166,6 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 					}
 				})
 			})
-			for r := range pod.clients {
-				pod.next[r] = 0
-				pod.issue(r, rankOpsOnce[r])
-			}
 		}
 		if spec.ComputeTime > 0 {
 			pod.eng.Schedule(spec.ComputeTime, checkpoint)
@@ -245,33 +181,29 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 		arrived = 0
 		roundStart = coord.Now()
 		for p := range pods {
-			p := p
-			cl.Send(0, pods[p].shard, podKey(p), spec.InterPodLatency, func() {
+			cl.Send(0, p%spec.Shards, podKey(p), spec.InterPodLatency, func() {
 				podRound(p)
 			})
 		}
 	}
 
 	// Setup: every rank creates its file (N-N: one file per rank per
-	// pod), each pod reports completion, and the coordinator opens round
-	// 0 once all pods are ready.
+	// pod) and keeps the handle, each pod reports completion, and the
+	// coordinator opens round 0 once all pods are ready.
 	setupArrived := 0
-	for p := range pods {
-		p := p
-		pod := pods[p]
-		ready := sim.NewBarrier(pod.eng, len(pod.clients), func(sim.Time) {
-			cl.Send(pod.shard, 0, podKey(p), spec.InterPodLatency, func() {
+	for p, pod := range pods {
+		ready := sim.NewBarrier(pod.eng, len(pod.ranks), func(sim.Time) {
+			cl.Send(p%spec.Shards, 0, podKey(p), spec.InterPodLatency, func() {
 				setupArrived++
 				if setupArrived == spec.Pods {
 					startRound()
 				}
 			})
 		})
-		for r := range pod.clients {
-			r := r
-			names := filesFor(wspec, r)
-			pod.clients[r].Create(names[0], func(h *pfs.File) {
-				pod.handles[r] = h
+		for r := range pod.ranks {
+			rk := &pod.ranks[r]
+			rk.client.Create(progs[r].Creates[0], func(h *pfs.File) {
+				rk.files = append(rk.files, h)
 				ready.Arrive()
 			})
 		}
