@@ -7,40 +7,43 @@ import (
 	"repro/internal/sim"
 )
 
-// Instrumentation for the burst-buffer tier. Everything here follows
-// the repo's zero-cost contract: on an uninstrumented engine no handle
-// is created and every probe call is a nil-safe no-op; runs without a
-// tier register nothing at all. Per-node instruments (the flash FTL's
-// counters, the ingest/drain queues) are namespaced bb.nodeNN.* in the
-// style of pfs.ossNN.*; sim-time series join the engine's shared
-// sampling cadence only when the registry has series enabled.
+// Instrumentation for the burst-buffer tier. The tier counts into its
+// Stats whether or not it is instrumented; on an instrumented engine
+// the registry reads those counts through functions that capture the
+// Stats alone, never the Tier, so a finished tier is freed while its
+// counts stay readable. Runs without a tier register nothing at all.
+// Per-node instruments (the flash FTL's counters, the ingest/drain
+// queues) are namespaced bb.nodeNN.* in the style of pfs.ossNN.*;
+// sim-time series join the engine's shared sampling cadence only when
+// the registry has series enabled.
 
 // instrument registers the tier's probes in the engine's metrics
-// registry. A no-op (leaving all handles nil) when the engine is
+// registry. A no-op (leaving the histograms nil) when the engine is
 // uninstrumented.
 func (t *Tier) instrument() {
 	reg := t.eng.Metrics()
 	if reg == nil {
 		return
 	}
-	t.cAbsorbOps = reg.Counter("bb.absorb.ops")
-	t.cAbsorbBytes = reg.Counter("bb.absorb.bytes")
-	t.cForward = reg.Counter("bb.forward.bytes")
-	t.cPassthrough = reg.Counter("bb.passthrough.bytes")
-	t.cDrainOps = reg.Counter("bb.drain.ops")
-	t.cDrainBytes = reg.Counter("bb.drain.bytes")
-	t.cDrainRetry = reg.Counter("bb.drain.retries")
-	t.cDrainDrop = reg.Counter("bb.drain.dropped_bytes")
-	t.cTorn = reg.Counter("bb.drain.torn")
-	t.cStalls = reg.Counter("bb.stall.ops")
-	t.cLost = reg.Counter("bb.faults.lost_bytes")
-	t.cCrashes = reg.Counter("bb.faults.crashes")
-	t.cRecoveries = reg.Counter("bb.faults.recoveries")
-	t.cFailedOps = reg.Counter("bb.faults.failed_ops")
+	st := t.stats
+	reg.CounterFunc("bb.absorb.ops", func() int64 { return st.AbsorbedOps })
+	reg.CounterFunc("bb.absorb.bytes", func() int64 { return st.AbsorbedBytes })
+	reg.CounterFunc("bb.forward.bytes", func() int64 { return st.ForwardedBytes })
+	reg.CounterFunc("bb.passthrough.bytes", func() int64 { return st.PassthroughBytes })
+	reg.CounterFunc("bb.drain.ops", func() int64 { return st.DrainedOps })
+	reg.CounterFunc("bb.drain.bytes", func() int64 { return st.DrainedBytes })
+	reg.CounterFunc("bb.drain.retries", func() int64 { return st.DrainRetries })
+	reg.CounterFunc("bb.drain.dropped_bytes", func() int64 { return st.DroppedDrainBytes })
+	reg.CounterFunc("bb.drain.torn", func() int64 { return st.TornDrains })
+	reg.CounterFunc("bb.stall.ops", func() int64 { return st.Stalls })
+	reg.CounterFunc("bb.faults.lost_bytes", func() int64 { return st.LostBytes })
+	reg.CounterFunc("bb.faults.crashes", func() int64 { return st.Crashes })
+	reg.CounterFunc("bb.faults.recoveries", func() int64 { return st.Recoveries })
+	reg.CounterFunc("bb.faults.failed_ops", func() int64 { return st.FailedOps })
 	t.hStallWait = reg.Histogram("bb.stall.wait_s", obs.TimeBuckets())
 	t.hDrainLag = reg.Histogram("bb.drain.lag_s", obs.TimeBuckets())
-	t.gPeakOcc = reg.Gauge("bb.occupancy.peak_frac")
-	t.gMaxLag = reg.Gauge("bb.drain.max_lag_s")
+	reg.GaugeFunc("bb.occupancy.peak_frac", func() float64 { return st.PeakOccupancy })
+	reg.GaugeFunc("bb.drain.max_lag_s", func() float64 { return float64(st.MaxDrainLag) })
 	capacity := float64(t.cfg.CapacityBytes()) * float64(len(t.nodes))
 	reg.GaugeFunc("bb.capacity.bytes", func() float64 { return capacity })
 	for i, n := range t.nodes {

@@ -23,7 +23,10 @@ type Tier struct {
 	nodes    []*node
 	capPages int // per-node admission budget, in flash pages
 
-	stats Stats
+	// stats is the tier's accounting, allocated apart from the Tier so
+	// the registry's functions, which read it after the run, keep only it
+	// alive (see obs.go).
+	stats *Stats
 
 	// Aggregate occupancy across nodes, maintained incrementally so
 	// peak tracking and series sampling are O(1).
@@ -34,25 +37,9 @@ type Tier struct {
 	freeAbsorbs sim.FreeList[absorbOp]
 	freeDrains  sim.FreeList[drainOp]
 
-	// Instrument handles; nil (no-op) on uninstrumented engines.
-	cAbsorbOps   *obs.Counter
-	cAbsorbBytes *obs.Counter
-	cForward     *obs.Counter
-	cPassthrough *obs.Counter
-	cDrainOps    *obs.Counter
-	cDrainBytes  *obs.Counter
-	cDrainRetry  *obs.Counter
-	cDrainDrop   *obs.Counter
-	cTorn        *obs.Counter
-	cStalls      *obs.Counter
-	cLost        *obs.Counter
-	cCrashes     *obs.Counter
-	cRecoveries  *obs.Counter
-	cFailedOps   *obs.Counter
-	hStallWait   *obs.Histogram
-	hDrainLag    *obs.Histogram
-	gPeakOcc     *obs.Gauge
-	gMaxLag      *obs.Gauge
+	// Histograms; nil (no-op) on uninstrumented engines.
+	hStallWait *obs.Histogram
+	hDrainLag  *obs.Histogram
 }
 
 // node is one buffer host: an ingest link, a flash log device, and a
@@ -96,7 +83,7 @@ func NewTier(fs *pfs.FS, cfg Config) *Tier {
 	}
 	cfg = cfg.withDefaults()
 	eng := fs.Engine()
-	t := &Tier{cfg: cfg, eng: eng, fs: fs, capPages: cfg.Flash.UserPages}
+	t := &Tier{cfg: cfg, eng: eng, fs: fs, capPages: cfg.Flash.UserPages, stats: new(Stats)}
 	for i := 0; i < cfg.Nodes; i++ {
 		t.nodes = append(t.nodes, &node{
 			idx:    i,
@@ -112,7 +99,7 @@ func NewTier(fs *pfs.FS, cfg Config) *Tier {
 }
 
 // Stats returns a copy of the tier's accounting so far.
-func (t *Tier) Stats() Stats { return t.stats }
+func (t *Tier) Stats() Stats { return *t.stats }
 
 // Occupancy reports the fraction of aggregate buffer capacity currently
 // held by unfinished data.
@@ -139,7 +126,6 @@ func (t *Tier) WriteOp(rank int, f *pfs.File, off, size int64, ot *obs.OpTimer, 
 	pages := t.pagesFor(size)
 	if pages > t.capPages {
 		t.stats.PassthroughBytes += size
-		t.cPassthrough.Add(size)
 		n.client.WriteOp(f, off, size, ot, done)
 		return
 	}
@@ -166,7 +152,6 @@ func (t *Tier) admit(op *absorbOp) {
 		return
 	}
 	t.stats.Stalls++
-	t.cStalls.Inc()
 	op.enq = t.eng.Now()
 	n.waiters.Push(op)
 }
@@ -176,10 +161,7 @@ func (t *Tier) admit(op *absorbOp) {
 func (t *Tier) reserve(n *node, pages int) {
 	n.pending += pages
 	t.pendingPages += int64(pages)
-	if occ := t.Occupancy(); occ > t.stats.PeakOccupancy {
-		t.stats.PeakOccupancy = occ
-		t.gPeakOcc.Set(occ)
-	}
+	t.stats.PeakOccupancy = max(t.stats.PeakOccupancy, t.Occupancy())
 }
 
 func (t *Tier) release(n *node, pages int) {
@@ -302,11 +284,8 @@ func (op *absorbOp) absorbed() {
 	t, n := op.t, op.n
 	t.stats.AbsorbedOps++
 	t.stats.AbsorbedBytes += op.size
-	t.cAbsorbOps.Inc()
-	t.cAbsorbBytes.Add(op.size)
 	if t.cfg.Mode == WriteThrough {
 		t.stats.ForwardedBytes += op.size
-		t.cForward.Add(op.size)
 		n.client.WriteOp(op.f, op.off, op.size, op.ot, op.forwarded)
 		return
 	}
@@ -327,7 +306,6 @@ func (op *absorbOp) forward(err error) {
 func (op *absorbOp) fail() {
 	t := op.t
 	t.stats.FailedOps++
-	t.cFailedOps.Inc()
 	t.release(op.n, op.pages)
 	op.stage = absorbFailed
 	t.eng.ScheduleHandler(t.fs.FailTimeout(), op)
@@ -409,7 +387,6 @@ func (d *drainOp) write(err error) {
 	if !torn && err != nil && d.attempt < maxDrainRetries {
 		d.attempt++
 		t.stats.DrainRetries++
-		t.cDrainRetry.Inc()
 		delay := d.backoff
 		if d.backoff *= 2; d.backoff > 8*drainRetryBackoff {
 			d.backoff = 8 * drainRetryBackoff
@@ -422,7 +399,6 @@ func (d *drainOp) write(err error) {
 	case torn:
 		t.stats.TornDrains++
 		t.stats.TornBytes += rec.size
-		t.cTorn.Inc()
 		if err == nil {
 			t.fs.CorruptExtent(rec.f.Name(), rec.off, rec.size)
 		}
@@ -433,19 +409,13 @@ func (d *drainOp) write(err error) {
 		// (counted, never silently lost) so the buffer frees up and the
 		// run completes through permanent FS failures.
 		t.stats.DroppedDrainBytes += rec.size
-		t.cDrainDrop.Add(rec.size)
 		t.finishDrain(n, rec)
 	default:
 		t.stats.DrainedOps++
 		t.stats.DrainedBytes += rec.size
-		t.cDrainOps.Inc()
-		t.cDrainBytes.Add(rec.size)
 		lag := t.eng.Now() - rec.enq
 		t.hDrainLag.Observe(float64(lag))
-		if lag > t.stats.MaxDrainLag {
-			t.stats.MaxDrainLag = lag
-			t.gMaxLag.Set(float64(lag))
-		}
+		t.stats.MaxDrainLag = max(t.stats.MaxDrainLag, lag)
 		t.finishDrain(n, rec)
 	}
 }
@@ -469,7 +439,6 @@ func (t *Tier) finishDrain(n *node, rec record) {
 // reached the wire.
 func (t *Tier) loseRecord(n *node, rec record) {
 	t.stats.LostBytes += rec.size
-	t.cLost.Add(rec.size)
 	t.backlogBytes -= rec.size
 	t.release(n, rec.pages)
 }
@@ -501,11 +470,9 @@ func (t *Tier) CrashTarget(target string) {
 	n.down = true
 	n.epoch++
 	t.stats.Crashes++
-	t.cCrashes.Inc()
 	for n.dirty.Len() > 0 {
 		rec := n.dirty.Pop()
 		t.stats.LostBytes += rec.size
-		t.cLost.Add(rec.size)
 		t.backlogBytes -= rec.size
 		n.pending -= rec.pages
 		t.pendingPages -= int64(rec.pages)
@@ -527,6 +494,5 @@ func (t *Tier) RecoverTarget(target string) {
 	}
 	n.down = false
 	t.stats.Recoveries++
-	t.cRecoveries.Inc()
 	t.kickDrain(n)
 }

@@ -15,7 +15,6 @@ package flash
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -42,24 +41,26 @@ type block struct {
 // (striped) transfers.
 type Device struct {
 	Spec Spec
+	*Counts
 
 	blocks     []block
 	mapping    []int32 // logical page -> physical page number, -1 if unwritten
-	freeBlocks []int   // stack of erased block indices
+	freeBlocks []int   // stack of erased block indices, the first pool in use
 	open       int     // currently open block for host writes, -1 if none
+}
 
-	// Counters.
+// Counts is a device's activity and the two levels its gauges report.
+// It is allocated apart from the Device, so the registry's functions,
+// which outlive a run, keep only the counts alive (see obs.go).
+type Counts struct {
 	HostWrites  int64 // pages written by the host
 	HostReads   int64
 	Relocations int64 // pages moved by GC
 	Erases      int64
 
-	// Instrument handles (see obs.go); nil until Instrument is called.
-	cPageWrites  *obs.Counter
-	cPageReads   *obs.Counter
-	cGC          *obs.Counter
-	cRelocations *obs.Counter
-	cErases      *obs.Counter
+	collections int64 // GC victim collections
+	pool        int   // erased blocks on the free stack
+	maxWear     int   // highest per-block erase count
 }
 
 // Spec is a device description. Presets matching Table 1 of the report are
@@ -97,17 +98,19 @@ func NewDevice(spec Spec) *Device {
 		nblocks = spec.GCLowWater + 2
 	}
 	d := &Device{
-		Spec:    spec,
-		blocks:  make([]block, nblocks),
-		mapping: make([]int32, spec.UserPages),
-		open:    -1,
+		Spec:       spec,
+		Counts:     &Counts{pool: nblocks},
+		blocks:     make([]block, nblocks),
+		mapping:    make([]int32, spec.UserPages),
+		freeBlocks: make([]int, nblocks),
+		open:       -1,
 	}
 	for i := range d.blocks {
 		d.blocks[i].pages = make([]int, spec.PagesPerBlock)
 		for j := range d.blocks[i].pages {
 			d.blocks[i].pages[j] = -1
 		}
-		d.freeBlocks = append(d.freeBlocks, i)
+		d.freeBlocks[i] = i
 	}
 	for i := range d.mapping {
 		d.mapping[i] = -1
@@ -116,15 +119,18 @@ func NewDevice(spec Spec) *Device {
 }
 
 // FreeBlocks reports the size of the pre-erased pool.
-func (d *Device) FreeBlocks() int { return len(d.freeBlocks) }
+func (c *Counts) FreeBlocks() int { return c.pool }
+
+// MaxWear returns the highest per-block erase count (for wear tests).
+func (c *Counts) MaxWear() int { return c.maxWear }
 
 // WriteAmplification is total pages programmed divided by host pages
 // written; 1.0 means GC never relocated anything.
-func (d *Device) WriteAmplification() float64 {
-	if d.HostWrites == 0 {
+func (c *Counts) WriteAmplification() float64 {
+	if c.HostWrites == 0 {
 		return 1
 	}
-	return float64(d.HostWrites+d.Relocations) / float64(d.HostWrites)
+	return float64(c.HostWrites+c.Relocations) / float64(c.HostWrites)
 }
 
 // ReadPage returns the latency to read logical page lpn.
@@ -133,7 +139,6 @@ func (d *Device) ReadPage(lpn int) sim.Time {
 		panic(fmt.Sprintf("flash: read lpn %d out of range", lpn))
 	}
 	d.HostReads++
-	d.cPageReads.Inc()
 	return d.Spec.TRead
 }
 
@@ -171,7 +176,6 @@ func (d *Device) WritePage(lpn int) sim.Time {
 	b.valid++
 	d.mapping[lpn] = int32(ppn)
 	d.HostWrites++
-	d.cPageWrites.Inc()
 	return elapsed + d.Spec.TProg
 }
 
@@ -192,12 +196,11 @@ func (d *Device) ensureOpenSlot() {
 }
 
 func (d *Device) popFree() int {
-	n := len(d.freeBlocks) - 1
-	if n < 0 {
+	if d.pool == 0 {
 		panic("flash: free-block pool exhausted (spare area too small for GC reserve)")
 	}
-	idx := d.freeBlocks[n]
-	d.freeBlocks = d.freeBlocks[:n]
+	d.pool--
+	idx := d.freeBlocks[d.pool]
 	blk := &d.blocks[idx]
 	blk.nextPage = 0
 	blk.valid = 0
@@ -211,7 +214,7 @@ func (d *Device) popFree() int {
 // mark, returning the time spent relocating and erasing.
 func (d *Device) ensureFreeBlock() sim.Time {
 	var elapsed sim.Time
-	for len(d.freeBlocks) < d.Spec.GCLowWater {
+	for d.pool < d.Spec.GCLowWater {
 		victim := d.pickVictim()
 		if victim < 0 {
 			break // nothing reclaimable; device is pathologically full
@@ -243,7 +246,7 @@ func (d *Device) pickVictim() int {
 // stream and erases the victim.
 func (d *Device) collect(victim int) sim.Time {
 	var elapsed sim.Time
-	d.cGC.Inc()
+	d.collections++
 	vb := &d.blocks[victim]
 	for p := 0; p < d.Spec.PagesPerBlock; p++ {
 		lpn := vb.pages[p]
@@ -262,7 +265,6 @@ func (d *Device) collect(victim int) sim.Time {
 		ob.valid++
 		d.mapping[lpn] = int32(ppn)
 		d.Relocations++
-		d.cRelocations.Inc()
 		elapsed += d.Spec.TProg
 	}
 	// Erase the victim and return it to the pool.
@@ -273,9 +275,10 @@ func (d *Device) collect(victim int) sim.Time {
 		vb.pages[j] = -1
 	}
 	vb.erases++
+	d.maxWear = max(d.maxWear, vb.erases)
 	d.Erases++
-	d.cErases.Inc()
-	d.freeBlocks = append(d.freeBlocks, victim)
+	d.freeBlocks[d.pool] = victim
+	d.pool++
 	return elapsed + d.Spec.TErase
 }
 
@@ -309,7 +312,7 @@ func (d *Device) CheckInvariants() error {
 		}
 	}
 	// Free list blocks must be marked free.
-	for _, idx := range d.freeBlocks {
+	for _, idx := range d.freeBlocks[:d.pool] {
 		if d.blocks[idx].state != BlockFree {
 			return fmt.Errorf("free-list block %d has state %d", idx, d.blocks[idx].state)
 		}
@@ -322,15 +325,4 @@ func (d *Device) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// MaxWear returns the highest per-block erase count (for wear tests).
-func (d *Device) MaxWear() int {
-	m := 0
-	for i := range d.blocks {
-		if d.blocks[i].erases > m {
-			m = d.blocks[i].erases
-		}
-	}
-	return m
 }

@@ -15,18 +15,18 @@ import (
 //     sort.*/slices.* call over that slice follows later in the same
 //     block (the sorted-keys idiom stays legal);
 //   - emitting as it goes: fmt printing, io.Writer writes, trace events
-//     (obs.Tracer), last-value-wins gauges (obs.Gauge.Set), or
-//     obs.Registry.GaugeFunc registration (later registrations replace
-//     earlier ones, so registration order is observable);
+//     (obs.Tracer), or obs.Registry.GaugeFunc registration (later
+//     registrations replace earlier ones, so registration order is
+//     observable);
 //   - handing work off as it goes: a channel send delivers values to the
 //     consumer in map-iteration order, and a `go` statement spawns
 //     workers in map-iteration order — both surfaced by the sharded
 //     engine's merge paths, where every cross-shard handoff must be
 //     keyed and sorted instead.
 //
-// Commutative updates (counter adds, histogram observes, sums,
-// map-to-map copies) are order-independent and deliberately not
-// flagged.
+// Commutative updates (counter adds, CounterFunc registration, whose
+// functions the snapshot sums, histogram observes, sums, map-to-map
+// copies) are order-independent and deliberately not flagged.
 var Maporder = &engine.Analyzer{
 	Name: "maporder",
 	Doc: "flag map-range loops that append to slices without a subsequent sort or that " +
@@ -93,10 +93,6 @@ func checkMapRange(pass *engine.Pass, rng *ast.RangeStmt, stack []ast.Node) {
 			case isObsType(named, "Tracer"):
 				pass.Reportf(call.Pos(),
 					"obs.Tracer.%s inside a map range records trace events in map-iteration order; iterate sorted keys instead", sel)
-				return true
-			case isObsType(named, "Gauge") && sel == "Set":
-				pass.Reportf(call.Pos(),
-					"obs.Gauge.Set inside a map range is last-value-wins over map-iteration order; iterate sorted keys instead")
 				return true
 			case isObsType(named, "Registry") && sel == "GaugeFunc":
 				pass.Reportf(call.Pos(),

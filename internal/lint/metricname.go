@@ -24,7 +24,7 @@ var traceCatRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // metricUse is one literal metric-name registration site.
 type metricUse struct {
 	Name string
-	Kind string // a registryKinds key, e.g. "Counter" or "TimeSeries"
+	Kind string // a registryKinds key, e.g. "CounterFunc" or "TimeSeries"
 	Pkg  string
 	Pos  token.Pos
 }
@@ -34,7 +34,7 @@ type metricUse struct {
 // name expands into derived .latency_s/.stage.*/.bottleneck.* names at
 // runtime; checking the literal base keeps the whole family legal.
 var registryKinds = map[string]bool{
-	"Counter": true, "Gauge": true, "GaugeFunc": true, "Histogram": true,
+	"Counter": true, "CounterFunc": true, "GaugeFunc": true, "Histogram": true,
 	"TimeSeries": true, "OpTimerSet": true,
 }
 
@@ -46,8 +46,9 @@ var tracerNameMethods = map[string]bool{
 // name passed to the obs Registry and Tracer, and — across the whole
 // repository, via the Finish hook — flags the same name registered by
 // two different packages, the same name registered as two different
-// instrument kinds (a Gauge and a GaugeFunc with one name silently
-// shadow each other in snapshots), and near-miss typos (same-kind names
+// instrument kinds (a Counter and a CounterFunc with one name would
+// report one count twice; the registry panics on it at run time), and
+// near-miss typos (same-kind names
 // at Levenshtein distance 1). Names built at runtime by concatenation
 // are skipped; _test.go files are exempt because their names are
 // fixtures, not emitted metrics.

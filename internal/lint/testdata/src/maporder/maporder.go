@@ -1,7 +1,7 @@
 // Package maporder holds fixtures for the maporder analyzer:
 // map-iteration order leaking into slices, output streams, traces, or
-// gauges is flagged; the sorted-keys idiom and commutative updates are
-// not.
+// gauge registrations is flagged; the sorted-keys idiom and commutative
+// updates are not.
 package maporder
 
 import (
@@ -56,12 +56,6 @@ func badTracer(m map[string]int, tr *obs.Tracer) {
 	}
 }
 
-func badGauge(m map[string]float64, g *obs.Gauge) {
-	for _, v := range m {
-		g.Set(v) // want `obs.Gauge.Set inside a map range is last-value-wins over map-iteration order`
-	}
-}
-
 func badGaugeFunc(m map[string]float64, reg *obs.Registry) {
 	for k, v := range m {
 		v := v
@@ -69,12 +63,14 @@ func badGaugeFunc(m map[string]float64, reg *obs.Registry) {
 	}
 }
 
-func goodCommutative(m map[string]int, c *obs.Counter, h *obs.Histogram) int {
+func goodCommutative(m map[string]int, c *obs.Counter, h *obs.Histogram, reg *obs.Registry) int {
 	sum := 0
 	for _, v := range m {
 		sum += v
 		c.Add(int64(v))
 		h.Observe(float64(v))
+		n := int64(v)
+		reg.CounterFunc("pkg.sum.count", func() int64 { return n })
 	}
 	return sum
 }

@@ -1,4 +1,4 @@
-//lint:allowfile goroutine -- sanctioned site: one registry is shared by parallel shard runners; counters use atomics so sim-time code stays lock-free
+//lint:allowfile goroutine -- sanctioned site: one registry is shared by parallel shard runners; registration and Snapshot lock, and the tallies CounterFunc reads are plain ints that Snapshot reads only after the runs return
 
 // Package obs is the deterministic observability layer shared by every
 // substrate in this repository: a metrics registry (counters, gauges,
@@ -6,7 +6,7 @@
 // JSON, and a span tracer keyed to simulated time that emits Chrome
 // trace-event JSON (viewable in Perfetto or chrome://tracing).
 //
-// Two properties drive the design:
+// Three properties drive the design:
 //
 //   - Determinism. Every value recorded is derived from simulation state,
 //     never from wall clocks, map iteration order, or goroutine
@@ -15,19 +15,30 @@
 //     byte-identical output — which makes metrics diffable across commits
 //     and lets tests assert on whole snapshots.
 //
-//   - Near-zero cost when disabled. All instrument handles (*Counter,
-//     *Gauge, *Histogram, *Tracer) are nil-safe: methods on nil receivers
-//     are no-ops that compile to a pointer test. Code instruments
-//     unconditionally; when no registry is attached the handles are nil
-//     and the hot path pays a single branch.
+//   - One record per count. A model keeps each count as a plain tally
+//     its results read and registers a CounterFunc over it, so a count
+//     costs one add with or without a registry. *Counter is for counts
+//     only the registry holds (the PLFS library's, op-timer
+//     bottlenecks, incast's). *Counter, *Histogram and *Tracer are
+//     nil-safe: on an uninstrumented run a probe site pays one branch.
+//
+//   - Runs that share a registry: counters and histogram counts sum
+//     over every run registered under a name, and a gauge holds the last
+//     registered run's value. A registry outlives its runs, so a
+//     function registered with it captures only the small tally struct
+//     it reads, never the model, which is then freed after its run.
 //
 // The registry knows nothing about the simulation kernel (it works in
 // plain float64 seconds), so it sits below every other package.
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -57,27 +68,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-value-wins float metric.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set records the gauge value. No-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the last value set (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram counts observations into fixed buckets. Bucket i counts
@@ -168,13 +158,13 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // valid: every lookup returns a nil instrument, so uninstrumented runs
 // cost one branch per probe site.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	gaugeFns map[string]func() float64
-	hists    map[string]*Histogram
-	quants   map[string]*Quantile
-	series   map[string]*TimeSeries
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	counterFns map[string][]func() int64
+	gaugeFns   map[string]func() float64
+	hists      map[string]*Histogram
+	quants     map[string]*Quantile
+	series     map[string]*TimeSeries
 
 	// Opt-in analytics switches; see EnableOpTimers and EnableTimeSeries.
 	// Both default off, so a plain registry's snapshot has no quantile or
@@ -187,23 +177,27 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		gaugeFns: make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
-		quants:   make(map[string]*Quantile),
-		series:   make(map[string]*TimeSeries),
+		counters:   make(map[string]*Counter),
+		counterFns: make(map[string][]func() int64),
+		gaugeFns:   make(map[string]func() float64),
+		hists:      make(map[string]*Histogram),
+		quants:     make(map[string]*Quantile),
+		series:     make(map[string]*TimeSeries),
 	}
 }
 
 // Counter returns the named counter, creating it on first use. Returns
-// nil (a valid no-op instrument) on a nil registry.
+// nil (a valid no-op instrument) on a nil registry. It panics if the name
+// is registered as a CounterFunc: the two would report one count twice.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, ok := r.counterFns[name]; ok {
+		panic(fmt.Sprintf("obs: counter %q is already registered as a CounterFunc", name))
+	}
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -212,26 +206,28 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use. Returns nil on
-// a nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
+// CounterFunc registers fn as one source of the named counter. Snapshot
+// reports the sum of every function registered under the name, which is
+// the total a Counter shared by the same runs would hold; fn is called
+// only by Snapshot, after the runs it reads have returned. It panics if
+// the name is registered as a Counter. A no-op on a nil registry.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	if r == nil || fn == nil {
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	if _, ok := r.counters[name]; ok {
+		panic(fmt.Sprintf("obs: counter %q is already registered as a Counter", name))
 	}
-	return g
+	r.counterFns[name] = append(r.counterFns[name], fn)
 }
 
 // GaugeFunc registers a callback evaluated lazily at snapshot time —
 // the right shape for end-of-run values (utilizations, accumulated time
-// splits) that would otherwise need hot-path updates. Re-registering a
-// name replaces the callback (later simulation instances win).
+// splits, high-water marks) that would otherwise need hot-path updates.
+// Re-registering a name replaces the callback, so the gauge holds the
+// last registered run's value.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil || fn == nil {
 		return
@@ -286,8 +282,8 @@ type Snapshot struct {
 	Series    map[string]TimeSeriesSnapshot `json:"-"`
 }
 
-// Snapshot captures current values, evaluating gauge callbacks. A nil
-// registry yields an empty snapshot.
+// Snapshot captures current values, evaluating counter and gauge
+// callbacks. A nil registry yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot { return r.snapshot(true) }
 
 // snapshot is Snapshot, leaving Series empty unless withSeries.
@@ -301,40 +297,23 @@ func (r *Registry) snapshot(withSeries bool) Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	fns := make(map[string]func() float64, len(r.gaugeFns))
-	for k, v := range r.gaugeFns {
-		fns[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	quants := make(map[string]*Quantile, len(r.quants))
-	for k, v := range r.quants {
-		quants[k] = v
-	}
+	counters, counterFns, fns := maps.Clone(r.counters), maps.Clone(r.counterFns), maps.Clone(r.gaugeFns)
+	hists, quants := maps.Clone(r.hists), maps.Clone(r.quants)
 	var series map[string]*TimeSeries
 	if withSeries {
-		series = make(map[string]*TimeSeries, len(r.series))
-		for k, v := range r.series {
-			series[k] = v
-		}
+		series = maps.Clone(r.series)
 	}
 	r.mu.Unlock()
 
 	for k, c := range counters {
 		s.Counters[k] = c.Value()
 	}
-	for k, g := range gauges {
-		s.Gauges[k] = finite(g.Value())
+	for k, fns := range counterFns {
+		var n int64
+		for _, fn := range fns {
+			n += fn()
+		}
+		s.Counters[k] = n
 	}
 	for k, fn := range fns {
 		s.Gauges[k] = finite(fn())
@@ -367,14 +346,59 @@ func finite(v float64) float64 {
 	return v
 }
 
-// WriteJSON serializes a snapshot, without its series, as indented,
-// stable-ordered JSON.
+// WriteJSON writes a snapshot, without its series, as the bytes of
+// json.MarshalIndent(snapshot, "", "  ") and a newline. It writes one
+// entry at a time, so a figure's file (28 MB for the rebuild figure) is
+// never held in memory whole.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	buf, err := json.MarshalIndent(r.snapshot(false), "", "  ")
+	s := r.snapshot(false)
+	bw := bufio.NewWriter(w)
+	err := writeMap(bw, "{\n  \"counters\": ", s.Counters)
+	if err == nil {
+		err = writeMap(bw, ",\n  \"gauges\": ", s.Gauges)
+	}
+	if err == nil {
+		err = writeMap(bw, ",\n  \"histograms\": ", s.Histograms)
+	}
+	if err == nil && len(s.Quantiles) > 0 {
+		err = writeMap(bw, ",\n  \"quantiles\": ", s.Quantiles)
+	}
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
+	bw.WriteString("\n}\n")
+	return bw.Flush()
+}
+
+// writeMap writes head, then m with its keys sorted, laid out as
+// json.MarshalIndent lays out a map one level deep.
+func writeMap[V any](w *bufio.Writer, head string, m map[string]V) error {
+	w.WriteString(head)
+	if len(m) == 0 {
+		w.WriteString("{}")
+		return nil
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var val bytes.Buffer
+	sep := "{\n    "
+	for _, k := range keys {
+		key, _ := json.Marshal(k) // a string always marshals
+		v, err := json.Marshal(m[k])
+		if err != nil {
+			return err
+		}
+		val.Reset()
+		json.Indent(&val, v, "    ", "  ") // v is valid JSON
+		w.WriteString(sep)
+		w.Write(key)
+		w.WriteString(": ")
+		w.Write(val.Bytes())
+		sep = ",\n    "
+	}
+	w.WriteString("\n  }")
+	return nil
 }

@@ -17,13 +17,9 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatalf("nil counter Value = %d", c.Value())
 	}
-	g := r.Gauge("y")
-	g.Set(3)
-	if g.Value() != 0 {
-		t.Fatalf("nil gauge Value = %v", g.Value())
-	}
 	h := r.Histogram("z", TimeBuckets())
 	h.Observe(1)
+	r.CounterFunc("n", func() int64 { return 1 })
 	r.GaugeFunc("f", func() float64 { return 1 })
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
@@ -46,11 +42,10 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if r.Counter("ops") != c {
 		t.Fatal("second lookup returned a different counter")
 	}
-	g := r.Gauge("util")
-	g.Set(0.25)
-	g.Set(0.75)
-	if got := g.Value(); got != 0.75 {
-		t.Fatalf("gauge = %v, want 0.75 (last value wins)", got)
+	r.GaugeFunc("util", func() float64 { return 0.25 })
+	r.GaugeFunc("util", func() float64 { return 0.75 })
+	if got := r.Snapshot().Gauges["util"]; got != 0.75 {
+		t.Fatalf("gauge = %v, want 0.75 (the last registration wins)", got)
 	}
 	h := r.Histogram("lat", []float64{1, 10, 100})
 	for _, v := range []float64{0.5, 5, 5, 50, 5000} {
@@ -71,6 +66,54 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
+// TestCounterFuncSumsEveryRegistration: a count registered by several
+// runs under one name reads as their sum, the total one Counter shared
+// by those runs would hold, and each function is read at snapshot time.
+func TestCounterFuncSumsEveryRegistration(t *testing.T) {
+	r := NewRegistry()
+	shared := r.Counter("shared.count")
+	tallies := []int64{0, 0, 0}
+	for i := range tallies {
+		r.CounterFunc("runs.count", func() int64 { return tallies[i] })
+	}
+	for i, n := range []int64{3, 0, 39} {
+		tallies[i] = n
+		shared.Add(n)
+	}
+	s := r.Snapshot()
+	if got, want := s.Counters["runs.count"], shared.Value(); got != want || got != 42 {
+		t.Fatalf("runs.count = %d, want the shared counter's %d (42)", got, want)
+	}
+}
+
+// TestCounterKindsDoNotMix: a name registered both as a Counter and as
+// a CounterFunc would report one count from two records, so either
+// order panics.
+func TestCounterKindsDoNotMix(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		first, then func(*Registry)
+	}{
+		{"Counter then CounterFunc",
+			func(r *Registry) { r.Counter("x.count") },
+			func(r *Registry) { r.CounterFunc("x.count", func() int64 { return 0 }) }},
+		{"CounterFunc then Counter",
+			func(r *Registry) { r.CounterFunc("x.count", func() int64 { return 0 }) },
+			func(r *Registry) { r.Counter("x.count") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			tc.first(r)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("registering both kinds under one name did not panic")
+				}
+			}()
+			tc.then(r)
+		})
+	}
+}
+
 func TestGaugeFuncEvaluatedAtSnapshot(t *testing.T) {
 	r := NewRegistry()
 	v := 1.0
@@ -88,7 +131,9 @@ func TestSnapshotJSONIsStable(t *testing.T) {
 		names := []string{"zeta", "alpha", "mid"}
 		for _, n := range names {
 			r.Counter(n).Add(int64(len(n)))
-			r.Gauge("g." + n).Set(float64(len(n)) / 3)
+			v := float64(len(n)) / 3
+			r.GaugeFunc("g."+n, func() float64 { return v })
+			r.CounterFunc("f."+n, func() int64 { return int64(len(n)) })
 			r.Histogram("h."+n, TimeBuckets()).Observe(1e-3)
 		}
 		return r
@@ -169,5 +214,38 @@ func TestExpBuckets(t *testing.T) {
 	}
 	if n := len(TimeBuckets()); n != 10 {
 		t.Fatalf("TimeBuckets len = %d", n)
+	}
+}
+
+// TestWriteJSONMatchesMarshalIndent: WriteJSON streams the snapshot one
+// entry at a time, and its bytes must be json.MarshalIndent's for every
+// section shape: empty maps, omitted and present quantiles, histograms
+// with and without samples, and keys JSON escapes.
+func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
+	empty := NewRegistry()
+	full := NewRegistry()
+	full.EnableOpTimers()
+	full.Counter("a.count").Add(3)
+	full.CounterFunc("b<&>.count", func() int64 { return 7 })
+	full.GaugeFunc("g.util", func() float64 { return 0.1 + 0.2 })
+	full.GaugeFunc("g.bad", func() float64 { return math.Inf(1) })
+	full.Histogram("h.empty_s", TimeBuckets())
+	full.Histogram("h.lat_s", []float64{1, 10}).Observe(5)
+	set := full.OpTimerSet("pfs.write")
+	var ot OpTimer
+	set.Observe(set.Start(0, &ot), 0.004)
+	for name, r := range map[string]*Registry{"empty": empty, "full": full} {
+		want, err := json.MarshalIndent(r.snapshot(false), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		var got bytes.Buffer
+		if err := r.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: WriteJSON differs from MarshalIndent:\n%s\nwant\n%s", name, got.String(), want)
+		}
 	}
 }

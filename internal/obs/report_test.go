@@ -20,8 +20,8 @@ func reportSnapshot() Snapshot {
 		ot.Add(StageDiskTransfer, 0.020)
 		set.Observe(ot, float64(i)+0.040)
 	}
-	r.Gauge("pfs.oss00.disk.utilization").Set(0.75)
-	r.Gauge("pfs.oss01.disk.utilization").Set(0.25)
+	r.GaugeFunc("pfs.oss00.disk.utilization", func() float64 { return 0.75 })
+	r.GaugeFunc("pfs.oss01.disk.utilization", func() float64 { return 0.25 })
 	ts := r.TimeSeries("pfs.ops.inflight")
 	for i := 0; i < 8; i++ {
 		ts.Observe(float64(i)*0.5, float64(i%4))

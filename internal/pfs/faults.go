@@ -44,7 +44,7 @@ type FaultStats struct {
 }
 
 // FaultStats returns a copy of the failure-layer activity so far.
-func (fs *FS) FaultStats() FaultStats { return fs.faults }
+func (fs *FS) FaultStats() FaultStats { return fs.tally.faults }
 
 // OSSTarget names server i for FaultPlan targeting ("oss0", "oss1", ...).
 func OSSTarget(i int) string { return fmt.Sprintf("oss%d", i) }
@@ -85,8 +85,7 @@ func (fs *FS) CrashTarget(target string) {
 	}
 	srv.down = true
 	srv.epoch++
-	fs.faults.Crashes++
-	fs.cCrashes.Inc()
+	fs.tally.faults.Crashes++
 	if fs.red != nil {
 		fs.ecOnCrash(srv)
 	}
@@ -100,8 +99,7 @@ func (fs *FS) RecoverTarget(target string) {
 		return
 	}
 	srv.down = false
-	fs.faults.Recoveries++
-	fs.cRecoveries.Inc()
+	fs.tally.faults.Recoveries++
 	if fs.red != nil {
 		fs.ecOnRecover(srv)
 	}
@@ -119,8 +117,7 @@ func (fs *FS) FailTimeout() sim.Time {
 // failOp errors one client operation against a dead server: the client
 // learns nothing until its RPC timeout fires.
 func (fs *FS) failOp(done func(error)) {
-	fs.faults.FailedOps++
-	fs.cFailedOps.Inc()
+	fs.tally.faults.FailedOps++
 	fs.eng.Schedule(fs.FailTimeout(), func() { done(ErrServerDown) })
 }
 
@@ -133,7 +130,6 @@ func (fs *FS) expireLease(st *fileState, unit int64) {
 		fs.release(st, unit)
 		return
 	}
-	fs.faults.LeaseExpiries++
-	fs.cLeaseExp.Inc()
+	fs.tally.faults.LeaseExpiries++
 	fs.eng.Schedule(fs.Cfg.LeaseExpiry, func() { fs.release(st, unit) })
 }

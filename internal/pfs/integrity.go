@@ -58,7 +58,7 @@ type IntegrityStats struct {
 }
 
 // IntegrityStats returns a copy of the integrity-layer activity so far.
-func (fs *FS) IntegrityStats() IntegrityStats { return fs.integrity }
+func (fs *FS) IntegrityStats() IntegrityStats { return fs.tally.integrity }
 
 // InjectCorruption arms one drawn corruption schedule per server (see
 // failure.DrawLSE); schedules beyond the server count are rejected.
@@ -76,12 +76,7 @@ func (fs *FS) InjectCorruption(events [][]disk.CorruptionEvent) error {
 		fs.servers[i].corr = disk.NewCorruptor(evs)
 		n += int64(len(evs))
 	}
-	if n == 0 {
-		return nil
-	}
-	fs.armIntegrity()
-	fs.integrity.Injected += n
-	fs.cIntInjected.Add(n)
+	fs.injected(n)
 	return nil
 }
 
@@ -122,29 +117,28 @@ func (fs *FS) CorruptExtent(name string, off, size int64) int {
 		})
 		n++
 	}
-	if n > 0 {
-		fs.armIntegrity()
-		fs.integrity.Injected += int64(n)
-		fs.cIntInjected.Add(int64(n))
-	}
+	fs.injected(int64(n))
 	return n
 }
 
-// armIntegrity registers the integrity instruments on the first
-// injected corruption. Kept out of instrument() so a run without
-// injected corruption has no pfs.integrity.* keys in its snapshot: the
-// default shape TestFaultFreeRunMatchesPrePRGolden pins.
-func (fs *FS) armIntegrity() {
-	reg := fs.eng.Metrics()
-	if reg == nil || fs.cIntDetected != nil {
+// injected counts n armed corruption events. The first registers the
+// integrity instruments; keeping them out of instrument() leaves a run
+// without injected corruption with no pfs.integrity.* keys in its
+// snapshot: the default shape TestFaultFreeRunMatchesPrePRGolden pins.
+func (fs *FS) injected(n int64) {
+	if n == 0 {
 		return
 	}
-	fs.cIntInjected = reg.Counter(fs.metric("pfs.integrity.injected"))
-	fs.cIntDetected = reg.Counter(fs.metric("pfs.integrity.detected"))
-	fs.cIntRepaired = reg.Counter(fs.metric("pfs.integrity.repaired"))
-	fs.cIntUnrecov = reg.Counter(fs.metric("pfs.integrity.unrecoverable"))
-	fs.cIntSilent = reg.Counter(fs.metric("pfs.integrity.silent_reads"))
-	fs.cIntScrubbed = reg.Counter(fs.metric("pfs.integrity.scrubbed_units"))
+	st := &fs.tally.integrity
+	if reg := fs.eng.Metrics(); reg != nil && st.Injected == 0 {
+		publish(reg, fs.metric("pfs.integrity.injected"), &st.Injected)
+		publish(reg, fs.metric("pfs.integrity.detected"), &st.Detected)
+		publish(reg, fs.metric("pfs.integrity.repaired"), &st.Repaired)
+		publish(reg, fs.metric("pfs.integrity.unrecoverable"), &st.Unrecoverable)
+		publish(reg, fs.metric("pfs.integrity.silent_reads"), &st.SilentReads)
+		publish(reg, fs.metric("pfs.integrity.scrubbed_units"), &st.ScrubbedUnits)
+	}
+	st.Injected += n
 }
 
 // readCorrupted handles a read whose extent overlaps live corruption.
@@ -153,8 +147,7 @@ func (fs *FS) armIntegrity() {
 // repaired before delivery, or the read errors with ErrCorruptData.
 func (fs *FS) readCorrupted(s *server, gid int, diskOff int64, deliver func(), done func(error)) {
 	if !fs.Cfg.Checksums {
-		fs.integrity.SilentReads++
-		fs.cIntSilent.Inc()
+		fs.tally.integrity.SilentReads++
 		deliver()
 		return
 	}
@@ -184,8 +177,7 @@ func (fs *FS) detectAndRepair(s *server, gid int, diskOff, size int64, done func
 		return
 	}
 	s.repairing[diskOff] = nil
-	fs.integrity.Detected++
-	fs.cIntDetected.Inc()
+	fs.tally.integrity.Detected++
 	fs.repairUnit(s, gid, diskOff, size, func(err error) {
 		waiters := s.repairing[diskOff]
 		delete(s.repairing, diskOff)
@@ -208,8 +200,7 @@ func (fs *FS) repairUnit(s *server, gid int, diskOff, size int64, done func(erro
 		readers = fs.ecLiveMembers(nil, gid, fs.red.groups[gid].slotOf(s.idx), fs.red.cfg.K)
 	}
 	if gid < 0 || len(readers) < fs.red.cfg.K {
-		fs.integrity.Unrecoverable++
-		fs.cIntUnrecov.Inc()
+		fs.tally.integrity.Unrecoverable++
 		done(ErrCorruptData)
 		return
 	}
@@ -227,8 +218,7 @@ func (fs *FS) repairUnit(s *server, gid int, diskOff, size int64, done func(erro
 				return
 			}
 			s.corr.Repair(diskOff, size, fs.eng.Now())
-			fs.integrity.Repaired++
-			fs.cIntRepaired.Inc()
+			fs.tally.integrity.Repaired++
 			done(nil)
 		})
 	})
@@ -340,8 +330,7 @@ func (fs *FS) scrubServer(s *server, rep *ScrubReport, done func()) {
 				return
 			}
 			rep.Units++
-			fs.integrity.ScrubbedUnits++
-			fs.cIntScrubbed.Inc()
+			fs.tally.integrity.ScrubbedUnits++
 			if !s.corr.FaultIn(diskOff, size, fs.eng.Now()) {
 				next(i + 1)
 				return

@@ -96,10 +96,10 @@ func TestEveryDiskAccessIsCounted(t *testing.T) {
 	}
 	for i, s := range fs.servers {
 		st := s.dsk.Stats()
-		if ops := s.cOps.Value(); ops != st.Accesses {
+		if ops := s.tally.ops; ops != st.Accesses {
 			t.Errorf("oss%02d: %d ops counted for %d disk accesses", i, ops, st.Accesses)
 		}
-		counted := float64(s.cBytesR.Value() + s.cBytesW.Value())
+		counted := float64(s.tally.bytesR + s.tally.bytesW)
 		if moved := st.TransferSec * s.dsk.Geom.SeqBandwidth; math.Abs(counted-moved) > 1 {
 			t.Errorf("oss%02d: %.0f bytes counted for %.0f bytes transferred", i, counted, moved)
 		}

@@ -51,8 +51,7 @@ func (c *Client) Create(name string, done func(*File)) {
 	done = c.traceSpan("pfs.meta", "create", done)
 	fs.acquireDir(dir, c.id, func() {
 		fs.mds.Submit(fs.Cfg.MetadataOp, func(sim.Time) {
-			fs.metadataOps++
-			fs.cMeta.Inc()
+			fs.tally.metadataOps++
 			st, ok := fs.files[name]
 			if !ok {
 				st = &fileState{id: fs.nextID, name: name}
@@ -74,8 +73,7 @@ func (c *Client) Open(name string, done func(*File)) {
 	fs := c.fs
 	done = c.traceSpan("pfs.meta", "open", done)
 	fs.mds.Submit(fs.Cfg.MetadataOp, func(sim.Time) {
-		fs.metadataOps++
-		fs.cMeta.Inc()
+		fs.tally.metadataOps++
 		st, ok := fs.files[name]
 		if !ok {
 			st = &fileState{id: fs.nextID, name: name}
@@ -486,7 +484,6 @@ func (pc *piece) diskWrite() {
 	var det disk.AccessDetail
 	if !full && fs.Cfg.RMWPartialStripe && existed {
 		svc, det = s.rmw(pc.diskOff, fs.Cfg.StripeUnit, p.size)
-		fs.cRMW.Inc()
 	} else {
 		svc, det = s.write(pc.diskOff+p.offIn, p.size)
 	}

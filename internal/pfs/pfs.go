@@ -272,11 +272,7 @@ type server struct {
 	// first repair).
 	repairing map[int64][]func(error)
 
-	// Per-OSS instrument handles (nil when uninstrumented).
-	cOps    *obs.Counter
-	cBytesW *obs.Counter
-	cBytesR *obs.Counter
-	cRMW    *obs.Counter
+	tally *ossTally // this server's entry in the FS's tally
 }
 
 // read, write and rmw are the server's only ways to its disk: each
@@ -284,14 +280,14 @@ type server struct {
 // bytes_read or bytes_written, and returns the service time and its
 // split.
 func (s *server) read(off, size int64) (sim.Time, disk.AccessDetail) {
-	s.cOps.Inc()
-	s.cBytesR.Add(size)
+	s.tally.ops++
+	s.tally.bytesR += size
 	return s.dsk.AccessTimed(off, size)
 }
 
 func (s *server) write(off, size int64) (sim.Time, disk.AccessDetail) {
-	s.cOps.Inc()
-	s.cBytesW.Add(size)
+	s.tally.ops++
+	s.tally.bytesW += size
 	return s.dsk.AccessTimed(off, size)
 }
 
@@ -299,9 +295,9 @@ func (s *server) write(off, size int64) (sim.Time, disk.AccessDetail) {
 // off: the unit is read, modified and written back, two unit-sized
 // accesses counted as one op of size bytes written.
 func (s *server) rmw(off, unit, size int64) (sim.Time, disk.AccessDetail) {
-	s.cOps.Inc()
-	s.cBytesW.Add(size)
-	s.cRMW.Inc()
+	s.tally.ops++
+	s.tally.bytesW += size
+	s.tally.rmw++
 	t1, d1 := s.dsk.AccessTimed(off, unit)
 	t2, d2 := s.dsk.AccessTimed(off, unit)
 	return t1 + t2, disk.AccessDetail{
@@ -391,40 +387,15 @@ type FS struct {
 	// live is readReconstruct's scratch list of survivors.
 	live []liveMember
 
-	metadataOps int64
-
-	// Fault accounting (see faults.go).
-	faults FaultStats
-
-	// Integrity accounting (see integrity.go).
-	integrity IntegrityStats
+	// tally is every count the file system keeps; its Stats methods and
+	// the registry both read it.
+	tally *tally
 
 	// red is the k+m redundancy layer (see redundancy.go); nil with the
 	// zero Redundancy config, which leaves data unprotected.
 	red *redState
 
-	// File-system-wide instrument handles (nil when uninstrumented).
-	cMeta      *obs.Counter
-	cRevokes   *obs.Counter
-	cLockWaits *obs.Counter
-	cRMW       *obs.Counter
-	hLockWait  *obs.Histogram
-
-	// Fault instrument handles (nil when uninstrumented).
-	cCrashes    *obs.Counter
-	cRecoveries *obs.Counter
-	cFailedOps  *obs.Counter
-	cDegraded   *obs.Counter
-	cLeaseExp   *obs.Counter
-
-	// Integrity instrument handles, nil until armIntegrity registers them
-	// on the first injected corruption.
-	cIntInjected *obs.Counter
-	cIntDetected *obs.Counter
-	cIntRepaired *obs.Counter
-	cIntUnrecov  *obs.Counter
-	cIntSilent   *obs.Counter
-	cIntScrubbed *obs.Counter
+	hLockWait *obs.Histogram // nil when uninstrumented
 
 	// Latency-analytics handles (see analytics.go). Nil unless the
 	// registry opted in via EnableOpTimers/EnableTimeSeries, so default
@@ -433,6 +404,39 @@ type FS struct {
 	otRead   *obs.OpTimerSet
 	tsOn     bool
 	inflight int64
+}
+
+// tally holds the file system's counts. It is allocated apart from the
+// FS: the registry's functions read it after the run, and because they
+// capture only the tally, a finished run's FS is freed while its counts
+// stay readable.
+type tally struct {
+	metadataOps        int64
+	lockWaits, revokes int64
+	faults             FaultStats
+	integrity          IntegrityStats
+	rebuild            RebuildStats
+	loss               LossStats
+	oss                []ossTally
+}
+
+// ossTally is one server's disk traffic: accesses, bytes each way, and
+// the read-modify-writes among the writes.
+type ossTally struct{ ops, bytesW, bytesR, rmw int64 }
+
+// rmwOps sums the servers' read-modify-writes.
+func (t *tally) rmwOps() int64 {
+	var n int64
+	for i := range t.oss {
+		n += t.oss[i].rmw
+	}
+	return n
+}
+
+// publish registers *v as the named counter. The function captures v
+// alone, a field of a tally.
+func publish(reg *obs.Registry, name string, v *int64) {
+	reg.CounterFunc(name, func() int64 { return *v })
 }
 
 // stripeLock is a FIFO mutex; stripe locks add an ownership-transfer
@@ -488,6 +492,7 @@ func New(eng *sim.Engine, cfg Config) *FS {
 		files:    make(map[string]*fileState),
 		dirLocks: make(map[string]*stripeLock),
 		mds:      sim.NewServer(eng, threads),
+		tally:    &tally{oss: make([]ossTally, cfg.NumServers)},
 	}
 	stride := int64(cfg.NumServers)
 	if cfg.Redundancy.Enabled() {
@@ -500,6 +505,7 @@ func New(eng *sim.Engine, cfg Config) *FS {
 			dsk:    disk.New(cfg.ServerDisk),
 			dq:     sim.NewServer(eng, cfg.DisksPerServer),
 			stride: stride,
+			tally:  &fs.tally.oss[i],
 		})
 	}
 	if cfg.Redundancy.Enabled() {
@@ -520,25 +526,26 @@ func (fs *FS) instrument() {
 	if reg == nil {
 		return
 	}
+	t := fs.tally
 	fs.mds.Instrument(fs.metric("pfs.mds"))
-	fs.cMeta = reg.Counter(fs.metric("pfs.metadata_ops"))
-	fs.cRevokes = reg.Counter(fs.metric("pfs.lock.revokes"))
-	fs.cLockWaits = reg.Counter(fs.metric("pfs.lock.waits"))
-	fs.cRMW = reg.Counter(fs.metric("pfs.rmw_ops"))
+	publish(reg, fs.metric("pfs.metadata_ops"), &t.metadataOps)
+	publish(reg, fs.metric("pfs.lock.revokes"), &t.revokes)
+	publish(reg, fs.metric("pfs.lock.waits"), &t.lockWaits)
+	reg.CounterFunc(fs.metric("pfs.rmw_ops"), t.rmwOps)
 	fs.hLockWait = reg.Histogram(fs.metric("pfs.lock.wait_s"), obs.TimeBuckets())
-	fs.cCrashes = reg.Counter(fs.metric("pfs.faults.crashes"))
-	fs.cRecoveries = reg.Counter(fs.metric("pfs.faults.recoveries"))
-	fs.cFailedOps = reg.Counter(fs.metric("pfs.faults.failed_ops"))
-	fs.cDegraded = reg.Counter(fs.metric("pfs.faults.degraded_reads"))
-	fs.cLeaseExp = reg.Counter(fs.metric("pfs.faults.lease_expiries"))
+	publish(reg, fs.metric("pfs.faults.crashes"), &t.faults.Crashes)
+	publish(reg, fs.metric("pfs.faults.recoveries"), &t.faults.Recoveries)
+	publish(reg, fs.metric("pfs.faults.failed_ops"), &t.faults.FailedOps)
+	publish(reg, fs.metric("pfs.faults.degraded_reads"), &t.faults.DegradedReads)
+	publish(reg, fs.metric("pfs.faults.lease_expiries"), &t.faults.LeaseExpiries)
 	for i, s := range fs.servers {
 		name := fs.metric(fmt.Sprintf("pfs.oss%02d", i))
 		s.nic.Instrument(name + ".nic")
 		s.dq.Instrument(name + ".disk")
-		s.cOps = reg.Counter(name + ".ops")
-		s.cBytesW = reg.Counter(name + ".bytes_written")
-		s.cBytesR = reg.Counter(name + ".bytes_read")
-		s.cRMW = reg.Counter(name + ".rmw_ops")
+		publish(reg, name+".ops", &s.tally.ops)
+		publish(reg, name+".bytes_written", &s.tally.bytesW)
+		publish(reg, name+".bytes_read", &s.tally.bytesR)
+		publish(reg, name+".rmw_ops", &s.tally.rmw)
 		d := s.dsk
 		reg.GaugeFunc(name+".disk.seek_s", func() float64 { return d.Stats().SeekSec })
 		reg.GaugeFunc(name+".disk.rotation_s", func() float64 { return d.Stats().RotationSec })
@@ -565,7 +572,7 @@ func (fs *FS) instrument() {
 func (fs *FS) Engine() *sim.Engine { return fs.eng }
 
 // MetadataOps reports completed metadata operations.
-func (fs *FS) MetadataOps() int64 { return fs.metadataOps }
+func (fs *FS) MetadataOps() int64 { return fs.tally.metadataOps }
 
 // serverFor maps a file's stripe unit to a server, offsetting by file id so
 // different files start their stripe rotation on different servers (as real
@@ -580,7 +587,7 @@ func (fs *FS) serverFor(st *fileState, unit int64) *server {
 func (fs *FS) acquire(st *fileState, unit int64, client int, h sim.Handler) {
 	lk := st.lock(unit)
 	if !lk.take(client, h, fs.eng.Now()) {
-		fs.cLockWaits.Inc()
+		fs.tally.lockWaits++
 		return
 	}
 	fs.grant(lk, client, h)
@@ -590,7 +597,7 @@ func (fs *FS) grant(lk *stripeLock, client int, h sim.Handler) {
 	delay := sim.Time(0)
 	if lk.owner != -1 && lk.owner != int32(client) {
 		delay = fs.Cfg.LockRevoke
-		fs.cRevokes.Inc()
+		fs.tally.revokes++
 	}
 	lk.owner = int32(client)
 	if delay > 0 {

@@ -74,7 +74,7 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 	}
 	var written int64
 	for _, s := range fs.servers {
-		written += s.cBytesW.Value()
+		written += s.tally.bytesW
 	}
 	if written != 1<<20 {
 		t.Fatalf("servers wrote %d bytes, want %d", written, 1<<20)

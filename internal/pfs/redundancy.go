@@ -217,20 +217,6 @@ type redState struct {
 	groups    []ecGroup
 	byServer  [][]int32 // server index -> groups it belongs to
 	incidents map[int]*ecIncident
-
-	stats RebuildStats
-	loss  LossStats
-
-	// Instrument handles (nil when uninstrumented).
-	cRebStarted   *obs.Counter
-	cRebCompleted *obs.Counter
-	cRebAborted   *obs.Counter
-	cRebGroups    *obs.Counter
-	cRebBytes     *obs.Counter
-	cLossEvents   *obs.Counter
-	cLossGroups   *obs.Counter
-	cLossBytes    *obs.Counter
-	cLossReads    *obs.Counter
 }
 
 // newRedState builds the population-scale group map: G = servers *
@@ -266,36 +252,26 @@ func newRedState(cfg Config) *redState {
 // Called from instrument() only when the layer is enabled, so
 // unprotected configurations register none of them.
 func (fs *FS) armRedundancy(reg *obs.Registry) {
-	red := fs.red
-	red.cRebStarted = reg.Counter(fs.metric("pfs.rebuild.started"))
-	red.cRebCompleted = reg.Counter(fs.metric("pfs.rebuild.completed"))
-	red.cRebAborted = reg.Counter(fs.metric("pfs.rebuild.aborted"))
-	red.cRebGroups = reg.Counter(fs.metric("pfs.rebuild.groups_rebuilt"))
-	red.cRebBytes = reg.Counter(fs.metric("pfs.rebuild.bytes"))
-	red.cLossEvents = reg.Counter(fs.metric("pfs.loss.events"))
-	red.cLossGroups = reg.Counter(fs.metric("pfs.loss.groups"))
-	red.cLossBytes = reg.Counter(fs.metric("pfs.loss.bytes"))
-	red.cLossReads = reg.Counter(fs.metric("pfs.loss.reads"))
-	reg.GaugeFunc(fs.metric("pfs.rebuild.busy_s"), func() float64 { return float64(red.stats.Busy) })
+	rb, ls := &fs.tally.rebuild, &fs.tally.loss
+	publish(reg, fs.metric("pfs.rebuild.started"), &rb.Started)
+	publish(reg, fs.metric("pfs.rebuild.completed"), &rb.Completed)
+	publish(reg, fs.metric("pfs.rebuild.aborted"), &rb.Aborted)
+	publish(reg, fs.metric("pfs.rebuild.groups_rebuilt"), &rb.GroupsRebuilt)
+	publish(reg, fs.metric("pfs.rebuild.bytes"), &rb.Bytes)
+	publish(reg, fs.metric("pfs.loss.events"), &ls.Events)
+	publish(reg, fs.metric("pfs.loss.groups"), &ls.Groups)
+	publish(reg, fs.metric("pfs.loss.bytes"), &ls.Bytes)
+	publish(reg, fs.metric("pfs.loss.reads"), &ls.Reads)
+	reg.GaugeFunc(fs.metric("pfs.rebuild.busy_s"), func() float64 { return float64(rb.Busy) })
 }
 
 // RebuildStats returns a copy of the rebuild accounting so far (zero
 // without redundancy).
-func (fs *FS) RebuildStats() RebuildStats {
-	if fs.red == nil {
-		return RebuildStats{}
-	}
-	return fs.red.stats
-}
+func (fs *FS) RebuildStats() RebuildStats { return fs.tally.rebuild }
 
 // LossStats returns a copy of the data-loss accounting so far (zero
 // without redundancy).
-func (fs *FS) LossStats() LossStats {
-	if fs.red == nil {
-		return LossStats{}
-	}
-	return fs.red.loss
-}
+func (fs *FS) LossStats() LossStats { return fs.tally.loss }
 
 // RedundancyGroups reports the number of redundancy groups (0 without
 // redundancy).
@@ -465,8 +441,7 @@ func (fs *FS) readReconstruct(pc *piece) {
 		fs.failOp(pc.arrive)
 		return
 	}
-	fs.faults.DegradedReads++
-	fs.cDegraded.Inc()
+	fs.tally.faults.DegradedReads++
 	posIn := fs.ecPosIn(pc.p)
 	var total, base sim.Time
 	pc.stage, pc.failed, pc.first = readReconstruct, false, fs.live[0].srv
@@ -488,8 +463,7 @@ func (fs *FS) readReconstruct(pc *piece) {
 // a counted, typed data-loss event delivered after the RPC timeout —
 // never a silent read, never a panic.
 func (fs *FS) lossRead(done func(error)) {
-	fs.red.loss.Reads++
-	fs.red.cLossReads.Inc()
+	fs.tally.loss.Reads++
 	fs.eng.Schedule(fs.FailTimeout(), func() { done(ErrDataLoss) })
 }
 
@@ -513,25 +487,21 @@ func (fs *FS) ecOnCrash(srv *server) {
 		pending: len(gids),
 	}
 	red.incidents[srv.idx] = inc
+	loss := &fs.tally.loss
 	for _, gid := range gids {
 		g := &red.groups[gid]
 		g.failed++
 		if g.failed > red.cfg.M {
-			red.loss.Events++
-			red.cLossEvents.Inc()
+			loss.Events++
 			if !g.lost {
 				g.lost = true
-				red.loss.Groups++
-				red.cLossGroups.Inc()
-				lost := int64(red.cfg.K) * red.cfg.unitBytes()
-				red.loss.Bytes += lost
-				red.cLossBytes.Add(lost)
+				loss.Groups++
+				loss.Bytes += int64(red.cfg.K) * red.cfg.unitBytes()
 			}
 		}
 		inc.open[gid] = true
 	}
-	red.stats.Started++
-	red.cRebStarted.Inc()
+	fs.tally.rebuild.Started++
 	for _, gid := range gids {
 		fs.rebuildGroup(inc, int(gid))
 	}
@@ -574,10 +544,9 @@ func (fs *FS) ecGroupDone(inc *ecIncident, gid int32, completed bool) {
 		if completed {
 			delete(inc.open, gid)
 			red.groups[gid].failed--
-			red.stats.GroupsRebuilt++
-			red.cRebGroups.Inc()
+			fs.tally.rebuild.GroupsRebuilt++
 		} else {
-			red.stats.AbandonedGroups++
+			fs.tally.rebuild.AbandonedGroups++
 		}
 	}
 	inc.pending--
@@ -596,18 +565,15 @@ func (fs *FS) ecRebuildFinished(inc *ecIncident) {
 		// incident for this server; only this one's record is retired.
 		delete(red.incidents, inc.server)
 	}
+	st := &fs.tally.rebuild
 	if inc.cancelled {
-		red.stats.Aborted++
-		red.cRebAborted.Inc()
+		st.Aborted++
 		return
 	}
 	dur := fs.eng.Now() - inc.start
-	red.stats.Completed++
-	red.stats.Busy += dur
-	if dur > red.stats.MaxDuration {
-		red.stats.MaxDuration = dur
-	}
-	red.cRebCompleted.Inc()
+	st.Completed++
+	st.Busy += dur
+	st.MaxDuration = max(st.MaxDuration, dur)
 }
 
 // ecPickSpare walks the ring from the dead server for a live server
@@ -761,13 +727,11 @@ func (r *chainRead) Handle() {
 // Handle completes the chain's spare write and moves on to the next
 // chunk.
 func (c *rebuildChain) Handle() {
-	red := c.fs.red
 	if c.spare.epoch != c.epoch {
 		c.step(c.off) // the spare died: step re-picks and restarts
 		return
 	}
-	red.stats.Bytes += c.n
-	red.cRebBytes.Add(c.n)
+	c.fs.tally.rebuild.Bytes += c.n
 	c.off += c.n
 	c.step(c.off)
 }

@@ -98,12 +98,12 @@ func TestECWriteUpdatesRedundancyFragments(t *testing.T) {
 	gid, slot := fs.red.groupOf(0, 0)
 	g := fs.red.groups[gid]
 	home := fs.servers[g.members[slot]]
-	if w := home.cBytesW.Value(); w != 64<<10 {
+	if w := home.tally.bytesW; w != 64<<10 {
 		t.Fatalf("home member wrote %d bytes, want %d", w, 64<<10)
 	}
 	frags := 0
 	for i := fs.red.cfg.K; i < len(g.members); i++ {
-		if fs.servers[g.members[i]].cBytesW.Value() > 0 {
+		if fs.servers[g.members[i]].tally.bytesW > 0 {
 			frags++
 		}
 	}
@@ -144,7 +144,7 @@ func TestECDegradedReadReconstructsFromKSurvivors(t *testing.T) {
 	// The decode touched exactly k surviving members' disks.
 	readers := 0
 	for _, idx := range fs.red.groups[gid].members {
-		if int(idx) != home && fs.servers[idx].cBytesR.Value() > 0 {
+		if int(idx) != home && fs.servers[idx].tally.bytesR > 0 {
 			readers++
 		}
 	}
@@ -235,7 +235,7 @@ func TestCrashTriggersDeclusteredRebuild(t *testing.T) {
 	// Rebuild reads fanned out across many partners, not one neighbour.
 	partners := 0
 	for i, s := range fs.servers {
-		if i != dead && s.cBytesR.Value() > 0 {
+		if i != dead && s.tally.bytesR > 0 {
 			partners++
 		}
 	}

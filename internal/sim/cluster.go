@@ -32,10 +32,12 @@ import (
 //     lookup that returns them, so event code, which holds the cluster
 //     to call Send, has no path to another shard's engine through it.
 //   - Same-timestamp events on different shards must commute through
-//     any shared instruments: counters are atomic and commutative, but
-//     order-sensitive instruments (histograms, quantiles, time series)
-//     must be observed from a single shard each — give each domain its
-//     own metric-name prefix.
+//     any shared instruments. Counts commute by construction: each model
+//     keeps plain tallies that only its own shard writes, and the
+//     registry sums them at Snapshot, after Run returns. Order-sensitive
+//     instruments (histograms, quantiles, time series) must be observed
+//     from a single shard each — give each domain its own metric-name
+//     prefix.
 //   - Send keys are stable entity names owned by a single sender, so
 //     the per-key sequence numbers that break merge ties do not depend
 //     on where the sender is placed.
@@ -60,8 +62,8 @@ type Cluster struct {
 	sampleEvery Time
 	nextTick    Time
 
-	cSends   *obs.Counter
-	cWindows *obs.Counter
+	// Tallies of cross-shard deliveries and coordinator windows.
+	sends, windows int64
 
 	running bool
 
@@ -122,8 +124,8 @@ func (c *Cluster) Pending() int {
 }
 
 // Instrument attaches a registry to every shard and registers the
-// cluster-wide aggregates. Shards share the sim.events_* counters
-// (atomic, so cross-shard increments commute); the pending and clock
+// cluster-wide aggregates. The sim.events_* counters sum the shards'
+// tallies, so they do not depend on the shard count; the pending and clock
 // gauges and the events-pending series are cluster-level so the
 // snapshot shape does not depend on the shard count. sim.queue_depth_max
 // becomes the high-water mark of total pending events measured at
@@ -134,8 +136,11 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 	for _, sh := range c.shards {
 		sh.instrument(reg)
 	}
-	c.cSends = reg.Counter("sim.cluster.sends")
-	c.cWindows = reg.Counter("sim.cluster.windows")
+	if reg == nil {
+		return
+	}
+	reg.CounterFunc("sim.cluster.sends", func() int64 { return c.sends })
+	reg.CounterFunc("sim.cluster.windows", func() int64 { return c.windows })
 	reg.GaugeFunc("sim.queue_depth_max", func() float64 { return float64(c.depth) })
 	reg.GaugeFunc("sim.pending", func() float64 { return float64(c.Pending()) })
 	reg.GaugeFunc("sim.now_s", func() float64 { return float64(c.now) })
@@ -216,7 +221,7 @@ func (c *Cluster) inject() {
 		c.shards[buf[i].dst].At(buf[i].at, buf[i].fn)
 		buf[i].fn = nil
 	}
-	c.cSends.Add(int64(len(buf)))
+	c.sends += int64(len(buf))
 	c.injectBuf = buf[:0]
 }
 
@@ -322,7 +327,7 @@ func (c *Cluster) Run() Time {
 				last = i
 			}
 		}
-		c.cWindows.Inc()
+		c.windows++
 		if active == 1 {
 			// One busy shard: skip the worker-pool round trip. Same
 			// execution, same thread confinement (the coordinator is

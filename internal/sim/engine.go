@@ -92,18 +92,17 @@ type Engine struct {
 	events []event  // arena of scheduled events, indexed by the queue
 	free   []uint32 // recycled arena indices, reused by At
 	dead   int      // cancelled events still occupying queue slots
-	nsteps uint64
-	live   int // scheduled, not yet dispatched or cancelled
-	depth  int // high-water mark of queue length
+	live   int      // scheduled, not yet dispatched or cancelled
+	depth  int      // high-water mark of queue length
+
+	// Event tallies: every event scheduled is dispatched, cancelled or
+	// still pending, so scheduled = nsteps + cancelled + live.
+	scheduled, nsteps, cancelled uint64
 
 	// Observability. Both are nil until Instrument is called; every probe
 	// site is nil-safe, so an uninstrumented engine pays one branch.
 	metrics *obs.Registry
 	tracer  *obs.Tracer
-
-	cDispatched *obs.Counter
-	cScheduled  *obs.Counter
-	cCancelled  *obs.Counter
 
 	// Periodic sampling state (see sampler.go). Armed only when a
 	// series-enabled registry is attached, so default runs schedule no
@@ -134,17 +133,20 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// instrument attaches the registry and shared event counters but not
-// the tracer, the whole-simulation gauges, or the pending-events series.
-// It is the member-engine half of Instrument: a Cluster instruments each
+// instrument attaches the registry and the event counters but not the
+// tracer, the whole-simulation gauges, or the pending-events series. It
+// is the member-engine half of Instrument: a Cluster instruments each
 // shard this way and registers cluster-wide aggregates itself, so a
 // snapshot carries one "sim.pending" gauge regardless of shard count and
-// the counters (atomic, commutative) accumulate across shards.
+// each event counter sums the shards' tallies.
 func (e *Engine) instrument(reg *obs.Registry) {
 	e.metrics = reg
-	e.cDispatched = reg.Counter("sim.events_dispatched")
-	e.cScheduled = reg.Counter("sim.events_scheduled")
-	e.cCancelled = reg.Counter("sim.events_cancelled")
+	if reg == nil {
+		return
+	}
+	reg.CounterFunc("sim.events_dispatched", func() int64 { return int64(e.nsteps) })
+	reg.CounterFunc("sim.events_scheduled", func() int64 { return int64(e.scheduled) })
+	reg.CounterFunc("sim.events_cancelled", func() int64 { return int64(e.cancelled) })
 }
 
 // Metrics returns the attached registry (nil when uninstrumented). A nil
@@ -200,7 +202,7 @@ func (e *Engine) AtHandler(t Time, h Handler) EventID {
 	if e.queue.len() > e.depth {
 		e.depth = e.queue.len()
 	}
-	e.cScheduled.Inc()
+	e.scheduled++
 	return EventID{i: i + 1, gen: e.events[i].gen}
 }
 
@@ -227,7 +229,7 @@ func (e *Engine) Cancel(id EventID) {
 	ev.dead = true
 	e.dead++
 	e.live--
-	e.cCancelled.Inc()
+	e.cancelled++
 	// Lazy deletion leaves the corpse in the queue until it reaches the
 	// front. Cancel-heavy models (incast retransmission timers, lease
 	// guards) can cancel far faster than the clock drains corpses, so
@@ -304,7 +306,6 @@ func (e *Engine) step(x slot, at Time) {
 	e.live--
 	e.now = at
 	e.nsteps++
-	e.cDispatched.Inc()
 	h := ev.h
 	e.recycle(x.ev)
 	h.Handle()

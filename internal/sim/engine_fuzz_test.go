@@ -244,7 +244,6 @@ func FuzzEngineOrder(f *testing.F) {
 		e.Instrument(reg, nil)
 		eng := &orderRun{sim: engineSim{e}}
 		ref := &orderRun{sim: boxedSim{&boxedEngine{}}}
-		scheduled, cancelled := reg.Counter("sim.events_scheduled"), reg.Counter("sim.events_cancelled")
 		for step := 0; len(ops) > 0 && step < maxOrderOps; step++ {
 			var w [4]byte
 			ops = ops[copy(w[:], ops):]
@@ -264,8 +263,19 @@ func FuzzEngineOrder(f *testing.F) {
 			if eng.sim.now() != ref.sim.now() {
 				t.Fatalf("op %d (%d): Now() = %v, reference %v", step, w[0]%numOrderOps, eng.sim.now(), ref.sim.now())
 			}
-			if s, d, c, p := scheduled.Value(), int64(e.Steps()), cancelled.Value(), int64(e.Pending()); s != d+c+p {
+			if s, d, c, p := e.scheduled, e.nsteps, e.cancelled, uint64(e.Pending()); s != d+c+p {
 				t.Fatalf("op %d (%d): scheduled %d != dispatched %d + cancelled %d + pending %d", step, w[0]%numOrderOps, s, d, c, p)
+			}
+		}
+		// The snapshot publishes the same three tallies.
+		got := reg.Snapshot().Counters
+		for name, want := range map[string]uint64{
+			"sim.events_scheduled":  e.scheduled,
+			"sim.events_dispatched": e.nsteps,
+			"sim.events_cancelled":  e.cancelled,
+		} {
+			if got[name] != int64(want) {
+				t.Fatalf("snapshot %s = %d, engine tally %d", name, got[name], want)
 			}
 		}
 	})

@@ -199,8 +199,8 @@ func TestServerResubmitFromDoneReusesRequest(t *testing.T) {
 			t.Fatalf("completions = %v, want %v", got, want)
 		}
 	}
-	if s.served != 4 || s.QueueLen() != 0 {
-		t.Fatalf("served = %d, QueueLen() = %d, want 4, 0", s.served, s.QueueLen())
+	if s.started != 4 || s.QueueLen() != 0 {
+		t.Fatalf("started = %d, QueueLen() = %d, want 4, 0", s.started, s.QueueLen())
 	}
 }
 

@@ -171,12 +171,15 @@ func (p *FaultPlan) Schedule(eng *Engine, sink FaultSink) error {
 		return err
 	}
 	reg, tr := eng.Metrics(), eng.Tracer()
-	cInjected := reg.Counter("sim.faults.injected")
-	cRecovered := reg.Counter("sim.faults.recovered")
+	n := new(struct{ injected, recovered int64 })
+	if reg != nil {
+		reg.CounterFunc("sim.faults.injected", func() int64 { return n.injected })
+		reg.CounterFunc("sim.faults.recovered", func() int64 { return n.recovered })
+	}
 	for _, ev := range p.Events() {
 		ev := ev
 		eng.At(ev.At, func() {
-			cInjected.Inc()
+			n.injected++
 			if tr.Enabled() {
 				tr.InstantArgs("fault", "crash "+ev.Target, 0, float64(eng.Now()),
 					map[string]any{"downtime_s": float64(ev.Downtime)})
@@ -187,7 +190,7 @@ func (p *FaultPlan) Schedule(eng *Engine, sink FaultSink) error {
 			continue
 		}
 		eng.At(ev.At+ev.Downtime, func() {
-			cRecovered.Inc()
+			n.recovered++
 			if tr.Enabled() {
 				tr.Instant("fault", "recover "+ev.Target, 0, float64(eng.Now()))
 			}

@@ -159,7 +159,7 @@ func TestUninstrumentedServerStillAccounts(t *testing.T) {
 	s.Submit(1, nil)
 	s.Submit(1, nil)
 	e.Run()
-	if s.served != 2 || s.MeanWait() != 0.5 {
-		t.Fatalf("served %d meanWait %v", s.served, s.MeanWait())
+	if s.started != 2 || s.MeanWait() != 0.5 {
+		t.Fatalf("started %d meanWait %v", s.started, s.MeanWait())
 	}
 }

@@ -16,7 +16,6 @@ type Server struct {
 	// Busy time accounting for utilization reporting.
 	busySince  Time
 	busyTotal  Time
-	served     uint64
 	started    uint64
 	waitedTime Time
 
@@ -60,7 +59,6 @@ func (s *Server) Instrument(name string) {
 	s.hWait = reg.Histogram(name+".wait_s", obs.TimeBuckets())
 	s.hService = reg.Histogram(name+".service_s", obs.TimeBuckets())
 	reg.GaugeFunc(name+".utilization", s.Utilization)
-	reg.GaugeFunc(name+".served", func() float64 { return float64(s.served) })
 	reg.GaugeFunc(name+".mean_wait_s", func() float64 { return float64(s.MeanWait()) })
 }
 
@@ -111,7 +109,6 @@ func (s *Server) start(r *request, at Time) {
 // runs, so a continuation that re-submits reuses it.
 func (s *Server) finish(r *request) {
 	s.busy--
-	s.served++
 	if s.busy == 0 {
 		s.busyTotal += s.eng.Now() - s.busySince
 	}

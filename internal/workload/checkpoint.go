@@ -249,11 +249,11 @@ type rankSet struct {
 	// A failed attempt is retried up to maxRetries times, the first
 	// after backoff and each later one after twice the last, capped at
 	// maxBackoff. pfs.ErrDataLoss is never retried: no retry resurrects
-	// a lost group. retries counts the retries.
+	// a lost group.
 	maxRetries          int
 	backoff, maxBackoff sim.Time
-	retries             int64
-	cRetries            *obs.Counter
+
+	tally *tally // the run's counts
 
 	// outcome hears how each logical op ended: its latency on success,
 	// or the error that ended it. Without one an error panics: a run
@@ -267,7 +267,7 @@ type rankSet struct {
 // each rank a stage timer when op timers are on. The ranks share the
 // programs' ops, which must not change while a phase runs.
 func newRankSet(fs *pfs.FS, progs []Program) *rankSet {
-	rs := &rankSet{eng: fs.Engine(), fs: fs, ranks: make([]rank, len(progs))}
+	rs := &rankSet{eng: fs.Engine(), fs: fs, ranks: make([]rank, len(progs)), tally: new(tally)}
 	timed := rs.eng.Metrics().OpTimersEnabled()
 	for r := range rs.ranks {
 		rk := &rs.ranks[r]
@@ -310,6 +310,12 @@ func (rs *rankSet) phase(done func(elapsed sim.Time)) {
 		rs.ranks[r].issue()
 	}
 }
+
+// tally counts a run's checkpoint rounds begun, the retries its ranks
+// made, and the ops they dropped. It is allocated apart from the
+// rankSet, so the registry's functions, which read it after the run,
+// keep only it alive.
+type tally struct{ rounds, retries, dropped int64 }
 
 // rank is one rank's place in its program. It issues its ops in order:
 // it opens the op's file on first use, spends the op's CPU time (e.g.
@@ -427,8 +433,7 @@ func (rk *rank) done(err error) {
 	rs, o := rk.rs, &rk.ops[rk.i]
 	if err != nil && rk.attempt < rs.maxRetries && !errors.Is(err, pfs.ErrDataLoss) {
 		rk.attempt++
-		rs.retries++
-		rs.cRetries.Inc()
+		rs.tally.retries++
 		d := rk.backoff
 		if rk.backoff *= 2; rk.backoff > rs.maxBackoff {
 			rk.backoff = rs.maxBackoff

@@ -75,13 +75,6 @@ func (s FaultSpec) Validate() error {
 	return nil
 }
 
-// faulty reports whether any fault machinery is active; a non-faulty run
-// must stay byte-identical to RunPrograms of the same phases, so
-// even the fault counters are only registered when this is true.
-func (s FaultSpec) faulty() bool {
-	return s.Plan.Len() > 0 || s.MaxRetries > 0
-}
-
 // FaultResult reports a fault-injected checkpoint run. The embedded
 // Result's Elapsed sums the checkpoint phases (the application-visible
 // checkpoint cost); compute time is excluded from it.
@@ -143,22 +136,22 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		}
 	}
 
-	// Fault-path instruments exist only on faulty runs so that a
-	// fault-free run's snapshot matches RunPrograms exactly.
-	var cRetries, cDropped, cRounds *obs.Counter
-	if fspec.faulty() && reg != nil {
-		cRetries = reg.Counter("workload.ckpt.retries")
-		cDropped = reg.Counter("workload.ckpt.dropped_ops")
-		cRounds = reg.Counter("workload.ckpt.rounds")
-	}
-
 	spec := fspec.Spec
 	progs := programs(spec, cfg.StripeUnit)
 	rs := newRankSet(fs, progs)
-	rs.tier, rs.cRetries = tier, cRetries
+	rs.tier = tier
 	rs.maxRetries, rs.backoff, rs.maxBackoff = fspec.MaxRetries, fspec.RetryBackoff, fspec.MaxBackoff
 	if rs.maxBackoff <= 0 {
 		rs.maxBackoff = fspec.RetryBackoff
+	}
+
+	// Fault-path counters exist only when a plan or retries are armed,
+	// so that a fault-free run's snapshot matches RunPrograms exactly.
+	n := rs.tally
+	if (fspec.Plan.Len() > 0 || fspec.MaxRetries > 0) && reg != nil {
+		reg.CounterFunc("workload.ckpt.retries", func() int64 { return n.retries })
+		reg.CounterFunc("workload.ckpt.dropped_ops", func() int64 { return n.dropped })
+		reg.CounterFunc("workload.ckpt.rounds", func() int64 { return n.rounds })
 	}
 
 	result := FaultResult{Checkpoints: fspec.Checkpoints, ComputeTime: fspec.ComputeTime}
@@ -166,23 +159,22 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 	// on: the degraded checkpoint is accounted, not hung.
 	rs.outcome = func(_ *Op, _ sim.Time, err error) {
 		if err != nil {
-			result.DroppedOps++
-			cDropped.Inc()
+			n.dropped++
 		}
 	}
 
-	round := 0
+	// A round counts as begun when its checkpoint phase starts, so
+	// between rounds n.rounds is also the number finished.
 	var startRound func()
 	startRound = func() {
-		if round == fspec.Checkpoints {
+		if n.rounds == int64(fspec.Checkpoints) {
 			result.WallClock = eng.Now()
 			return
 		}
 		begin := func() {
-			cRounds.Inc()
+			n.rounds++
 			rs.phase(func(elapsed sim.Time) {
 				result.Elapsed += elapsed
-				round++
 				startRound()
 			})
 		}
@@ -199,7 +191,7 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 
 	eng.Run()
 	result.Spec = spec
-	result.Retries = rs.retries
+	result.Retries, result.DroppedOps = n.retries, n.dropped
 	result.TotalBytes = int64(spec.Ranks) * spec.BytesPerRank * int64(fspec.Checkpoints)
 	if result.Elapsed > 0 {
 		result.Bandwidth = float64(result.TotalBytes) / float64(result.Elapsed)

@@ -276,3 +276,32 @@ func TestFaultRunAllocsPerOp(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRunFaultsReport times the instrumented path, as `pdsirepro
+// -metrics -report` runs a figure: RunFaults on 4+1 groups under drawn
+// OSS crashes with a registry and op timers on, then one Snapshot,
+// which reads every count the models keep.
+func BenchmarkRunFaultsReport(b *testing.B) {
+	cfg := pfs.PanFSLike(8)
+	cfg.Redundancy = pfs.Redundancy{K: 4, M: 1}
+	fspec := FaultSpec{
+		Spec:        Spec{Ranks: 16, BytesPerRank: 4 << 20, RecordSize: 47008, Pattern: N1Strided},
+		Checkpoints: 3,
+		ComputeTime: sim.Time(0.5),
+		Plan: failure.DrawOSSFaults(failure.OSSFaultSpec{
+			Servers: 8, MTBF: 2, Shape: 1, Downtime: 0.2, Horizon: 4,
+		}, 1),
+		MaxRetries:   20,
+		RetryBackoff: sim.Time(5e-3),
+		MaxBackoff:   sim.Time(100e-3),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		reg := obs.NewRegistry()
+		reg.EnableOpTimers()
+		if res := RunFaults(cfg, fspec, reg, nil); res.Faults.Crashes == 0 {
+			b.Fatalf("no crash applied: %+v", res.Faults)
+		}
+		reg.Snapshot()
+	}
+}

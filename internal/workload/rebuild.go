@@ -14,14 +14,14 @@ import (
 // This file is the rebuild-storm experiment: many independent
 // erasure-coded pods — each a pfs.FS with k+m redundancy groups,
 // declustered placement, and one drive per OSS — survive a drawn fault
-// schedule (independent Weibull crashes plus correlated bursts, and
-// optionally latent sector errors) while a foreground client keeps
-// checkpointing and reading back. Crashes launch real declustered
-// rebuilds that compete with the foreground traffic through the shared
-// disk queues; overlapping failures beyond m surface as typed data-loss
-// events. The harness reports the population's data-loss probability,
-// rebuild behaviour, and the foreground latency quantiles under the
-// storm — the trade the paper's petascale reliability argument is about.
+// schedule (independent Weibull crashes plus correlated bursts) while a
+// foreground client keeps checkpointing and reading back. Crashes
+// launch real declustered rebuilds that compete with the foreground
+// traffic through the shared disk queues; overlapping failures beyond m
+// surface as typed data-loss events. The harness reports the
+// population's data-loss probability, rebuild behaviour, and the
+// foreground latency quantiles under the storm — the trade the paper's
+// petascale reliability argument is about.
 // Pods never talk to each other, so the pod population shards
 // embarrassingly over GOMAXPROCS engines: the metrics snapshot is
 // byte-identical for any shard count.
@@ -42,12 +42,6 @@ type RebuildSpec struct {
 	// overridden per pod. Bursts inside it add correlated multi-drive
 	// crashes.
 	Faults failure.OSSFaultSpec
-
-	// LSE, when non-nil, arms per-drive latent sector errors (Disks is
-	// overridden per pod) and turns on read checksums, so scrub-less
-	// detection happens on foreground reads and repairs route through the
-	// redundancy groups.
-	LSE *failure.LSESpec
 
 	// Seed decorrelates pods: pod p draws with Seed + p*1e6+3 offsets.
 	Seed int64
@@ -87,17 +81,13 @@ func (s RebuildSpec) Validate() error {
 }
 
 // podConfig is pod p's file system: Servers OSSes of one drive each on
-// the spec's redundancy groups, checksummed when latent sector errors
-// are armed.
+// the spec's redundancy groups.
 func (s RebuildSpec) podConfig(p int) pfs.Config {
 	cfg := pfs.PanFSLike(s.Servers)
 	cfg.DisksPerServer = 1 // one OSS = one drive in this experiment
 	cfg.Redundancy = s.Red
 	if s.Pods > 1 {
 		cfg.MetricPrefix = fmt.Sprintf("pod%03d.", p)
-	}
-	if s.LSE != nil {
-		cfg.Checksums = true
 	}
 	return cfg
 }
@@ -217,13 +207,6 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 		if err := fs.InjectFaults(plan); err != nil {
 			panic(err)
 		}
-		if spec.LSE != nil {
-			lspec := *spec.LSE
-			lspec.Disks = spec.Servers
-			if err := fs.InjectCorruption(failure.DrawLSE(lspec, seed^0x15e)); err != nil {
-				panic(err)
-			}
-		}
 		result.Groups += fs.RedundancyGroups()
 
 		rs := newRankSet(fs, prog)
@@ -240,7 +223,6 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 
 	result.WallClock = cl.Run()
 
-	var lost, groups int64
 	for _, pod := range pods {
 		fs := pod.rs.fs
 		fst := fs.FaultStats()
@@ -266,17 +248,15 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 		if ls.Groups > 0 {
 			result.PodsWithLoss++
 		}
-		lost += ls.Groups
-		groups += int64(fs.RedundancyGroups())
 		result.BurstEvents += pod.burstEvents
 		result.BurstCrash += pod.burstCrash
 		result.Ops += pod.ops
-		result.Retries += pod.rs.retries
+		result.Retries += pod.rs.tally.retries
 		result.Dropped += pod.dropped
 		result.DataLossOps += pod.dataLoss
 	}
-	if groups > 0 {
-		result.GroupLossFrac = float64(lost) / float64(groups)
+	if result.Groups > 0 {
+		result.GroupLossFrac = float64(result.Loss.Groups) / float64(result.Groups)
 	}
 	// Pod-order aggregation keeps the quantiles shard-count-independent.
 	var writes, reads []float64

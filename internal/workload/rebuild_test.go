@@ -125,30 +125,6 @@ func TestRunRebuildDataLossOpsTyped(t *testing.T) {
 	}
 }
 
-func TestRunRebuildLSERoutesRepairsThroughGroups(t *testing.T) {
-	spec := rebuildSpec()
-	spec.Pods = 1
-	spec.Faults.Bursts = failure.BurstSpec{}
-	spec.Faults.MTBF = 1e6 // crash-free: isolate the latent-error path
-	spec.LSE = &failure.LSESpec{
-		CapacityBytes: 64 << 20,
-		MTBC:          0.5,
-		Shape:         1,
-		TornFraction:  0.25,
-		Horizon:       4,
-	}
-	res := RunRebuild(spec, obs.NewRegistry())
-	if res.Ops == 0 {
-		t.Fatal("foreground never ran")
-	}
-	// With checksums forced on, reads over rotten ranges repair through
-	// the redundancy groups instead of failing or lying; nothing here
-	// should count as data loss.
-	if res.DataLossOps != 0 || res.Loss.Events != 0 {
-		t.Fatalf("latent errors escalated to loss: %+v", res)
-	}
-}
-
 // TestRunRebuildOpTimersSpanRetries: a foreground op's stage timer
 // spans all of its attempts, as the result's latency does, so the write
 // p99 the report shows is the result's and a retried write charges its
