@@ -31,7 +31,7 @@ lint:
 bench-smoke:
 	$(GO) test -run=NONE -bench='GlobalIndex|OpenReaderIndexMerge|WriterAppend' -benchtime=1x -benchmem ./internal/core/...
 	$(GO) test -run=NONE -bench='Quantile|OpTimer' -benchtime=1x -benchmem ./internal/obs/...
-	$(GO) test -run=NONE -bench='EngineSchedule|EngineCancelHeavy|EngineDeepHeap' -benchtime=1x -benchmem ./internal/sim/...
+	$(GO) test -run=NONE -bench='EngineSchedule|EngineCancelHeavy|EngineDeepHeap|EngineSampled' -benchtime=1x -benchmem ./internal/sim/...
 	$(GO) test -run=NONE -bench=DrawOSSFaults -benchtime=1x ./internal/failure/...
 	$(GO) test -run=NONE -bench=BB -benchtime=1x -benchmem ./internal/bb/...
 	$(GO) test -run=NONE -bench='Rebuild|WriteOp|ReadOp' -benchtime=1x -benchmem ./internal/pfs/...

@@ -19,7 +19,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strings"
 
@@ -121,10 +120,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	stopProfile := startCPUProfile(r.cpuprofile)
-	r.printFigures()
-	stopProfile()
-	if err := r.writeFiles(); err != nil {
+	stopProfile, err := obs.StartCPUProfile(r.cpuprofile)
+	if err == nil {
+		r.printFigures()
+		err = stopProfile()
+	}
+	if err == nil {
+		err = r.writeFiles()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -221,64 +225,7 @@ func (r *run) printFigures() {
 // writeFiles writes the output files the flags named from the run's
 // probe: metrics, report, series, then trace.
 func (r *run) writeFiles() error {
-	for _, o := range []struct {
-		path, what string
-		write      func(io.Writer) error
-	}{
-		{r.metrics, "metrics", r.reg.WriteJSON},
-		{r.report, "report", func(w io.Writer) error { return obs.WriteReport(w, r.reg.Snapshot()) }},
-		{r.timeseries, "timeseries", r.reg.WriteSeriesCSV},
-		{r.trace, "trace", r.tr.WriteJSON},
-	} {
-		if o.path == "" {
-			continue
-		}
-		if err := writeFile(o.path, r.out, o.write); err != nil {
-			return fmt.Errorf("writing %s: %w", o.what, err)
-		}
-	}
-	return nil
-}
-
-// startCPUProfile starts a runtime/pprof CPU profile written to path and
-// returns the function that stops it; an empty path profiles nothing.
-// Inspect the file with go tool pprof.
-func startCPUProfile(path string) (stop func()) {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = pprof.StartCPUProfile(f)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cpu profile: %v\n", err)
-		os.Exit(1)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "cpu profile: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeFile creates path and streams write into it; "-" writes to
-// stdout.
-func writeFile(path string, stdout io.Writer, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if e := f.Close(); err == nil {
-		err = e
-	}
-	return err
+	return obs.WriteFiles(r.out, r.reg, r.tr, r.metrics, r.report, r.timeseries, r.trace)
 }
 
 func (r *run) header(title string) {

@@ -17,9 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime/pprof"
 
 	"repro/internal/bb"
 	"repro/internal/failure"
@@ -29,70 +27,11 @@ import (
 	"repro/internal/workload"
 )
 
-// writeOut streams write into the named file ("-" for stdout, empty
-// skips). Exits non-zero on I/O errors so CI catches them.
-func writeOut(path, what string, write func(io.Writer) error) {
-	if path == "" {
-		return
-	}
-	var err error
-	if path == "-" {
-		err = write(os.Stdout)
-	} else {
-		var f *os.File
-		f, err = os.Create(path)
-		if err == nil {
-			err = write(f)
-			if e := f.Close(); err == nil {
-				err = e
-			}
-		}
-	}
+// exitOnError reports err on stderr and exits 1.
+func exitOnError(err error) {
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "writing %s: %v\n", what, err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-}
-
-// startCPUProfile starts a runtime/pprof CPU profile written to path and
-// returns the function that stops it; an empty path profiles nothing.
-// Inspect the file with go tool pprof.
-func startCPUProfile(path string) (stop func()) {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = pprof.StartCPUProfile(f)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cpu profile: %v\n", err)
-		os.Exit(1)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "cpu profile: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeObs dumps the metrics snapshot, latency report, time series, and
-// trace to the named files (empty names skip).
-func writeObs(reg *obs.Registry, tr *obs.Tracer, metricsPath, reportPath, tsPath, tracePath string) {
-	if metricsPath != "" {
-		writeOut(metricsPath, "metrics", reg.WriteJSON)
-	}
-	if reportPath != "" {
-		snap := reg.Snapshot()
-		writeOut(reportPath, "report", func(w io.Writer) error { return obs.WriteReport(w, snap) })
-	}
-	if tsPath != "" {
-		writeOut(tsPath, "timeseries", reg.WriteSeriesCSV)
-	}
-	if tracePath != "" {
-		writeOut(tracePath, "trace", tr.WriteJSON)
 	}
 }
 
@@ -326,7 +265,8 @@ func main() {
 		exitIfInvalid(rounds.Validate())
 	}
 
-	defer startCPUProfile(*cpuprofile)()
+	stopProfile, err := obs.StartCPUProfile(*cpuprofile)
+	exitOnError(err)
 
 	var reg *obs.Registry
 	var tr *obs.Tracer
@@ -342,7 +282,12 @@ func main() {
 	if *trace != "" {
 		tr = obs.NewTracer()
 	}
-	defer writeObs(reg, tr, *metrics, *report, *timeseries, *trace)
+	// The profile stops before the outputs are written: an output that
+	// fails to write exits, and would leave the profile empty.
+	defer func() {
+		exitOnError(stopProfile())
+		exitOnError(obs.WriteFiles(os.Stdout, reg, tr, *metrics, *report, *timeseries, *trace))
+	}()
 
 	switch {
 	case *sweep:

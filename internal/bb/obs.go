@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Instrumentation for the burst-buffer tier. The tier counts into its
@@ -13,9 +12,9 @@ import (
 // Stats alone, never the Tier, so a finished tier is freed while its
 // counts stay readable. Runs without a tier register nothing at all.
 // Per-node instruments (the flash FTL's counters, the ingest/drain
-// queues) are namespaced bb.nodeNN.* in the style of pfs.ossNN.*;
-// sim-time series join the engine's shared sampling cadence only when
-// the registry has series enabled.
+// queues) are namespaced bb.nodeNN.* in the style of pfs.ossNN.*; the
+// sim-time series are functions the engine samples when the registry
+// has series enabled.
 
 // instrument registers the tier's probes in the engine's metrics
 // registry. A no-op (leaving the histograms nil) when the engine is
@@ -52,20 +51,8 @@ func (t *Tier) instrument() {
 		n.nic.Instrument(name + ".nic")
 		n.drainq.Instrument(name + ".drain")
 	}
-	if w := reg.SeriesWindow(); w > 0 {
-		t.armSeries(reg, w)
-	}
-}
-
-// armSeries registers the tier's sim-time series on the engine's shared
-// sampling grid: aggregate occupancy (the saturation curve the sizing
-// experiment sweeps) and the drain scheduler's remaining debt.
-func (t *Tier) armSeries(reg *obs.Registry, window float64) {
-	tsOcc := reg.TimeSeries("bb.occupancy.frac")
-	tsBacklog := reg.TimeSeries("bb.drain.backlog_bytes")
-	t.eng.Sample(sim.Time(window), func(now sim.Time) {
-		ts := float64(now)
-		tsOcc.Observe(ts, t.Occupancy())
-		tsBacklog.Observe(ts, float64(t.backlogBytes))
-	})
+	// Aggregate occupancy (the saturation curve the sizing experiment
+	// sweeps) and the drain scheduler's remaining debt.
+	t.eng.Series("bb.occupancy.frac", t.Occupancy)
+	t.eng.Series("bb.drain.backlog_bytes", func() float64 { return float64(t.backlogBytes) })
 }

@@ -77,12 +77,16 @@ func namedRecv(info *types.Info, call *ast.CallExpr) *types.Named {
 }
 
 // isObsType reports whether named is the given type from internal/obs.
-func isObsType(named *types.Named, name string) bool {
+func isObsType(named *types.Named, name string) bool { return isRepoType(named, "internal/obs", name) }
+
+// isRepoType reports whether named is the given type from the package
+// whose import path ends in pkg.
+func isRepoType(named *types.Named, pkg, name string) bool {
 	if named == nil || named.Obj().Pkg() == nil {
 		return false
 	}
 	return named.Obj().Name() == name &&
-		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/obs")
+		strings.HasSuffix(named.Obj().Pkg().Path(), pkg)
 }
 
 // errorIface is the universe error interface.

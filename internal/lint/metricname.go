@@ -33,6 +33,8 @@ type metricUse struct {
 // is a literal metric name subject to the grammar. OpTimerSet's base
 // name expands into derived .latency_s/.stage.*/.bottleneck.* names at
 // runtime; checking the literal base keeps the whole family legal.
+// sim.Engine's Series registers a TimeSeries under its first argument
+// and is checked as one.
 var registryKinds = map[string]bool{
 	"Counter": true, "CounterFunc": true, "GaugeFunc": true, "Histogram": true,
 	"TimeSeries": true, "OpTimerSet": true,
@@ -43,7 +45,8 @@ var tracerNameMethods = map[string]bool{
 }
 
 // Metricname enforces the metric/trace naming grammar at every literal
-// name passed to the obs Registry and Tracer, and — across the whole
+// name passed to the obs Registry and Tracer and to sim.Engine.Series,
+// and — across the whole
 // repository, via the Finish hook — flags the same name registered by
 // two different packages, the same name registered as two different
 // instrument kinds (a Counter and a CounterFunc with one name would
@@ -72,8 +75,12 @@ var Metricname = &engine.Analyzer{
 					return true
 				}
 				sel := call.Fun.(*ast.SelectorExpr).Sel.Name
+				kind, registers := sel, isObsType(named, "Registry") && registryKinds[sel]
+				if isRepoType(named, "internal/sim", "Engine") && sel == "Series" {
+					kind, registers = "TimeSeries", true
+				}
 				switch {
-				case isObsType(named, "Registry") && registryKinds[sel]:
+				case registers:
 					name, ok := stringLit(call.Args[0])
 					if !ok {
 						return true
@@ -83,7 +90,7 @@ var Metricname = &engine.Analyzer{
 							"metric name %q does not match the pkg.noun[.verb] grammar (lowercase dot-separated segments, at least two)", name)
 						return true
 					}
-					uses = append(uses, metricUse{Name: name, Kind: sel, Pkg: pass.Pkg.Path(), Pos: call.Args[0].Pos()})
+					uses = append(uses, metricUse{Name: name, Kind: kind, Pkg: pass.Pkg.Path(), Pos: call.Args[0].Pos()})
 				case isObsType(named, "Tracer") && tracerNameMethods[sel] && len(call.Args) >= 2:
 					if cat, ok := stringLit(call.Args[0]); ok && !traceCatRE.MatchString(cat) {
 						pass.Reportf(call.Args[0].Pos(),

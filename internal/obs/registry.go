@@ -35,6 +35,7 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -76,7 +77,7 @@ func (c *Counter) Value() int64 {
 // comparable across runs and configurations.
 type Histogram struct {
 	mu      sync.Mutex
-	buckets []float64 // sorted upper bounds
+	buckets []float64 // sorted upper bounds, shared by the registry's histograms of one layout
 	counts  []uint64  // len(buckets)+1, last is overflow
 	count   uint64
 	sum     float64
@@ -118,7 +119,7 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := HistogramSnapshot{
-		Buckets: append([]float64(nil), h.buckets...),
+		Buckets: h.buckets,
 		Counts:  append([]uint64(nil), h.counts...),
 		Count:   h.count,
 		Sum:     finite(h.sum),
@@ -166,6 +167,13 @@ type Registry struct {
 	quants     map[string]*Quantile
 	series     map[string]*TimeSeries
 
+	// layouts holds one sorted copy of each distinct set of histogram
+	// bounds, keyed by the bounds' bits; layoutKey and layoutBuf are
+	// Histogram's scratch for the lookup.
+	layouts   map[string][]float64
+	layoutKey []byte
+	layoutBuf []float64
+
 	// Opt-in analytics switches; see EnableOpTimers and EnableTimeSeries.
 	// Both default off, so a plain registry's snapshot has no quantile or
 	// series keys: the default shape TestFaultFreeRunMatchesPrePRGolden
@@ -183,6 +191,7 @@ func NewRegistry() *Registry {
 		hists:      make(map[string]*Histogram),
 		quants:     make(map[string]*Quantile),
 		series:     make(map[string]*TimeSeries),
+		layouts:    make(map[string][]float64),
 	}
 }
 
@@ -239,7 +248,9 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 
 // Histogram returns the named histogram with the given bucket bounds,
 // creating it on first use (an existing histogram keeps its original
-// buckets). Returns nil on a nil registry.
+// buckets). The registry keeps one sorted copy of each distinct set of
+// bounds, shared by every histogram registered with it, so the caller's
+// slice is free to change afterwards. Returns nil on a nil registry.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil
@@ -248,15 +259,32 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		b := append([]float64(nil), buckets...)
-		sort.Float64s(b)
+		b := r.layout(buckets)
 		h = &Histogram{buckets: b, counts: make([]uint64, len(b)+1)}
 		r.hists[name] = h
 	}
 	return h
 }
 
-// HistogramSnapshot is the serialized state of one histogram.
+// layout returns the registry's sorted copy of bounds, making it on the
+// first use of that set. Call with r.mu held.
+func (r *Registry) layout(bounds []float64) []float64 {
+	r.layoutBuf = append(r.layoutBuf[:0], bounds...)
+	sort.Float64s(r.layoutBuf)
+	r.layoutKey = r.layoutKey[:0]
+	for _, v := range r.layoutBuf {
+		r.layoutKey = binary.LittleEndian.AppendUint64(r.layoutKey, math.Float64bits(v))
+	}
+	b, ok := r.layouts[string(r.layoutKey)]
+	if !ok {
+		b = append([]float64(nil), r.layoutBuf...)
+		r.layouts[string(r.layoutKey)] = b
+	}
+	return b
+}
+
+// HistogramSnapshot is the serialized state of one histogram. Buckets is
+// the registry's shared copy of the bounds: read it, never write it.
 type HistogramSnapshot struct {
 	Buckets []float64 `json:"buckets"`
 	Counts  []uint64  `json:"counts"`

@@ -249,3 +249,31 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramsShareOneLayout: histograms registered with equal bounds,
+// in any order, share the registry's one sorted copy, and so do their
+// snapshots; a caller that changes its slice after registering changes
+// nothing, and a different set of bounds gets its own copy.
+func TestHistogramsShareOneLayout(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{3, 1, 2}
+	a := r.Histogram("pkg.a.seconds", bounds)
+	b := r.Histogram("pkg.b.seconds", []float64{1, 2, 3})
+	c := r.Histogram("pkg.c.seconds", []float64{1, 2, 4})
+	bounds[0] = 99
+	a.Observe(2.5)
+	s := r.Snapshot()
+	sa, sb, sc := s.Histograms["pkg.a.seconds"], s.Histograms["pkg.b.seconds"], s.Histograms["pkg.c.seconds"]
+	if &a.buckets[0] != &b.buckets[0] || &sa.Buckets[0] != &a.buckets[0] || &sb.Buckets[0] != &a.buckets[0] {
+		t.Fatal("histograms of one layout, or their snapshots, hold separate copies of the bounds")
+	}
+	if &c.buckets[0] == &a.buckets[0] {
+		t.Fatal("different bounds share one layout")
+	}
+	if want := []float64{1, 2, 3}; !slices.Equal(sa.Buckets, want) || !slices.Equal(sc.Buckets, []float64{1, 2, 4}) {
+		t.Fatalf("bounds = %v and %v, want %v and [1 2 4]", sa.Buckets, sc.Buckets, want)
+	}
+	if want := []uint64{0, 0, 1, 0}; !slices.Equal(sa.Counts, want) {
+		t.Fatalf("counts = %v, want %v", sa.Counts, want)
+	}
+}

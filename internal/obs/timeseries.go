@@ -101,9 +101,11 @@ func (r *Registry) SeriesWindow() float64 {
 	return r.seriesWindow
 }
 
-// TimeSeries returns the named series, creating it on first use. Returns
-// nil — a valid no-op instrument — on a nil registry or when
-// EnableTimeSeries has not armed a window.
+// TimeSeries returns a new, empty series registered under name. It
+// replaces an earlier registration of the name, so a series describes
+// the last run that registered it, as a gauge holds the last run's
+// value. Returns nil — a valid no-op instrument — on a nil registry or
+// when EnableTimeSeries has not armed a window.
 func (r *Registry) TimeSeries(name string) *TimeSeries {
 	if r == nil {
 		return nil
@@ -113,11 +115,8 @@ func (r *Registry) TimeSeries(name string) *TimeSeries {
 	if r.seriesWindow == 0 {
 		return nil
 	}
-	ts, ok := r.series[name]
-	if !ok {
-		ts = &TimeSeries{window: r.seriesWindow}
-		r.series[name] = ts
-	}
+	ts := &TimeSeries{window: r.seriesWindow}
+	r.series[name] = ts
 	return ts
 }
 

@@ -82,3 +82,21 @@ func TestWriteSeriesCSVNilRegistry(t *testing.T) {
 		t.Fatalf("nil registry CSV = %q", buf.String())
 	}
 }
+
+// TestTimeSeriesRegisteredAgainRestarts: registering a name again starts
+// an empty series, so the registry reports the last registering run's
+// series, as a gauge reports the last run's value; the earlier handle
+// records where no snapshot reads.
+func TestTimeSeriesRegisteredAgainRestarts(t *testing.T) {
+	r := NewRegistry()
+	r.EnableTimeSeries(1)
+	first := r.TimeSeries("pkg.util.series")
+	first.Observe(5, 1)
+	second := r.TimeSeries("pkg.util.series")
+	second.Observe(2, 7)
+	first.Observe(9, 3)
+	s := r.Snapshot().Series["pkg.util.series"]
+	if len(s.Times) != 1 || s.Times[0] != 2 || s.Values[0] != 7 {
+		t.Fatalf("series = %v @ %v, want [7] @ [2]: the second registration alone", s.Values, s.Times)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Latency analytics: the opt-in attribution layer over the data path.
@@ -12,59 +11,35 @@ import (
 // own obs.OpTimer with StartWriteOp or StartReadOp, WriteOp and ReadOp
 // charge it through every piece, and the caller folds it into exact
 // per-stage quantiles with FinishWriteOp or FinishReadOp once the
-// logical op has succeeded; when sim-time series are
-// enabled, a periodic sampler records per-OSS utilization, queue
-// depths, in-flight ops, and running rebuilds on a fixed window grid.
-// Neither exists on a default registry — disabled runs schedule the
-// same events and serialize byte-identical snapshots.
+// logical op has succeeded. When sim-time series are enabled, the
+// engine samples per-OSS utilization and queue depths, in-flight ops,
+// and running rebuilds on its grid. Neither exists on a default
+// registry, and neither changes the events a run dispatches.
 
-// armSeries registers the file system's sim-time series and joins the
-// engine's sampling cadence. Called from instrument only when the
-// registry has EnableTimeSeries armed.
-func (fs *FS) armSeries(reg *obs.Registry, window float64) {
-	fs.tsOn = true
-	tsInflight := reg.TimeSeries(fs.metric("pfs.ops.inflight"))
-	tsMDS := reg.TimeSeries(fs.metric("pfs.mds.qdepth"))
-	tsRebuild := reg.TimeSeries(fs.metric("pfs.rebuild.active"))
-	type srvSeries struct {
-		s    *server
-		util *obs.TimeSeries
-		qd   *obs.TimeSeries
-	}
-	series := make([]srvSeries, len(fs.servers))
-	for i, s := range fs.servers {
-		name := fs.metric(fmt.Sprintf("pfs.oss%02d", i))
-		series[i] = srvSeries{
-			s:    s,
-			util: reg.TimeSeries(name + ".disk.util"),
-			qd:   reg.TimeSeries(name + ".disk.qdepth"),
-		}
-	}
-	fs.eng.Sample(sim.Time(window), func(now sim.Time) {
-		t := float64(now)
-		tsInflight.Observe(t, float64(fs.inflight))
-		tsMDS.Observe(t, float64(fs.mds.QueueLen()))
-		rebuilding := 0
-		for _, e := range series {
-			e.util.Observe(t, e.s.dq.Utilization())
-			e.qd.Observe(t, float64(e.s.dq.QueueLen()))
-			if fs.rebuilding(e.s) {
-				rebuilding++
+// armSeries registers the file system's sim-time series with the
+// engine. instrument calls it only when the registry has series
+// enabled, so an unsampled run builds none of the names.
+func (fs *FS) armSeries() {
+	eng := fs.eng
+	eng.Series(fs.metric("pfs.ops.inflight"), func() float64 { return float64(fs.inflight) })
+	eng.Series(fs.metric("pfs.mds.qdepth"), func() float64 { return float64(fs.mds.QueueLen()) })
+	// A server is rebuilding while its crash's incident has chains pending
+	// and no recovery cancelled it: one that stays down after its rebuild
+	// finished is not.
+	eng.Series(fs.metric("pfs.rebuild.active"), func() float64 {
+		n := 0
+		for i := 0; fs.red != nil && i < len(fs.servers); i++ {
+			if inc := fs.red.incidents[i]; inc != nil && inc.pending > 0 && !inc.cancelled {
+				n++
 			}
 		}
-		tsRebuild.Observe(t, float64(rebuilding))
+		return float64(n)
 	})
-}
-
-// rebuilding reports whether s's crash has a rebuild still running: its
-// incident has chains pending and no recovery cancelled it. A server that
-// stays down after its rebuild finished is not rebuilding.
-func (fs *FS) rebuilding(s *server) bool {
-	if fs.red == nil {
-		return false
+	for i, s := range fs.servers {
+		name := fs.metric(fmt.Sprintf("pfs.oss%02d", i))
+		eng.Series(name+".disk.util", s.dq.Utilization)
+		eng.Series(name+".disk.qdepth", func() float64 { return float64(s.dq.QueueLen()) })
 	}
-	inc := fs.red.incidents[s.idx]
-	return inc != nil && inc.pending > 0 && !inc.cancelled
 }
 
 // StartWriteOp restarts t as the stage timer of one logical write

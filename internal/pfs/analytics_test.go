@@ -198,7 +198,7 @@ func TestAnalyticsDisabledLeavesNoTrace(t *testing.T) {
 		t.Fatalf("unarmed registry accumulated analytics: %d quantiles, %d series",
 			len(s.Quantiles), len(s.Series))
 	}
-	if fs.otWrite != nil || fs.otRead != nil || fs.tsOn {
+	if fs.otWrite != nil || fs.otRead != nil {
 		t.Fatal("analytics handles armed without opt-in")
 	}
 }

@@ -220,7 +220,6 @@ type dataOp struct {
 	st      *fileState
 	end     int64 // off+size: a successful write grows the file to it
 	write   bool
-	track   bool // counted in fs.inflight
 	pending int
 	err     error
 	done    func(error)
@@ -228,10 +227,8 @@ type dataOp struct {
 
 func (fs *FS) startOp(st *fileState, end int64, write bool, done func(error)) *dataOp {
 	op := fs.freeOps.Get()
-	*op = dataOp{st: st, end: end, write: write, track: fs.tsOn, done: done}
-	if op.track {
-		fs.inflight++
-	}
+	*op = dataOp{st: st, end: end, write: write, done: done}
+	fs.inflight++
 	return op
 }
 
@@ -246,9 +243,7 @@ func (fs *FS) finishPiece(op *dataOp, err error) {
 	if op.pending > 0 {
 		return
 	}
-	if op.track {
-		fs.inflight--
-	}
+	fs.inflight--
 	if op.write && op.err == nil && op.end > op.st.size {
 		op.st.size = op.end
 	}

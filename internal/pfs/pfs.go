@@ -398,11 +398,12 @@ type FS struct {
 	hLockWait *obs.Histogram // nil when uninstrumented
 
 	// Latency-analytics handles (see analytics.go). Nil unless the
-	// registry opted in via EnableOpTimers/EnableTimeSeries, so default
-	// runs and snapshots are untouched.
-	otWrite  *obs.OpTimerSet
-	otRead   *obs.OpTimerSet
-	tsOn     bool
+	// registry opted in via EnableOpTimers, so default runs and
+	// snapshots are untouched.
+	otWrite *obs.OpTimerSet
+	otRead  *obs.OpTimerSet
+
+	// inflight counts WriteOps and ReadOps begun and not yet completed.
 	inflight int64
 }
 
@@ -563,8 +564,8 @@ func (fs *FS) instrument() {
 	if fs.red != nil {
 		fs.armRedundancy(reg)
 	}
-	if w := reg.SeriesWindow(); w > 0 {
-		fs.armSeries(reg, w)
+	if reg.SeriesWindow() > 0 {
+		fs.armSeries()
 	}
 }
 

@@ -19,7 +19,8 @@ import (
 // cluster lookahead, every shard may safely dispatch its events in
 // [T, T+L) in parallel, because anything another shard sends during the
 // window arrives at or after T+L. Between windows the coordinator merges
-// staged sends in a shard-count-invariant order and runs sampler ticks,
+// staged sends in a shard-count-invariant order, and a sampler tick
+// inside a window runs at a barrier where every shard has reached it,
 // so the observable trajectory — snapshots, series, reports — is
 // byte-identical for any shard count and any GOMAXPROCS.
 //
@@ -55,22 +56,19 @@ type Cluster struct {
 	keyseq    []map[string]uint64
 	injectBuf []send
 
-	// Cluster-level sampling: ticks on a global grid, run at window
-	// barriers after every event before the tick time and before any
-	// event at it. sampleEvery is 0 until a sampler is armed.
-	sampleFns   []func(now Time)
-	sampleEvery Time
-	nextTick    Time
+	// smp is the one sampler every shard's Engine.Series joins; its
+	// ticks run at barriers inside windows (sampler.go).
+	smp *sampler
 
-	// Tallies of cross-shard deliveries and coordinator windows.
-	sends, windows int64
+	n *clusterTally
 
 	running bool
-
-	// Scratch reused across windows.
-	nexts  []Time
-	hasNxt []bool
 }
+
+// clusterTally counts cross-shard deliveries and coordinator windows,
+// apart from the cluster so the registry's functions do not keep a
+// finished cluster and its shards alive.
+type clusterTally struct{ sends, windows int64 }
 
 // send is one staged cross-shard delivery. Merge order at injection is
 // (at, key, seq): arrival time, then the sender-chosen stable key, then
@@ -85,8 +83,8 @@ type send struct {
 
 // NewCluster returns a cluster of n fresh shard engines with the given
 // lookahead: the minimum latency every Send must declare. Use Infinity
-// for a cluster of fully decoupled shards (no sends allowed) — windows
-// then stretch to the next sampler tick or the end of the run.
+// for a cluster of fully decoupled shards (no sends allowed) — one
+// window then runs the whole simulation, split only at sampler ticks.
 //
 // The shard engines are handed out once, here, to the setup code that
 // binds each domain to its shard; the returned slice is a copy, indexed
@@ -103,22 +101,23 @@ func NewCluster(n int, lookahead Time) (*Cluster, []*Engine) {
 		lookahead: lookahead,
 		outbox:    make([][]send, n),
 		keyseq:    make([]map[string]uint64, n),
-		nexts:     make([]Time, n),
-		hasNxt:    make([]bool, n),
+		smp:       new(sampler),
+		n:         new(clusterTally),
 	}
 	for i := range c.shards {
-		c.shards[i] = &Engine{cluster: c}
+		c.shards[i] = &Engine{n: new(engineTally), smp: c.smp}
 		c.keyseq[i] = make(map[string]uint64)
 	}
 	return c, append([]*Engine(nil), c.shards...)
 }
 
-// Pending reports live events summed over all shards. Only meaningful
-// at window barriers (sampler ticks, or before/after Run).
+// Pending reports live events summed over all shards, counting staged
+// cross-shard sends not yet delivered. Only meaningful while no shard
+// runs: at sampler ticks, or before and after Run.
 func (c *Cluster) Pending() int {
 	total := 0
-	for _, sh := range c.shards {
-		total += sh.live
+	for i, sh := range c.shards {
+		total += sh.live + len(c.outbox[i])
 	}
 	return total
 }
@@ -139,38 +138,13 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.CounterFunc("sim.cluster.sends", func() int64 { return c.sends })
-	reg.CounterFunc("sim.cluster.windows", func() int64 { return c.windows })
+	n := c.n
+	reg.CounterFunc("sim.cluster.sends", func() int64 { return n.sends })
+	reg.CounterFunc("sim.cluster.windows", func() int64 { return n.windows })
 	reg.GaugeFunc("sim.queue_depth_max", func() float64 { return float64(c.depth) })
 	reg.GaugeFunc("sim.pending", func() float64 { return float64(c.Pending()) })
 	reg.GaugeFunc("sim.now_s", func() float64 { return float64(c.now) })
-	if w := reg.SeriesWindow(); w > 0 {
-		ts := reg.TimeSeries("sim.events.pending")
-		c.Sample(Time(w), func(now Time) { ts.Observe(float64(now), float64(c.Pending())) })
-	}
-}
-
-// Sample registers fn to run on a global sampling grid, like
-// Engine.Sample but at cluster scope: a tick at time t runs at a window
-// barrier after every event before t and before any event at t, which
-// is the only tick placement that is invariant across shard counts.
-// Engine.Sample on a shard lands here. The first call fixes the
-// cadence; later calls join it. The sampler is self-terminating: one
-// final tick fires after the last event drains.
-func (c *Cluster) Sample(interval Time, fn func(now Time)) {
-	if fn == nil {
-		return
-	}
-	if c.sampleEvery > 0 {
-		c.sampleFns = append(c.sampleFns, fn)
-		return
-	}
-	if interval <= 0 {
-		return
-	}
-	c.sampleFns = append(c.sampleFns, fn)
-	c.sampleEvery = interval
-	c.nextTick = interval
+	c.smp.add(reg, "sim.events.pending", func() float64 { return float64(c.Pending()) })
 }
 
 // Send schedules fn on shard dst at the sending shard's current time
@@ -221,31 +195,32 @@ func (c *Cluster) inject() {
 		c.shards[buf[i].dst].At(buf[i].at, buf[i].fn)
 		buf[i].fn = nil
 	}
-	c.sends += int64(len(buf))
+	c.n.sends += int64(len(buf))
 	c.injectBuf = buf[:0]
 }
 
-// runTick stands every shard at the tick instant — samplers read shard
+// tick stands every shard at the tick instant — series read shard
 // clocks (utilization divides by Now), so no shard may lag behind
 // another that happened to host a later event — then samples. No event
-// is pending before at, so no clock moves backwards.
-func (c *Cluster) runTick(at Time) {
-	c.now = at
+// is pending before the tick, so no clock moves backwards.
+func (c *Cluster) tick(last bool) {
+	c.now = c.smp.next
 	for _, sh := range c.shards {
-		sh.now = at
+		sh.now = c.now
 	}
-	for _, f := range c.sampleFns {
-		f(at)
-	}
+	c.smp.sample(last)
 }
 
 // Run drives the cluster to completion and returns the final virtual
-// time. Each iteration injects staged sends, fires any sampler tick
-// due, then runs one window [T, min(T+L, next tick)) on every shard
-// with work, in parallel on a worker pool. Window bounds derive only
-// from global event times, the lookahead, and the tick grid, so the
-// window sequence — and with it every merge and tick point — is
-// identical for every shard count and GOMAXPROCS setting.
+// time, the time of its last event. Each iteration injects staged sends
+// and takes the census — T, the global minimum next-event time — then
+// runs the window [T, T+L) on every shard with work, in parallel on a
+// worker pool. A sampler tick inside the window splits it: every shard
+// runs to the tick, the tick samples, and the window goes on. Window
+// bounds derive only from global event times and the lookahead, so the
+// window sequence — and with it every merge point and census — is
+// identical for every shard count, GOMAXPROCS setting and series
+// window.
 func (c *Cluster) Run() Time {
 	if c.running {
 		panic("sim: Cluster.Run re-entered")
@@ -272,7 +247,41 @@ func (c *Cluster) Run() Time {
 		}
 	}()
 
-	finalTick := false
+	// window runs every shard's events before w; a shard with none sits
+	// it out.
+	busy := make([]bool, n)
+	window := func(w Time) {
+		nbusy, last := 0, -1
+		for i, sh := range c.shards {
+			t, ok := sh.nextAt()
+			busy[i] = ok && t < w
+			if busy[i] {
+				nbusy++
+				last = i
+			}
+		}
+		switch nbusy {
+		case 0:
+			return
+		case 1:
+			// One busy shard: skip the worker-pool round trip. Same
+			// execution, same thread confinement (the coordinator is
+			// idle while workers run and vice versa).
+			c.shards[last].runBefore(w)
+		default:
+			for i, b := range busy {
+				if b {
+					starts[i] <- w
+				}
+			}
+			for ; nbusy > 0; nbusy-- {
+				<-done
+			}
+		}
+		c.n.windows++
+	}
+
+	s := c.smp
 	for {
 		c.inject()
 
@@ -280,71 +289,29 @@ func (c *Cluster) Run() Time {
 		T := Infinity
 		any := false
 		total := 0
-		for i, sh := range c.shards {
+		for _, sh := range c.shards {
 			total += sh.live
-			t, ok := sh.nextAt()
-			c.nexts[i], c.hasNxt[i] = t, ok
-			if ok && (!any || t < T) {
+			if t, ok := sh.nextAt(); ok && (!any || t < T) {
 				T, any = t, true
 			}
 		}
 		if total > c.depth {
 			c.depth = total
 		}
-
 		if !any {
-			// Drained. The sampler gets one final tick (matching the
-			// single-engine sampler, which always fires once more after
-			// the model goes quiet) — and that tick may schedule new
-			// events, so loop back around.
-			if c.sampleEvery > 0 && !finalTick {
-				finalTick = true
-				c.runTick(c.nextTick)
-				c.nextTick += c.sampleEvery
-				continue
-			}
 			break
-		}
-		finalTick = false
-
-		// Ticks strictly precede the window that contains their time.
-		if c.sampleEvery > 0 && c.nextTick <= T {
-			c.runTick(c.nextTick)
-			c.nextTick += c.sampleEvery
-			continue
 		}
 
 		c.now = T
-		w := T + c.lookahead // saturates past Infinity; min() below still bounds it
-		if c.sampleEvery > 0 && c.nextTick < w {
-			w = c.nextTick
-		}
-
-		active, last := 0, -1
-		for i := range c.shards {
-			if c.hasNxt[i] && c.nexts[i] < w {
-				active++
-				last = i
+		w := T + c.lookahead // saturates past Infinity
+		for s.armed() && s.next < w {
+			window(s.next)
+			if c.Pending() == 0 {
+				break // drained: the final tick follows the run
 			}
+			c.tick(false)
 		}
-		c.windows++
-		if active == 1 {
-			// One busy shard: skip the worker-pool round trip. Same
-			// execution, same thread confinement (the coordinator is
-			// idle while workers run and vice versa).
-			c.shards[last].runBefore(w)
-			continue
-		}
-		launched := 0
-		for i := range c.shards {
-			if c.hasNxt[i] && c.nexts[i] < w {
-				starts[i] <- w
-				launched++
-			}
-		}
-		for ; launched > 0; launched-- {
-			<-done
-		}
+		window(w)
 	}
 
 	end := Time(0)
@@ -353,10 +320,14 @@ func (c *Cluster) Run() Time {
 			end = sh.now
 		}
 	}
-	// The run ends at one global instant for every shard: advance the
-	// stragglers' clocks so anything derived from a member engine's Now
-	// after the run (utilization gauges divide by it) is independent of
-	// which shard happened to host the last event.
+	if s.armed() {
+		c.tick(true) // drained: the final tick
+	}
+	// The run ends at the last event, one global instant for every
+	// shard: advance the stragglers' clocks, and take back the final
+	// tick's, so anything derived from a member engine's Now after the
+	// run (utilization gauges divide by it) is independent of which
+	// shard happened to host the last event, and of sampling.
 	for _, sh := range c.shards {
 		sh.now = end
 	}

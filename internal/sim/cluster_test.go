@@ -13,8 +13,8 @@ import (
 // shard count and returns the serialized snapshot and series CSV. The
 // model is deliberately chatty across domains: eight domains, each with
 // its own FIFO server, periodic local work, per-domain instruments
-// (prefixed names, a utilization series sampled through the shard's
-// Engine.Sample), and a token ring circulating through Cluster.Send
+// (prefixed names, a utilization series registered through the shard's
+// Engine.Series), and a token ring circulating through Cluster.Send
 // with a stable per-domain key. Everything observable must come out
 // byte-identical for any shard count and any GOMAXPROCS.
 func clusterFixture(t *testing.T, shards int) (snap, csv []byte) {
@@ -50,10 +50,9 @@ func clusterFixture(t *testing.T, shards int) (snap, csv []byte) {
 			cToken: reg.Counter(name + ".tokens"),
 			hSvc:   reg.Histogram(name+".latency_s", obs.TimeBuckets()),
 		}
-		// A shard-local sampler: it must tick on the cluster's grid, not
+		// A shard-local series: it must tick on the cluster's grid, not
 		// in its shard's queue, and read a clock standing at the tick.
-		srv, util := doms[d].srv, reg.TimeSeries(name+".util")
-		eng.Sample(0.01, func(now Time) { util.Observe(float64(now), srv.Utilization()) })
+		eng.Series(name+".util", doms[d].srv.Utilization)
 	}
 
 	for d := 0; d < domains; d++ {
@@ -200,25 +199,29 @@ func TestClusterSendMergeOrderIsKeyed(t *testing.T) {
 }
 
 func TestClusterSampleGridAndFinalTick(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.EnableTimeSeries(0.01)
 	cl, engines := NewCluster(2, Infinity)
-	var ticks []Time
-	cl.Sample(0.01, func(now Time) { ticks = append(ticks, now) })
+	cl.Instrument(reg)
+	// A series on shard 0 reads its own clock; the event is on shard 1.
+	ticks := tickTimes(engines[0], "test.tick.at")
 	fired := 0
 	engines[1].At(0.025, func() { fired++ })
-	cl.Run()
+	end := cl.Run()
 	if fired != 1 {
 		t.Fatalf("event fired %d times", fired)
 	}
 	// Ticks at 0.01 and 0.02 precede the event at 0.025; one final tick
-	// at 0.03 fires after the model drains.
-	want := []Time{0.01, 0.02, 0.03}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
+	// at 0.03 fires after the model drains, and the run still ends at
+	// the event on every shard.
+	if want := []Time{0.01, 0.02, 0.03}; !equalTimes(*ticks, want) {
+		t.Fatalf("ticks = %v, want %v", *ticks, want)
 	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
+	if end != 0.025 || engines[0].Now() != 0.025 || engines[1].Now() != 0.025 {
+		t.Fatalf("run ended at %v, shard clocks %v and %v, want 0.025", end, engines[0].Now(), engines[1].Now())
+	}
+	if cl.smp.series != nil {
+		t.Fatal("the cluster's sampler still holds its functions after the final tick")
 	}
 }
 

@@ -10,10 +10,12 @@
 // (Barrier), a seedable crash/recovery schedule (FaultPlan) that
 // subsystems consume through the FaultSink interface, and a
 // conservative-lookahead shard coordinator (Cluster) that runs several
-// engines as one simulation. Determinism is guaranteed by (a) a
-// stable tie-break on event insertion order and (b) explicit seeding of
-// every random source, so a simulation re-run with the same seed
-// reproduces the same trajectory bit for bit.
+// engines as one simulation, and one sampler (sampler.go) that records
+// the functions models register with Engine.Series on a grid of
+// simulated time, between events rather than as events. Determinism is
+// guaranteed by (a) a stable tie-break on event insertion order and (b)
+// explicit seeding of every random source, so a simulation re-run with
+// the same seed reproduces the same trajectory bit for bit.
 package sim
 
 import (
@@ -94,29 +96,33 @@ type Engine struct {
 	dead   int      // cancelled events still occupying queue slots
 	live   int      // scheduled, not yet dispatched or cancelled
 	depth  int      // high-water mark of queue length
-
-	// Event tallies: every event scheduled is dispatched, cancelled or
-	// still pending, so scheduled = nsteps + cancelled + live.
-	scheduled, nsteps, cancelled uint64
+	n      *engineTally
 
 	// Observability. Both are nil until Instrument is called; every probe
 	// site is nil-safe, so an uninstrumented engine pays one branch.
 	metrics *obs.Registry
 	tracer  *obs.Tracer
 
-	// Periodic sampling state (see sampler.go). Armed only when a
-	// series-enabled registry is attached, so default runs schedule no
-	// extra events; sampleEvery is 0 until then.
-	sampleFns   []func(now Time)
-	sampleEvery Time
+	// smp samples the engine's series (sampler.go): the engine's own, or
+	// on a Cluster shard the cluster's, so every shard ticks on one grid.
+	smp *sampler
+}
 
-	// cluster is the Cluster this engine is a shard of, nil for a
-	// standalone engine. A shard samples on the cluster's grid.
-	cluster *Cluster
+// engineTally is the engine's event counts. Every event scheduled is
+// dispatched, cancelled or still pending, so scheduled = dispatched +
+// cancelled + Pending(). It is allocated apart from the engine: the
+// registry's functions read it after the run, and because they capture
+// only the tally, a finished engine's arena and queue are freed. The
+// padding gives each tally two cache lines of its own: a Cluster's
+// shards count from parallel workers, and tallies sharing a line would
+// move it between cores on every event.
+type engineTally struct {
+	scheduled, dispatched, cancelled uint64
+	_                                [128 - 3*8]byte
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{n: new(engineTally), smp: new(sampler)} }
 
 // Instrument attaches a metrics registry and/or tracer (either may be
 // nil). Resources created afterwards (Servers, file systems) pick the
@@ -127,10 +133,7 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	reg.GaugeFunc("sim.queue_depth_max", func() float64 { return float64(e.depth) })
 	reg.GaugeFunc("sim.pending", func() float64 { return float64(e.live) })
 	reg.GaugeFunc("sim.now_s", func() float64 { return float64(e.now) })
-	if w := reg.SeriesWindow(); w > 0 {
-		ts := reg.TimeSeries("sim.events.pending")
-		e.Sample(Time(w), func(now Time) { ts.Observe(float64(now), float64(e.live)) })
-	}
+	e.Series("sim.events.pending", func() float64 { return float64(e.live) })
 }
 
 // instrument attaches the registry and the event counters but not the
@@ -144,9 +147,10 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.CounterFunc("sim.events_dispatched", func() int64 { return int64(e.nsteps) })
-	reg.CounterFunc("sim.events_scheduled", func() int64 { return int64(e.scheduled) })
-	reg.CounterFunc("sim.events_cancelled", func() int64 { return int64(e.cancelled) })
+	n := e.n
+	reg.CounterFunc("sim.events_dispatched", func() int64 { return int64(n.dispatched) })
+	reg.CounterFunc("sim.events_scheduled", func() int64 { return int64(n.scheduled) })
+	reg.CounterFunc("sim.events_cancelled", func() int64 { return int64(n.cancelled) })
 }
 
 // Metrics returns the attached registry (nil when uninstrumented). A nil
@@ -160,7 +164,7 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 func (e *Engine) Now() Time { return e.now }
 
 // Steps returns the number of events dispatched so far.
-func (e *Engine) Steps() uint64 { return e.nsteps }
+func (e *Engine) Steps() uint64 { return e.n.dispatched }
 
 // Schedule runs fn after delay. A negative delay is treated as zero.
 func (e *Engine) Schedule(delay Time, fn func()) EventID {
@@ -202,7 +206,7 @@ func (e *Engine) AtHandler(t Time, h Handler) EventID {
 	if e.queue.len() > e.depth {
 		e.depth = e.queue.len()
 	}
-	e.scheduled++
+	e.n.scheduled++
 	return EventID{i: i + 1, gen: e.events[i].gen}
 }
 
@@ -229,7 +233,7 @@ func (e *Engine) Cancel(id EventID) {
 	ev.dead = true
 	e.dead++
 	e.live--
-	e.cancelled++
+	e.n.cancelled++
 	// Lazy deletion leaves the corpse in the queue until it reaches the
 	// front. Cancel-heavy models (incast retransmission timers, lease
 	// guards) can cancel far faster than the clock drains corpses, so
@@ -260,7 +264,20 @@ func (e *Engine) Run() Time { return e.RunUntil(Infinity) }
 // at the timestamp of the last dispatched event, or at deadline if that is
 // finite and later. The clock never moves backwards: a deadline before
 // Now() dispatches nothing and leaves the clock where it is.
+//
+// A sampled engine runs the cluster's window loop on one shard: the
+// events before the next tick, then the tick, for every tick at or
+// before deadline; the tick after the engine drains is the final one.
+// An unsampled engine, or one past its last tick, dispatches in one
+// pass.
 func (e *Engine) RunUntil(deadline Time) Time {
+	for s := e.smp; s.armed() && s.next <= deadline; {
+		e.runBefore(s.next)
+		now := e.now
+		e.now = s.next
+		s.sample(e.live == 0)
+		e.now = now
+	}
 	for e.queue.len() > 0 {
 		at := e.queue.peek().time()
 		if at > deadline {
@@ -275,10 +292,10 @@ func (e *Engine) RunUntil(deadline Time) Time {
 }
 
 // runBefore dispatches events with timestamps strictly before w and
-// leaves the clock at the last dispatched event. It is the shard half of
-// a Cluster window: exclusive of w, so events at the window bound run in
-// the next window, after cross-shard arrivals (which are always >= w)
-// have been merged in.
+// leaves the clock at the last dispatched event. It is one window of a
+// sampled run or of a Cluster shard: exclusive of w, so events at the
+// window bound run after the tick there, and after cross-shard arrivals
+// (which are always >= w) have been merged in.
 func (e *Engine) runBefore(w Time) {
 	for e.queue.len() > 0 {
 		at := e.queue.peek().time()
@@ -305,7 +322,7 @@ func (e *Engine) step(x slot, at Time) {
 	ev.dead = true
 	e.live--
 	e.now = at
-	e.nsteps++
+	e.n.dispatched++
 	h := ev.h
 	e.recycle(x.ev)
 	h.Handle()

@@ -263,16 +263,16 @@ func FuzzEngineOrder(f *testing.F) {
 			if eng.sim.now() != ref.sim.now() {
 				t.Fatalf("op %d (%d): Now() = %v, reference %v", step, w[0]%numOrderOps, eng.sim.now(), ref.sim.now())
 			}
-			if s, d, c, p := e.scheduled, e.nsteps, e.cancelled, uint64(e.Pending()); s != d+c+p {
+			if s, d, c, p := e.n.scheduled, e.n.dispatched, e.n.cancelled, uint64(e.Pending()); s != d+c+p {
 				t.Fatalf("op %d (%d): scheduled %d != dispatched %d + cancelled %d + pending %d", step, w[0]%numOrderOps, s, d, c, p)
 			}
 		}
 		// The snapshot publishes the same three tallies.
 		got := reg.Snapshot().Counters
 		for name, want := range map[string]uint64{
-			"sim.events_scheduled":  e.scheduled,
-			"sim.events_dispatched": e.nsteps,
-			"sim.events_cancelled":  e.cancelled,
+			"sim.events_scheduled":  e.n.scheduled,
+			"sim.events_dispatched": e.n.dispatched,
+			"sim.events_cancelled":  e.n.cancelled,
 		} {
 			if got[name] != int64(want) {
 				t.Fatalf("snapshot %s = %d, engine tally %d", name, got[name], want)

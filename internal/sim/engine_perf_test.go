@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestCancelCompactionBoundsQueue is the regression test for the lazy-
@@ -212,12 +214,25 @@ func TestServerResubmitFromDoneReusesRequest(t *testing.T) {
 // stays at its depth. An op is one dispatched event.
 func BenchmarkEngineDeepHeap(b *testing.B) {
 	for _, depth := range []int{2048, 1 << 16} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchHold(b, depth) })
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchHold(b, NewEngine(), depth) })
 	}
 }
 
-func benchHold(b *testing.B, depth int) {
+// BenchmarkEngineSampled is the hold model at depth 2048 on a
+// series-enabled registry, so the engine runs its sampled window loop:
+// a tick about every 8 events, each sampling the pending-events series,
+// and every RunUntil spans about 8 windows. An op is one dispatched
+// event; the series' appends are its allocations.
+func BenchmarkEngineSampled(b *testing.B) {
+	const depth = 2048
+	reg := obs.NewRegistry()
+	reg.EnableTimeSeries(8.0 / depth)
 	e := NewEngine()
+	e.Instrument(reg, nil)
+	benchHold(b, e, depth)
+}
+
+func benchHold(b *testing.B, e *Engine, depth int) {
 	x := uint64(88172645463325252)
 	delay := func() Time { // xorshift64: uniform in [0, 2), mean 1
 		x ^= x << 13

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -161,5 +162,66 @@ func TestUninstrumentedServerStillAccounts(t *testing.T) {
 	e.Run()
 	if s.started != 2 || s.MeanWait() != 0.5 {
 		t.Fatalf("started %d meanWait %v", s.started, s.MeanWait())
+	}
+}
+
+// TestRegistryKeepsCountsNotTheEngines: a registry outlives the runs it
+// records, so its functions must not keep a finished engine (its event
+// arena and queue buckets) or cluster alive. Two rounds each run an
+// instrumented engine and a two-shard cluster into one registry, with
+// series on; once the first round's engine and cluster are dropped
+// they are collected — the second round's gauges replaced theirs — and
+// the snapshot still sums both rounds' counts.
+func TestRegistryKeepsCountsNotTheEngines(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.EnableTimeSeries(0.5)
+	freed := make(chan string, 2)
+	round := func(watch bool) {
+		e := NewEngine()
+		e.Instrument(reg, nil)
+		e.Cancel(e.Schedule(2, func() {}))
+		e.Schedule(1, func() { e.Schedule(1, func() {}) })
+		e.Run()
+
+		cl, shards := NewCluster(2, 0.1)
+		cl.Instrument(reg)
+		shards[0].At(0.5, func() { cl.Send(0, 1, "ping", 0.25, func() {}) })
+		shards[1].At(0.2, func() {})
+		cl.Run()
+		if watch {
+			runtime.SetFinalizer(e, func(*Engine) { freed <- "engine" })
+			runtime.SetFinalizer(cl, func(*Cluster) { freed <- "cluster" })
+		}
+	}
+	round(true)
+	round(false)
+	live := map[string]bool{"engine": true, "cluster": true}
+	for i := 0; i < 100 && len(live) > 0; i++ {
+		runtime.GC()
+		runtime.Gosched()
+		for empty := false; !empty; {
+			select {
+			case name := <-freed:
+				delete(live, name)
+			default:
+				empty = true
+			}
+		}
+	}
+	if len(live) > 0 {
+		t.Fatalf("first round still reachable after the run (%v): a registry function keeps it alive", live)
+	}
+	s := reg.Snapshot()
+	for name, want := range map[string]int64{
+		// Per round: the engine schedules 3 and cancels 1; the cluster's
+		// shards schedule the two setup events and the delivered send.
+		"sim.events_scheduled":  2 * (3 + 3),
+		"sim.events_dispatched": 2 * (2 + 3),
+		"sim.events_cancelled":  2 * 1,
+		"sim.cluster.sends":     2 * 1,
+	} {
+		if s.Counters[name] != want {
+			t.Errorf("%s = %d after the first round was freed, want %d", name, s.Counters[name], want)
+		}
 	}
 }

@@ -1,54 +1,61 @@
 package sim
 
-// Periodic sampling: the bridge between the event engine and the obs
-// sim-time series layer. A single engine-wide sampler tick fires every
-// interval of simulated time and runs every registered sample function
-// in registration order — one tick, many observers, so arming several
-// subsystems (engine depth, per-OSS utilization, in-flight ops) costs
-// one extra event per window, not one per series.
-//
-// The sampler is self-terminating: after running its functions, a tick
-// that finds no other live events stops rescheduling itself, so an
-// armed engine still drains and Run() still returns. Sampling is only
-// armed when a registry has series enabled, which keeps default runs'
-// event trajectories untouched.
+import "repro/internal/obs"
 
-// Sample registers fn to run every interval of simulated time, at the
-// engine's current sampling cadence. The first call fixes the cadence
-// and schedules the tick; later calls join the existing cadence (their
-// interval argument is ignored) so all series share one time grid.
-// No-op for a nil fn or, on the first call, a non-positive interval.
-// On a Cluster shard, fn joins the cluster's grid instead (see
-// Cluster.Sample): a tick in one shard's queue would stop when that
-// shard drains, making series depend on which domains share a shard.
-func (e *Engine) Sample(interval Time, fn func(now Time)) {
-	if e.cluster != nil {
-		e.cluster.Sample(interval, fn)
+// Periodic sampling: the bridge between the event engine and the obs
+// sim-time series layer. A model names a function of its state with
+// Engine.Series, and one sampler per simulation evaluates every such
+// function on a fixed grid of simulated time, in registration order. A
+// standalone engine owns its sampler; the shards of a Cluster share the
+// cluster's, so every domain samples on one grid whichever shard hosts
+// it.
+//
+// Ticks are not events. A tick at t runs after every event before t and
+// before any event at t, with the clocks standing at t (a utilization
+// divides by Now): Engine.RunUntil and Cluster.Run dispatch up to the
+// next tick, tick, and go on. The grid starts one window in and
+// accumulates (next += window). One final tick follows the last event;
+// then the clocks read the last event's time again and the sampler drops
+// its functions for good, and with them the models they read. So series
+// never change the events a run dispatches, its clock or its counts, and
+// with series off there is no tick at all.
+type sampler struct {
+	every, next Time              // grid step and next tick; every is 0 until armed
+	series      []func(t float64) // each records its function's value at tick t
+	stopped     bool              // the final tick has run
+}
+
+// Series records fn as the named sim-time series of the engine's
+// registry, sampled at every tick of the engine's grid (its cluster's,
+// on a shard). The first series arms the grid at the registry's window.
+// A no-op unless the registry has series enabled, and once the final
+// tick has run.
+func (e *Engine) Series(name string, fn func() float64) { e.smp.add(e.metrics, name, fn) }
+
+func (s *sampler) add(reg *obs.Registry, name string, fn func() float64) {
+	w := Time(reg.SeriesWindow())
+	if w <= 0 || fn == nil || s.stopped {
 		return
 	}
-	if fn == nil {
-		return
+	if s.every == 0 {
+		s.every, s.next = w, w
 	}
-	if e.sampleEvery > 0 {
-		e.sampleFns = append(e.sampleFns, fn)
-		return
+	ts := reg.TimeSeries(name)
+	s.series = append(s.series, func(t float64) { ts.Observe(t, fn()) })
+}
+
+// armed reports whether a tick is due at s.next.
+func (s *sampler) armed() bool { return len(s.series) > 0 }
+
+// sample records every series at s.next, where the caller has stood
+// the clocks, and moves the grid one window on. After the final tick
+// (last) the sampler stops and releases its functions.
+func (s *sampler) sample(last bool) {
+	for _, record := range s.series {
+		record(float64(s.next))
 	}
-	if interval <= 0 {
-		return
+	s.next += s.every
+	if last {
+		s.series, s.stopped = nil, true
 	}
-	e.sampleFns = append(e.sampleFns, fn)
-	e.sampleEvery = interval
-	var tick func()
-	tick = func() {
-		for _, f := range e.sampleFns {
-			f(e.now)
-		}
-		// Stop once the model has drained: the tick itself must not keep
-		// the engine alive forever.
-		if e.live == 0 {
-			return
-		}
-		e.Schedule(e.sampleEvery, tick)
-	}
-	e.Schedule(e.sampleEvery, tick)
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bb"
@@ -89,29 +91,102 @@ func TestProbedRunPopulatesPFSMetrics(t *testing.T) {
 	}
 }
 
-// TestRunWithoutProbesMatchesProbedRun: instrumentation must not perturb
-// the simulation itself.
+// TestRunWithoutProbesMatchesProbedRun: observation must not perturb
+// the simulation. Each run goes three ways: unprobed, on a plain
+// registry, and on a registry with series and op timers (and a tracer,
+// where the run is on one engine). All three return the same result. The
+// two snapshots agree on every counter, gauge and histogram they share
+// except sim.cluster.windows, which counts the coordinator's windows and
+// so its ticks; the probed one adds only quantile, bottleneck and series
+// keys.
 func TestRunWithoutProbesMatchesProbedRun(t *testing.T) {
-	cfg, spec := goldenSpec()
-	plain := Run(cfg, spec, nil, nil)
-	reg := obs.NewRegistry()
-	probed := Run(cfg, spec, reg, obs.NewTracer())
-	if plain.Elapsed != probed.Elapsed {
-		t.Fatalf("probes changed the simulation: %v vs %v", plain.Elapsed, probed.Elapsed)
-	}
-	if plain.Bandwidth != probed.Bandwidth {
-		t.Fatalf("bandwidth differs: %v vs %v", plain.Bandwidth, probed.Bandwidth)
+	for _, c := range []struct {
+		name   string
+		traced bool
+		run    func(*obs.Registry, *obs.Tracer) any
+	}{
+		{"faults_2p1_bb_crash", true, func(reg *obs.Registry, tr *obs.Tracer) any {
+			cfg, fspec := bbFaultSpec()
+			cfg.Redundancy = pfs.Redundancy{K: 2, M: 1}
+			fspec.MaxRetries = 4
+			fspec.RetryBackoff = sim.Time(2e-3)
+			fspec.Plan = sim.NewFaultPlan().
+				Add(pfs.OSSTarget(0), 0.4, 0.1).
+				Add(bb.NodeTarget(1), 0.51, 0.15)
+			return RunFaults(cfg, fspec, reg, tr)
+		}},
+		{"rebuild_2pod", false, func(reg *obs.Registry, _ *obs.Tracer) any {
+			spec := rebuildSpec()
+			spec.Pods = 2
+			return RunRebuild(spec, reg)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plain := c.run(nil, nil)
+			counted := obs.NewRegistry()
+			countedRes := c.run(counted, nil)
+			probed := obs.NewRegistry()
+			probed.EnableOpTimers()
+			probed.EnableTimeSeries(0.01)
+			var tr *obs.Tracer
+			if c.traced {
+				tr = obs.NewTracer()
+			}
+			probedRes := c.run(probed, tr)
+			if !reflect.DeepEqual(plain, countedRes) {
+				t.Errorf("a registry changed the run:\n%+v\nvs\n%+v", plain, countedRes)
+			}
+			if !reflect.DeepEqual(plain, probedRes) {
+				t.Errorf("series, op timers and tracing changed the run:\n%+v\nvs\n%+v", plain, probedRes)
+			}
+
+			a, b := counted.Snapshot(), probed.Snapshot()
+			if len(b.Series) == 0 || len(b.Quantiles) == 0 {
+				t.Fatalf("the probed run recorded %d series and %d quantiles", len(b.Series), len(b.Quantiles))
+			}
+			for k, v := range a.Counters {
+				if w, ok := b.Counters[k]; (!ok || w != v) && k != "sim.cluster.windows" {
+					t.Errorf("counter %s = %d plain, %d probed", k, v, w)
+				}
+			}
+			for k, v := range a.Gauges {
+				if w, ok := b.Gauges[k]; !ok || w != v {
+					t.Errorf("gauge %s = %v plain, %v probed", k, v, w)
+				}
+			}
+			for k, h := range a.Histograms {
+				if g, ok := b.Histograms[k]; !ok || !reflect.DeepEqual(g, h) {
+					t.Errorf("histogram %s = %+v plain, %+v probed", k, h, g)
+				}
+			}
+			for k := range b.Counters {
+				if _, ok := a.Counters[k]; !ok && !strings.Contains(k, ".bottleneck.") {
+					t.Errorf("probing added counter %s", k)
+				}
+			}
+			for k := range b.Gauges {
+				if _, ok := a.Gauges[k]; !ok {
+					t.Errorf("probing added gauge %s", k)
+				}
+			}
+			for k := range b.Histograms {
+				if _, ok := a.Histograms[k]; !ok {
+					t.Errorf("probing added histogram %s", k)
+				}
+			}
+		})
 	}
 }
 
 // TestSharedRegistrySumsCountsKeepsLastGauges pins the rule for runs
 // that share a registry, as a figure's runs do: every counter, and every
 // histogram's count and bucket counts, is the sum of what each run
-// records alone, and every gauge holds the last run's value (or the
-// first's, where the last registers none). The two runs register every
-// count the models keep as tallies: k+m groups under an OSS fault plan,
-// then a write-back tier whose node crash tears a drain. Histogram sums
-// are floats added in a different order, so only counts are compared.
+// records alone, and every gauge and every series holds the last run's
+// value (or the first's, where the last registers none). The two runs
+// register every count the models keep as tallies: k+m groups under an
+// OSS fault plan, then a write-back tier whose node crash tears a drain.
+// Histogram sums are floats added in a different order, so only counts
+// are compared.
 func TestSharedRegistrySumsCountsKeepsLastGauges(t *testing.T) {
 	runs := []func(*obs.Registry){
 		func(reg *obs.Registry) {
@@ -131,11 +206,16 @@ func TestSharedRegistrySumsCountsKeepsLastGauges(t *testing.T) {
 			}
 		},
 	}
-	shared := obs.NewRegistry()
+	newReg := func() *obs.Registry {
+		reg := obs.NewRegistry()
+		reg.EnableTimeSeries(0.01)
+		return reg
+	}
+	shared := newReg()
 	var alone [2]obs.Snapshot
 	for i, run := range runs {
 		run(shared)
-		reg := obs.NewRegistry()
+		reg := newReg()
 		run(reg)
 		alone[i] = reg.Snapshot()
 	}
@@ -181,6 +261,18 @@ func TestSharedRegistrySumsCountsKeepsLastGauges(t *testing.T) {
 		}
 		if v != want {
 			t.Errorf("gauge %s = %v, want the last run's %v", k, v, want)
+		}
+	}
+	if len(got.Series) == 0 {
+		t.Fatal("the runs recorded no series")
+	}
+	for k, s := range got.Series {
+		want, ok := b.Series[k]
+		if !ok {
+			want = a.Series[k]
+		}
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("series %s has %d windows, want the last run's %d", k, len(s.Times), len(want.Times))
 		}
 	}
 }
