@@ -500,3 +500,40 @@ func TestSameSeedTierRunsAreByteIdentical(t *testing.T) {
 		t.Fatalf("same-seed tier snapshots differ:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// TestProgramMatchesPageWrites: a write programs its pages as one run,
+// split where it passes the end of the log with its latency carried
+// over, so its service time is the per-page sum a twin device gives,
+// over the same channels. With 100 log pages and 64-page writes every
+// other write wraps, and the small device collects blocks as it goes.
+func TestProgramMatchesPageWrites(t *testing.T) {
+	cfg := testConfig()
+	cfg.Flash.UserPages = 100
+	r := newRig(t, cfg, 1, nil)
+	n := r.tier.nodes[0]
+	twin := flash.NewDevice(cfg.Flash)
+	cursor := 0
+	for w := 0; w < 40; w++ {
+		var lat sim.Time
+		for i := 0; i < 64; i++ {
+			lat += twin.WritePage(cursor)
+			cursor = (cursor + 1) % cfg.Flash.UserPages
+		}
+		want := sim.Time(float64(lat) / float64(twin.Spec.Channels))
+		if got := r.tier.program(n, 64); got != want {
+			t.Fatalf("write %d: service time %v s, want %v s from one WritePage per page", w, float64(got), float64(want))
+		}
+	}
+	if n.cursor != cursor {
+		t.Fatalf("log cursor at %d, want %d", n.cursor, cursor)
+	}
+	if *n.dev.Counts != *twin.Counts {
+		t.Fatalf("device counts %+v, want %+v", *n.dev.Counts, *twin.Counts)
+	}
+	if twin.Erases == 0 {
+		t.Fatal("no block was collected: the log never wrapped onto itself")
+	}
+	if err := n.dev.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -188,18 +188,21 @@ func (t *Tier) admitWaiters(n *node) {
 	}
 }
 
-// program appends the write's pages to the node's log, advancing the
-// wrapping cursor, and returns the service time: the FTL's per-page
-// program latency (inline GC included) divided across the device's
-// channels, as a striped sequential append is.
+// program appends the write's pages to the node's log as one run,
+// advancing the wrapping cursor, and returns the service time: the
+// FTL's per-page program latencies (inline GC included) summed and
+// divided across the device's channels, as a striped sequential append
+// is. A run that reaches the end of the log goes on at page 0 with its
+// latency carried over, so the sum is the same as one page at a time.
 func (t *Tier) program(n *node, pages int) sim.Time {
-	var lat sim.Time
-	for i := 0; i < pages; i++ {
-		lat += n.dev.WritePage(n.cursor)
-		n.cursor++
-		if n.cursor == t.cfg.Flash.UserPages {
-			n.cursor = 0
-		}
+	logPages := t.cfg.Flash.UserPages
+	head := min(pages, logPages-n.cursor)
+	lat := n.dev.WritePages(n.cursor, head, 0)
+	if head < pages {
+		lat = n.dev.WritePages(0, pages-head, lat)
+	}
+	if n.cursor += pages; n.cursor >= logPages {
+		n.cursor -= logPages
 	}
 	return sim.Time(float64(lat) / float64(n.dev.Spec.Channels))
 }

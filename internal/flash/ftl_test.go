@@ -2,6 +2,7 @@ package flash
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,9 +47,9 @@ func TestOverwriteInvalidatesOldPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The open block should hold exactly one valid copy of lpn 5.
-	valid := 0
-	for i := range d.blocks {
-		valid += d.blocks[i].valid
+	valid := int32(0)
+	for _, v := range d.valid {
+		valid += v
 	}
 	if valid != 1 {
 		t.Fatalf("device holds %d valid pages after overwrite, want 1", valid)
@@ -218,8 +219,80 @@ func TestWearStaysBounded(t *testing.T) {
 	}
 	// Greedy GC with a free-list stack isn't perfect wear leveling, but no
 	// block should be erased wildly more than the average.
-	avg := float64(d.Erases) / float64(len(d.blocks))
+	avg := float64(d.Erases) / float64(len(d.valid))
 	if max := float64(d.MaxWear()); max > avg*6+4 {
 		t.Fatalf("max wear %v vs average %v: pathological imbalance", max, avg)
+	}
+}
+
+// moveTo remaps lpn to physical page ppn and keeps the live counts of
+// both blocks consistent, so that only a check on where a block may
+// hold pages can see the move.
+func moveTo(d *Device, lpn, ppn int) {
+	old := d.mapping[lpn]
+	d.owner[old] = -1
+	d.valid[int(old)/d.Spec.PagesPerBlock]--
+	d.owner[ppn] = int32(lpn)
+	d.valid[ppn/d.Spec.PagesPerBlock]++
+	d.mapping[lpn] = int32(ppn)
+}
+
+// TestCheckInvariantsSeesCorruption corrupts a device that has run GC,
+// one way per check, and requires CheckInvariants to name that check.
+// Only the first corruption would also break a live count.
+func TestCheckInvariantsSeesCorruption(t *testing.T) {
+	aged := func() *Device {
+		d := NewDevice(smallSpec())
+		r := rand.New(rand.NewSource(5))
+		for i := 0; i < d.Spec.UserPages*3; i++ {
+			d.WritePage(r.Intn(d.Spec.UserPages))
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if d.Erases == 0 || d.next == d.Spec.PagesPerBlock {
+			t.Fatalf("aged device has no collected block or a full open block: %+v", *d.Counts)
+		}
+		return d
+	}
+	// stalePage finds a stale page in a full block.
+	stalePage := func(d *Device) int {
+		for ppn, lpn := range d.owner {
+			if b := ppn / d.Spec.PagesPerBlock; lpn < 0 && d.state[b] == BlockFull {
+				return ppn
+			}
+		}
+		t.Fatal("no stale page in a full block")
+		return -1
+	}
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(d *Device)
+	}{
+		{"live count over the block size", "exceeds", func(d *Device) {
+			d.valid[d.open] = int32(d.Spec.PagesPerBlock + 1)
+		}},
+		{"free block owns a page", "free block", func(d *Device) {
+			moveTo(d, 3, int(d.freeBlocks[d.pool-1])*d.Spec.PagesPerBlock)
+		}},
+		{"open block owns a page past its write point", "past its write point", func(d *Device) {
+			moveTo(d, 3, d.open*d.Spec.PagesPerBlock+d.next)
+		}},
+		{"live pages outnumber mapped pages", "logical pages are mapped", func(d *Device) {
+			// A second copy of lpn 3 that the mapping does not name, with
+			// its block's count kept consistent.
+			ppn := stalePage(d)
+			d.owner[ppn] = 3
+			d.valid[ppn/d.Spec.PagesPerBlock]++
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := aged()
+			tc.corrupt(d)
+			err := d.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.want) { //lint:allow errwrap -- only the message names which check failed
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
