@@ -26,18 +26,30 @@ type TimeSeries struct {
 	vals   []float64
 }
 
-// Observe records v for the window containing sim-time tSec (seconds).
-// Within one window the last observation wins. Observations must arrive
-// in non-decreasing time order, which simulated time guarantees; a
-// stale window index is dropped rather than reordered. No-op on a nil
-// receiver.
+// Observe records v for the window containing sim-time tSec (seconds),
+// the one numbered floor(tSec / WindowSec), as ObserveWindow does.
+// No-op on a nil receiver.
 func (ts *TimeSeries) Observe(tSec, v float64) {
+	if ts == nil {
+		return
+	}
+	ts.ObserveWindow(int64(tSec/ts.window), v)
+}
+
+// ObserveWindow records v for window w, the one starting at w ×
+// WindowSec. A sampler that ticks on the window grid files its k-th
+// tick under window k: its accumulated tick times can fall a rounding
+// error below a grid point, where dividing would file a tick one
+// window early, over the tick before it. Within one window the last
+// observation wins. Windows must arrive in non-decreasing order, which
+// simulated time guarantees; a stale window is dropped rather than
+// reordered. No-op on a nil receiver.
+func (ts *TimeSeries) ObserveWindow(w int64, v float64) {
 	if ts == nil {
 		return
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	w := int64(tSec / ts.window)
 	if n := len(ts.wins); n > 0 {
 		switch last := ts.wins[n-1]; {
 		case w == last:

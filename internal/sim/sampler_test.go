@@ -57,6 +57,31 @@ func TestSampleCadenceAndTermination(t *testing.T) {
 	}
 }
 
+// TestSampleTicksFileUnderTheirOwnWindow: tick k is filed in window k,
+// one row each, with no gap and no overwrite. At a 0.05 s and a 0.1 s
+// window alike, the accumulated times of ticks 6 to 12 fall just below
+// their grid points; filed by division, each lands one window early,
+// over the tick before it, and window 12 stays empty.
+func TestSampleTicksFileUnderTheirOwnWindow(t *testing.T) {
+	for _, window := range []float64{0.05, 0.1} {
+		e, reg := sampledEngine(window)
+		ticks := 0
+		e.Series("test.tick.count", func() float64 { ticks++; return float64(ticks) })
+		e.Schedule(Time(19.5*window), func() {}) // 19 ticks before it, the final one after
+		e.Run()
+		s := reg.Snapshot().Series["test.tick.count"]
+		if ticks != 20 || len(s.Values) != 20 {
+			t.Fatalf("window %v: %d ticks filed in %d rows, want 20 in 20", window, ticks, len(s.Values))
+		}
+		for i, v := range s.Values {
+			if k := i + 1; v != float64(k) || s.Times[i] != float64(k)*window {
+				t.Fatalf("window %v: row %d holds tick %v at t=%v, want tick %d at %v",
+					window, i, v, s.Times[i], k, float64(k)*window)
+			}
+		}
+	}
+}
+
 // TestSampleLaterCallsJoinCadence: every series shares one grid, at the
 // registry's window, including one registered by an event mid-run.
 func TestSampleLaterCallsJoinCadence(t *testing.T) {
