@@ -1,7 +1,7 @@
 package giga
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -26,24 +26,17 @@ type CreateStormResult struct {
 func CreateStorm(cfg Config, nClients, nFiles int) CreateStormResult {
 	eng := sim.NewEngine()
 	dir := NewDir(eng, cfg)
-	clients := make([]*Client, nClients)
-	for i := range clients {
-		clients[i] = dir.NewClient(i)
+	streams := make([]stream, nClients)
+	for i := range streams {
+		streams[i].op.c = dir.NewClient()
 	}
 	perClient := nFiles / nClients
 	var res CreateStormResult
 	done := sim.NewBarrier(eng, nClients, func(at sim.Time) { res.Elapsed = at })
-	for i, c := range clients {
-		i, c := i, c
-		var next func(k int)
-		next = func(k int) {
-			if k == perClient {
-				done.Arrive()
-				return
-			}
-			c.Create(fmt.Sprintf("f.%d.%d", i, k), func() { next(k + 1) })
-		}
-		next(0)
+	for i := range streams {
+		s := &streams[i]
+		s.op.done, s.client, s.files, s.barrier = s, i, perClient, done
+		s.next()
 	}
 	eng.Run()
 	res.Servers = cfg.Servers
@@ -59,6 +52,37 @@ func CreateStorm(cfg Config, nClients, nFiles int) CreateStormResult {
 	return res
 }
 
+// A stream is one client's synchronous run of creates, named
+// f.<client>.<k>. It reuses one createOp, whose done it is, and builds
+// each name in one reused buffer.
+type stream struct {
+	op      createOp
+	client  int
+	k       int // creates acknowledged
+	files   int
+	name    []byte
+	barrier *sim.Barrier
+}
+
+// Handle runs when the stream's create is acknowledged.
+func (s *stream) Handle() {
+	s.k++
+	s.next()
+}
+
+// next starts create k, or arrives at the barrier after the last one.
+func (s *stream) next() {
+	if s.k == s.files {
+		s.barrier.Arrive()
+		return
+	}
+	s.name = append(s.name[:0], "f."...)
+	s.name = strconv.AppendInt(s.name, int64(s.client), 10)
+	s.name = append(s.name, '.')
+	s.name = strconv.AppendInt(s.name, int64(s.k), 10)
+	s.op.start(hashName(s.name))
+}
+
 // SingleServerBaseline measures the same create storm against one
 // conventional metadata server (no partitioning): the non-scalable
 // baseline that motivates GIGA+.
@@ -68,20 +92,11 @@ func SingleServerBaseline(insertTime, rpc sim.Time, nClients, nFiles int) Create
 	perClient := nFiles / nClients
 	var res CreateStormResult
 	done := sim.NewBarrier(eng, nClients, func(at sim.Time) { res.Elapsed = at })
-	for i := 0; i < nClients; i++ {
-		var next func(k int)
-		next = func(k int) {
-			if k == perClient {
-				done.Arrive()
-				return
-			}
-			eng.Schedule(rpc, func() {
-				srv.Submit(insertTime, func(sim.Time) {
-					eng.Schedule(rpc, func() { next(k + 1) })
-				})
-			})
-		}
-		next(0)
+	clients := make([]baselineClient, nClients)
+	for i := range clients {
+		c := &clients[i]
+		*c = baselineClient{eng: eng, srv: srv, insert: insertTime, rpc: rpc, files: perClient, barrier: done}
+		c.next()
 	}
 	eng.Run()
 	res.Servers = 1
@@ -92,4 +107,43 @@ func SingleServerBaseline(insertTime, rpc sim.Time, nClients, nFiles int) Create
 	}
 	res.Partitions = 1
 	return res
+}
+
+// A baselineClient is one client's synchronous run of creates against
+// the single server, and the Handler of each create's request RPC,
+// insert and reply RPC.
+type baselineClient struct {
+	eng         *sim.Engine
+	srv         *sim.Server
+	insert, rpc sim.Time
+	k           int // creates acknowledged
+	files       int
+	stage       createStage // atServer, inserted or replied
+	barrier     *sim.Barrier
+}
+
+// next sends create k's request, or arrives at the barrier after the
+// last create.
+func (c *baselineClient) next() {
+	if c.k == c.files {
+		c.barrier.Arrive()
+		return
+	}
+	c.stage = atServer
+	c.eng.ScheduleHandler(c.rpc, c)
+}
+
+// Handle runs the create's next step.
+func (c *baselineClient) Handle() {
+	switch c.stage {
+	case atServer:
+		c.stage = inserted
+		c.srv.SubmitHandler(c.insert, c)
+	case inserted:
+		c.stage = replied
+		c.eng.ScheduleHandler(c.rpc, c)
+	case replied:
+		c.k++
+		c.next()
+	}
 }

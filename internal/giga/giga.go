@@ -10,7 +10,7 @@ package giga
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -27,7 +27,31 @@ type partitionID struct {
 
 // mapping is the GIGA+ partition map: for each live partition index, its
 // depth. Splitting partition (i, d) produces (i, d+1) and (i|1<<d, d+1).
-type mapping map[uint64]int
+// It is a dense table indexed by partition index that holds depth+1, 0
+// meaning no entry. A partition at depth d has an index below 1<<d, so
+// the table is 1<<(deepest depth recorded) long: at most 1<<maxDepth
+// entries, and 256 for a directory of 256 partitions.
+type mapping []int8
+
+// newMapping returns a map holding only the root partition (0 at depth 0).
+func newMapping() mapping { return mapping{1} }
+
+// get reports the depth recorded for partition index i.
+func (m mapping) get(i uint64) (depth int, ok bool) {
+	if i >= uint64(len(m)) || m[i] == 0 {
+		return 0, false
+	}
+	return int(m[i]) - 1, true
+}
+
+// set records partition index i at depth d, growing the table to hold
+// every index at that depth.
+func (m *mapping) set(i uint64, d int) {
+	if n := 1 << uint(d); len(*m) < n {
+		*m = append(*m, make(mapping, n-len(*m))...)
+	}
+	(*m)[i] = int8(d + 1)
+}
 
 // locate walks the split history to the live partition owning hash h.
 // With a stale map this may return a partition that has since split — the
@@ -36,7 +60,7 @@ func (m mapping) locate(h uint64) partitionID {
 	d := 0
 	for {
 		i := h & ((1 << uint(d)) - 1)
-		if pd, ok := m[i]; ok && pd == d {
+		if i < uint64(len(m)) && int(m[i]) == d+1 {
 			return partitionID{Index: i, Depth: d}
 		}
 		d++
@@ -47,13 +71,7 @@ func (m mapping) locate(h uint64) partitionID {
 }
 
 // clone copies a mapping (server → client map transfer).
-func (m mapping) clone() mapping {
-	c := make(mapping, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
+func (m mapping) clone() mapping { return slices.Clone(m) }
 
 // Config tunes the directory service.
 type Config struct {
@@ -101,16 +119,17 @@ type Dir struct {
 	// knowledge; servers always know the truth about partitions they own,
 	// which is all locate ever needs).
 	truth mapping
-	// load counts entries per partition.
-	load map[uint64]int
+	// load counts entries per partition index, and parts the indices
+	// truth holds.
+	load  []int
+	parts int
 
 	// Counters.
 	Creates          int64
 	AddressingErrors int64
 	Splits           int64
 
-	clients      []*Client
-	pendingInval map[*Client]bool
+	clients []*Client
 }
 
 // NewDir creates an empty directory (one partition at depth 0 on server 0).
@@ -119,11 +138,11 @@ func NewDir(eng *sim.Engine, cfg Config) *Dir {
 		panic(err)
 	}
 	d := &Dir{
-		cfg:          cfg,
-		eng:          eng,
-		truth:        mapping{0: 0},
-		load:         map[uint64]int{0: 0},
-		pendingInval: make(map[*Client]bool),
+		cfg:   cfg,
+		eng:   eng,
+		truth: newMapping(),
+		load:  []int{0},
+		parts: 1,
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		d.servers = append(d.servers, sim.NewServer(eng, 1))
@@ -142,23 +161,36 @@ func (d *Dir) serverOf(p partitionID) int {
 type Client struct {
 	dir *Dir
 	m   mapping
-	id  int
+	// pendingInval marks a split this client has not yet acknowledged
+	// (SyncInvalidate only).
+	pendingInval bool
 
 	Bounces int64
 }
 
 // NewClient registers a client holding a fresh copy of the current map.
-func (d *Dir) NewClient(id int) *Client {
-	c := &Client{dir: d, m: d.truth.clone(), id: id}
+func (d *Dir) NewClient() *Client {
+	c := &Client{dir: d, m: d.truth.clone()}
 	d.clients = append(d.clients, c)
 	return c
 }
 
-// hashName hashes a file name into the partition keyspace.
-func hashName(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
+// FNV-1a, 64-bit (hash/fnv's New64a).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashName hashes a file name into the partition keyspace with FNV-1a.
+// It takes the name as a string or as the bytes a create stream builds
+// it in, and hashes both alike.
+func hashName[T string | []byte](name T) uint64 {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 // Create inserts name into the directory, calling done when the server has
@@ -166,46 +198,101 @@ func hashName(name string) uint64 {
 // if that partition has split since, the owning server bounces the request
 // with map corrections and the client retries (at most maxDepth hops).
 func (c *Client) Create(name string, done func()) {
-	h := hashName(name)
-	c.attempt(h, 0, done)
+	op := &createOp{c: c, done: sim.HandlerFunc(done)}
+	op.start(hashName(name))
 }
 
-func (c *Client) attempt(h uint64, hops int, done func()) {
-	if hops > maxDepth+1 {
+// A createOp is one create in flight, and the Handler of each of its
+// events: the client → server RPC, the server's insert or bounce, the
+// retry RPC after a bounce, and the reply RPC. done runs when the create
+// is acknowledged; by then the op is idle, so done may start the op's
+// next create.
+type createOp struct {
+	c    *Client
+	done sim.Handler
+
+	h      uint64
+	hops   int
+	target partitionID // the partition the client's map names
+	actual partitionID // the live partition owning h, at the server
+	stage  createStage
+}
+
+// createStage names the event a createOp is waiting for.
+type createStage uint8
+
+const (
+	atServer createStage = iota // the request RPC arrived
+	bounced                     // the addressed server answered with corrections
+	retry                       // the corrections reached the client
+	inserted                    // the owner inserted the entry
+	replied                     // the reply RPC reached the client
+)
+
+// start begins the create of the name that hashes to h.
+func (op *createOp) start(h uint64) {
+	op.h, op.hops = h, 0
+	op.attempt()
+}
+
+func (op *createOp) attempt() {
+	if op.hops > maxDepth+1 {
 		// merge guarantees one bounce resolves a stale target, so
 		// exceeding the split depth means the correction protocol is
 		// broken — fail loudly rather than looping.
 		panic("giga: unbounded addressing-error loop")
 	}
-	d := c.dir
-	target := c.m.locate(h)
-	srvIdx := d.serverOf(target)
+	d := op.c.dir
+	op.target = op.c.m.locate(op.h)
 	// Client -> server RPC.
-	d.eng.Schedule(d.cfg.RPC, func() {
-		actual := d.truth.locate(h)
-		if actual != target {
+	op.stage = atServer
+	d.eng.ScheduleHandler(d.cfg.RPC, op)
+}
+
+// Handle runs the create's next step.
+func (op *createOp) Handle() {
+	c := op.c
+	d := c.dir
+	switch op.stage {
+	case atServer:
+		op.actual = d.truth.locate(op.h)
+		if op.actual != op.target {
 			// Stale client map: the server returns the relevant split
 			// history and the client retries. Each bounce refines the map
 			// by at least one level.
 			d.AddressingErrors++
 			c.Bounces++
-			d.servers[srvIdx].Submit(d.cfg.InsertTime/4, func(sim.Time) {
-				c.merge(actual)
-				d.eng.Schedule(d.cfg.RPC, func() { c.attempt(h, hops+1, done) })
-			})
+			op.stage = bounced
+			d.servers[d.serverOf(op.target)].SubmitHandler(d.cfg.InsertTime/4, op)
 			return
 		}
-		owner := d.serverOf(actual)
-		d.servers[owner].Submit(d.cfg.InsertTime, func(sim.Time) {
-			d.load[actual.Index]++
-			d.Creates++
-			d.maybeSplit(actual, owner)
-			// Reply RPC.
-			d.eng.Schedule(d.cfg.RPC, func() {
-				c.syncPenalty(done)
-			})
-		})
-	})
+		op.stage = inserted
+		d.servers[d.serverOf(op.actual)].SubmitHandler(d.cfg.InsertTime, op)
+	case bounced:
+		c.merge(op.actual)
+		op.stage = retry
+		d.eng.ScheduleHandler(d.cfg.RPC, op)
+	case retry:
+		op.hops++
+		op.attempt()
+	case inserted:
+		d.load[op.actual.Index]++
+		d.Creates++
+		d.maybeSplit(op.actual, d.serverOf(op.actual))
+		// Reply RPC.
+		op.stage = replied
+		d.eng.ScheduleHandler(d.cfg.RPC, op)
+	case replied:
+		// The SyncInvalidate ablation: a client that has not yet
+		// acknowledged a split pays a map-refresh round trip.
+		if d.cfg.SyncInvalidate && c.pendingInval {
+			c.pendingInval = false
+			c.m = append(c.m[:0], d.truth...) // a clone, into c's own table
+			d.eng.ScheduleHandler(2*d.cfg.RPC, op.done)
+			return
+		}
+		op.done.Handle()
+	}
 }
 
 // merge folds authoritative knowledge about partition p into the client
@@ -220,28 +307,15 @@ func (c *Client) attempt(h uint64, hops int, done func()) {
 func (c *Client) merge(p partitionID) {
 	for d := 0; d < p.Depth; d++ {
 		ancestor := p.Index & ((1 << uint(d)) - 1)
-		if pd, ok := c.m[ancestor]; ok && pd <= d {
-			delete(c.m, ancestor)
+		if pd, ok := c.m.get(ancestor); ok && pd <= d {
+			c.m[ancestor] = 0
 		}
 		sib := (p.Index & ((1 << uint(d+1)) - 1)) ^ (1 << uint(d))
-		if _, ok := c.m[sib]; !ok {
-			c.m[sib] = d + 1
+		if _, ok := c.m.get(sib); !ok {
+			c.m.set(sib, d+1)
 		}
 	}
-	c.m[p.Index] = p.Depth
-}
-
-// syncPenalty models the SyncInvalidate ablation: if a split happened that
-// this client has not yet acknowledged, it pays a map-refresh round trip.
-func (c *Client) syncPenalty(done func()) {
-	d := c.dir
-	if d.cfg.SyncInvalidate && d.pendingInval[c] {
-		delete(d.pendingInval, c)
-		c.m = d.truth.clone()
-		d.eng.Schedule(2*d.cfg.RPC, done)
-		return
-	}
-	done()
+	c.m.set(p.Index, p.Depth)
 }
 
 // maybeSplit splits a partition that crossed the threshold, billing the
@@ -253,8 +327,14 @@ func (d *Dir) maybeSplit(p partitionID, owner int) {
 	moved := d.load[p.Index] / 2
 	d.load[p.Index] -= moved
 	child := partitionID{Index: p.Index | 1<<uint(p.Depth), Depth: p.Depth + 1}
-	d.truth[p.Index] = p.Depth + 1
-	d.truth[child.Index] = child.Depth
+	if _, ok := d.truth.get(child.Index); !ok {
+		d.parts++
+	}
+	d.truth.set(p.Index, p.Depth+1)
+	d.truth.set(child.Index, child.Depth)
+	if n := len(d.truth); len(d.load) < n {
+		d.load = append(d.load, make([]int, n-len(d.load))...)
+	}
 	d.load[child.Index] = moved
 	d.Splits++
 	cost := sim.Time(float64(moved)) * d.cfg.PerEntryMove
@@ -268,20 +348,21 @@ func (d *Dir) maybeSplit(p partitionID, owner int) {
 		// its map before its next operation.
 		d.servers[owner].Submit(2*d.cfg.RPC*sim.Time(float64(len(d.clients))), nil)
 		for _, c := range d.clients {
-			d.pendingInval[c] = true
+			c.pendingInval = true
 		}
 	}
 }
 
 // Partitions reports the live partition count.
-func (d *Dir) Partitions() int { return len(d.load) }
+func (d *Dir) Partitions() int { return d.parts }
 
 // LoadImbalance returns max/mean entries across partitions' servers.
 func (d *Dir) LoadImbalance() float64 {
 	perServer := make([]int, d.cfg.Servers)
 	for idx, n := range d.load {
-		depth := d.truth[idx]
-		perServer[d.serverOf(partitionID{Index: idx, Depth: depth})] += n
+		if depth, ok := d.truth.get(uint64(idx)); ok {
+			perServer[d.serverOf(partitionID{Index: uint64(idx), Depth: depth})] += n
+		}
 	}
 	total, maxLoad := 0, 0
 	for _, n := range perServer {

@@ -2,16 +2,43 @@ package giga
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
 )
 
+// mappingOf builds the dense mapping holding the same entries as m.
+func mappingOf(m refMapping) mapping {
+	var dm mapping
+	for i, d := range m {
+		dm.set(i, d)
+	}
+	return dm
+}
+
+// sameEntries reports whether dense and ref record the same partitions
+// at the same depths.
+func sameEntries(dense mapping, ref refMapping) bool {
+	n := 0
+	for i := range dense {
+		d, ok := dense.get(uint64(i))
+		if !ok {
+			continue
+		}
+		n++
+		if rd, rok := ref[uint64(i)]; !rok || rd != d {
+			return false
+		}
+	}
+	return n == len(ref)
+}
+
 func TestMappingLocateRoot(t *testing.T) {
-	m := mapping{0: 0}
+	m := newMapping()
 	for _, h := range []uint64{0, 1, 12345, ^uint64(0)} {
 		if p := m.locate(h); p.Index != 0 || p.Depth != 0 {
 			t.Fatalf("locate(%d) = %+v, want root", h, p)
@@ -21,7 +48,7 @@ func TestMappingLocateRoot(t *testing.T) {
 
 func TestMappingLocateAfterSplits(t *testing.T) {
 	// Split root: 0@1 and 1@1. Then split 1@1: 1@2 and 3@2.
-	m := mapping{0: 1, 1: 2, 3: 2}
+	m := mappingOf(refMapping{0: 1, 1: 2, 3: 2})
 	cases := []struct {
 		h    uint64
 		want partitionID
@@ -45,26 +72,27 @@ func TestLocateTotalProperty(t *testing.T) {
 	// partition whose index matches the hash's low bits.
 	f := func(seed int64, nSplits uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		m := mapping{0: 0}
+		m := newMapping()
 		for s := 0; s < int(nSplits%40); s++ {
 			// Pick a random live partition to split.
-			keys := make([]uint64, 0, len(m))
+			var keys []uint64
 			for k := range m {
-				keys = append(keys, k)
+				if _, ok := m.get(uint64(k)); ok {
+					keys = append(keys, uint64(k))
+				}
 			}
-			slices.Sort(keys)
 			k := keys[r.Intn(len(keys))]
-			d := m[k]
+			d, _ := m.get(k)
 			if d >= maxDepth {
 				continue
 			}
-			m[k] = d + 1
-			m[k|1<<uint(d)] = d + 1
+			m.set(k, d+1)
+			m.set(k|1<<uint(d), d+1)
 		}
 		for i := 0; i < 200; i++ {
 			h := r.Uint64()
 			p := m.locate(h)
-			if d, ok := m[p.Index]; !ok || d != p.Depth {
+			if d, ok := m.get(p.Index); !ok || d != p.Depth {
 				return false
 			}
 			if h&((1<<uint(p.Depth))-1) != p.Index {
@@ -185,6 +213,26 @@ func TestHashNameStable(t *testing.T) {
 	if hashName("foo") == hashName("bar") {
 		t.Fatal("suspicious collision on trivial inputs")
 	}
+	// The inline FNV-1a is hash/fnv's New64a, on a name as a string and
+	// as the bytes a create stream builds it in.
+	r := rand.New(rand.NewSource(1))
+	names := []string{"", "f.0.0", "f.63.624"}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, r.Intn(40))
+		r.Read(b)
+		names = append(names, string(b))
+	}
+	for _, name := range names {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		want := h.Sum64()
+		if got := hashName(name); got != want {
+			t.Fatalf("hashName(%q) = %#x, hash/fnv %#x", name, got, want)
+		}
+		if got := hashName([]byte(name)); got != want {
+			t.Fatalf("hashName([]byte(%q)) = %#x, hash/fnv %#x", name, got, want)
+		}
+	}
 }
 
 func TestClientMergeConvergence(t *testing.T) {
@@ -194,7 +242,7 @@ func TestClientMergeConvergence(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.SplitThreshold = 10
 	dir := NewDir(eng, cfg)
-	warm := dir.NewClient(0)
+	warm := dir.NewClient()
 	// Grow the directory with one client.
 	var grow func(k int)
 	grow = func(k int) {
@@ -209,7 +257,7 @@ func TestClientMergeConvergence(t *testing.T) {
 		t.Fatalf("directory did not grow: %d partitions", dir.Partitions())
 	}
 	// New client with only the root in its map.
-	cold := &Client{dir: dir, m: mapping{0: 0}, id: 99}
+	cold := &Client{dir: dir, m: newMapping()}
 	dir.clients = append(dir.clients, cold)
 	did := 0
 	var create func(k int)
@@ -228,5 +276,167 @@ func TestClientMergeConvergence(t *testing.T) {
 	// Bounded hops: far fewer than maxDepth per create on average.
 	if cold.Bounces > int64(50*6) {
 		t.Fatalf("cold client bounced %d times for 50 creates", cold.Bounces)
+	}
+}
+
+// TestDenseMappingMatchesReference grows a directory's map by random
+// splits and brings stale client maps up to date by merges of the
+// partitions their lookups miss, on the dense mapping and on the map
+// reference side by side. Both must hold the same entries after every
+// step, and locate must name the same partition for every hash tried.
+func TestDenseMappingMatchesReference(t *testing.T) {
+	f := func(seed int64, nSplits uint8, staleAt uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		truth, refTruth := newMapping(), refMapping{0: 0}
+		var stale mapping
+		var refStale refMapping
+		splits := int(nSplits % 120)
+		for s := 0; s < splits; s++ {
+			if s == int(staleAt)%splits {
+				stale, refStale = truth.clone(), refTruth.clone()
+			}
+			// Split the partition a random hash lands in.
+			p := refTruth.locate(r.Uint64())
+			if p.Depth >= maxDepth {
+				continue
+			}
+			child := p.Index | 1<<uint(p.Depth)
+			truth.set(p.Index, p.Depth+1)
+			truth.set(child, p.Depth+1)
+			refTruth[p.Index] = p.Depth + 1
+			refTruth[child] = p.Depth + 1
+			if !sameEntries(truth, refTruth) {
+				return false
+			}
+		}
+		if stale == nil {
+			stale, refStale = newMapping(), refMapping{0: 0}
+		}
+		c, rc := &Client{m: stale}, &refClient{m: refStale}
+		for i := 0; i < 300; i++ {
+			h := r.Uint64()
+			if truth.locate(h) != refTruth.locate(h) || c.m.locate(h) != rc.m.locate(h) {
+				return false
+			}
+			if actual := refTruth.locate(h); c.m.locate(h) != actual {
+				c.merge(actual)
+				rc.merge(actual)
+				if !sameEntries(c.m, rc.m) || c.m.locate(h) != actual {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameStorm compares two create-storm results field by field, floats by
+// their bits.
+func sameStorm(a, b CreateStormResult) bool {
+	bits := func(x float64) uint64 { return math.Float64bits(x) }
+	return a.Servers == b.Servers && a.Clients == b.Clients && a.Files == b.Files &&
+		bits(float64(a.Elapsed)) == bits(float64(b.Elapsed)) &&
+		bits(a.CreatesPerSecond) == bits(b.CreatesPerSecond) &&
+		a.Partitions == b.Partitions && a.Splits == b.Splits &&
+		a.AddressingErrors == b.AddressingErrors &&
+		bits(a.LoadImbalance) == bits(b.LoadImbalance)
+}
+
+// TestCreateStormMatchesReference runs CreateStorm and
+// SingleServerBaseline next to the closure-and-map code they replaced,
+// kept in giga_reference_test.go, over fixed and generated directory
+// sizes with lazy and synchronous invalidation. Every event is scheduled
+// at the same time and in the same order on both sides, so every field
+// must match exactly.
+func TestCreateStormMatchesReference(t *testing.T) {
+	type storm struct {
+		servers, threshold, clients, files int
+		sync                               bool
+	}
+	check := func(s storm) bool {
+		cfg := DefaultConfig(s.servers)
+		cfg.SplitThreshold = s.threshold
+		cfg.SyncInvalidate = s.sync
+		got, want := CreateStorm(cfg, s.clients, s.files), refCreateStorm(cfg, s.clients, s.files)
+		if !sameStorm(got, want) {
+			t.Errorf("%+v: CreateStorm %+v, reference %+v", s, got, want)
+			return false
+		}
+		got = SingleServerBaseline(cfg.InsertTime, cfg.RPC, s.clients, s.files)
+		want = refSingleServerBaseline(cfg.InsertTime, cfg.RPC, s.clients, s.files)
+		if !sameStorm(got, want) {
+			t.Errorf("%+v: SingleServerBaseline %+v, reference %+v", s, got, want)
+			return false
+		}
+		return true
+	}
+	for _, s := range []storm{
+		{8, 200, 64, 4000, false}, // fig 7's shape at a tenth of its files
+		{32, 200, 64, 4000, false},
+		{1, 2, 1, 500, false},
+		{4, 2, 64, 4000, true},
+		{8, 100, 16, 4000, true}, // the giga stale-map ablation's shape
+		{3, 7, 5, 999, false},
+		{16, 400, 64, 63, false}, // fewer files than clients: nothing runs
+	} {
+		check(s)
+	}
+	f := func(servers, clients uint8, threshold, files uint16, sync bool) bool {
+		return check(storm{
+			servers:   1 + int(servers)%32,
+			threshold: 2 + int(threshold)%399,
+			clients:   1 + int(clients)%64,
+			files:     int(files) % 4001,
+			sync:      sync,
+		})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCreateStormAllocsDoNotGrow pins a create at about zero
+// allocations: each client's stream reuses one createOp and one name
+// buffer, and the partition maps are dense tables that only grow when
+// the directory does. Comparing 40,000 files with 4,000 cancels the
+// set-up; what is left over the extra creates is what a create
+// allocates.
+func TestCreateStormAllocsDoNotGrow(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.SplitThreshold = 200
+	const small, large = 4000, 40000
+	for _, tc := range []struct {
+		name string
+		run  func(files int)
+	}{
+		{"CreateStorm", func(files int) { CreateStorm(cfg, 64, files) }},
+		{"SingleServerBaseline", func(files int) { SingleServerBaseline(cfg.InsertTime, cfg.RPC, 64, files) }},
+	} {
+		allocs := func(files int) float64 {
+			return testing.AllocsPerRun(1, func() { tc.run(files) })
+		}
+		perCreate := (allocs(large) - allocs(small)) / (large - small)
+		t.Logf("%s: %.4f allocations per extra create", tc.name, perCreate)
+		if perCreate >= 0.05 {
+			t.Errorf("%s: %.4f allocations per extra create, want under 0.05", tc.name, perCreate)
+		}
+	}
+}
+
+// BenchmarkCreateStorm runs Figure 7's sweep, GIGA+ on 1 to 32 servers
+// and the single-server baseline, at the figure's sizes.
+func BenchmarkCreateStorm(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range []int{1, 2, 4, 8, 16, 32} {
+			cfg := DefaultConfig(s)
+			cfg.SplitThreshold = 200
+			CreateStorm(cfg, 64, 40000)
+		}
+		cfg := DefaultConfig(1)
+		SingleServerBaseline(cfg.InsertTime, cfg.RPC, 64, 40000)
 	}
 }

@@ -81,21 +81,59 @@ type Result struct {
 
 const initialSsthresh = 12
 
-// sender is one server's TCP state for the current round.
+// sender is one server's TCP state for the current round, and the
+// Handler of its retransmission timer.
 type sender struct {
-	id          int
-	total       int // packets in this SRU
-	nextSeq     int // next new packet to send
-	cumAcked    int // packets cumulatively acknowledged
-	cwnd        float64
-	ssthresh    float64
-	dupAcks     int
-	inflight    int
-	timer       sim.EventID
-	timerArmed  bool
-	rtoBackoff  int
-	done        bool
-	recoverUpTo int // fast-recovery high-water mark
+	e          *experiment
+	id         int
+	total      int // packets in this SRU
+	nextSeq    int // next new packet to send
+	cumAcked   int // packets cumulatively acknowledged
+	inOrder    int // packets the client holds in order from the SRU's start
+	cwnd       float64
+	ssthresh   float64
+	dupAcks    int
+	inflight   int
+	timer      sim.EventID
+	timerArmed bool
+	rtoBackoff int
+	done       bool
+}
+
+// Handle fires the retransmission timer.
+func (s *sender) Handle() { s.e.timeout(s) }
+
+// kickoff is a sender as the Handler of its round's start: the client's
+// request reaching the server.
+type kickoff sender
+
+// Handle starts the sender's round.
+func (k *kickoff) Handle() {
+	s := (*sender)(k)
+	s.e.pump(s)
+}
+
+// A packet is one data packet from the link to the client, and then its
+// ACK back to the sender: the Handler of its delivery and of its ACK. It
+// returns to the experiment's free list after its last use.
+type packet struct {
+	s     *sender
+	seq   int
+	isACK bool // delivered, and travelling back as its ACK
+	cum   int  // the cumulative ACK it carries
+}
+
+// Handle delivers the packet, or hands its ACK to the sender.
+func (p *packet) Handle() {
+	e := p.s.e
+	if !p.isACK {
+		e.deliver(p)
+		return
+	}
+	s, cum := p.s, p.cum
+	p.s = nil
+	e.packets.Put(p)
+	e.ack(s, cum)
 }
 
 type experiment struct {
@@ -104,10 +142,14 @@ type experiment struct {
 	rng *rand.Rand
 
 	// Bottleneck queue state: pending is the FIFO of packets occupying the
-	// switch output queue; queueLen counts them plus the one in service.
-	pending  []pendingPkt
+	// switch output queue; queueLen counts them plus the one in service,
+	// wire. The experiment is the Handler of wire's transmit completion:
+	// the link has at most one transmission outstanding.
+	pending  sim.FIFO[pendingPkt]
 	queueLen int
 	linkBusy bool
+	wire     pendingPkt
+	packets  sim.FreeList[packet]
 
 	senders []*sender
 	// received[i] marks packets that arrived from sender i this round.
@@ -164,14 +206,14 @@ func (e *experiment) startRound() {
 	e.roundStart = e.eng.Now()
 	n := e.packetsPerSRU()
 	for i := 0; i < e.p.Senders; i++ {
-		s := &sender{id: i, total: n, cwnd: 2, ssthresh: initialSsthresh}
+		s := &sender{e: e, id: i, total: n, cwnd: 2, ssthresh: initialSsthresh}
 		e.senders = append(e.senders, s)
 		e.received = append(e.received, make([]bool, n))
 		// The client's request reaches each server after one propagation
 		// delay; tiny per-server jitter avoids a perfectly synchronized
 		// artificial tie-break cascade.
 		jitter := sim.Time(e.rng.Float64() * 2e-6)
-		e.eng.Schedule(e.p.PropDelay+jitter, func() { e.pump(s) })
+		e.eng.ScheduleHandler(e.p.PropDelay+jitter, (*kickoff)(s))
 	}
 }
 
@@ -203,7 +245,7 @@ func (e *experiment) serviceLink(s *sender, seq int) {
 	// Each queued packet is dequeued after the packets ahead of it; we
 	// model the queue implicitly by serializing transmissions through a
 	// busy flag and a FIFO of pending packets.
-	e.pending = append(e.pending, pendingPkt{s: s, seq: seq})
+	e.pending.Push(pendingPkt{s: s, seq: seq})
 	if !e.linkBusy {
 		e.drain()
 	}
@@ -215,38 +257,48 @@ type pendingPkt struct {
 }
 
 func (e *experiment) drain() {
-	if len(e.pending) == 0 {
+	if e.pending.Len() == 0 {
 		e.linkBusy = false
 		return
 	}
 	e.linkBusy = true
-	pkt := e.pending[0]
-	copy(e.pending, e.pending[1:])
-	e.pending = e.pending[:len(e.pending)-1]
+	e.wire = e.pending.Pop()
 	txTime := sim.Time(float64(e.p.PacketSize) / e.p.LinkBandwidth)
-	e.eng.Schedule(txTime, func() {
-		e.queueLen--
-		// Deliver after propagation; keep draining concurrently.
-		e.eng.Schedule(e.p.PropDelay, func() { e.deliver(pkt.s, pkt.seq) })
-		e.drain()
-	})
+	e.eng.ScheduleHandler(txTime, e)
+}
+
+// Handle completes the transmission of the packet on the wire.
+func (e *experiment) Handle() {
+	e.queueLen--
+	// Deliver after propagation; keep draining concurrently.
+	p := e.packets.Get()
+	p.s, p.seq, p.isACK = e.wire.s, e.wire.seq, false
+	e.eng.ScheduleHandler(e.p.PropDelay, p)
+	e.drain()
 }
 
 // deliver processes a packet at the client and returns an ACK.
-func (e *experiment) deliver(s *sender, seq int) {
+func (e *experiment) deliver(p *packet) {
+	s := p.s
 	if s.done || e.received[s.id] == nil {
-		return // stale packet from a previous round
+		// Stale packet from a previous round.
+		p.s = nil
+		e.packets.Put(p)
+		return
 	}
 	rcv := e.received[s.id]
-	if seq < len(rcv) {
-		rcv[seq] = true
+	if p.seq < len(rcv) {
+		rcv[p.seq] = true
 	}
-	cum := s.cumAcked
-	for cum < s.total && rcv[cum] {
-		cum++
+	// The cumulative ACK is the first packet the client lacks. Packets
+	// stay received for the round, so the scan resumes where the last
+	// one stopped.
+	for s.inOrder < s.total && rcv[s.inOrder] {
+		s.inOrder++
 	}
 	// ACK travels back after one propagation delay.
-	e.eng.Schedule(e.p.PropDelay, func() { e.ack(s, cum) })
+	p.isACK, p.cum = true, s.inOrder
+	e.eng.ScheduleHandler(e.p.PropDelay, p)
 }
 
 // ack runs standard NewReno-flavored congestion control at the sender.
@@ -311,7 +363,7 @@ func (e *experiment) rto(s *sender) sim.Time {
 
 func (e *experiment) armTimer(s *sender) {
 	s.timerArmed = true
-	s.timer = e.eng.Schedule(e.rto(s), func() { e.timeout(s) })
+	s.timer = e.eng.ScheduleHandler(e.rto(s), s)
 }
 
 func (e *experiment) disarmTimer(s *sender) {
@@ -348,8 +400,10 @@ func (e *experiment) finish(s *sender) {
 	e.disarmTimer(s)
 	e.doneCnt++
 	if e.doneCnt == e.p.Senders {
-		e.eng.Tracer().Span("incast", fmt.Sprintf("round %d", e.round),
-			int64(e.p.Senders), float64(e.roundStart), float64(e.eng.Now()), nil)
+		if tr := e.eng.Tracer(); tr != nil {
+			tr.Span("incast", fmt.Sprintf("round %d", e.round),
+				int64(e.p.Senders), float64(e.roundStart), float64(e.eng.Now()), nil)
+		}
 		e.round++
 		if e.round < e.p.Rounds {
 			e.startRound()
