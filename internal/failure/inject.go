@@ -108,8 +108,8 @@ func (e plannedEvent) end(horizon float64) sim.Time {
 // DrawOSSFaults draws a deterministic fault plan from the spec: the same
 // spec and seed always produce the same plan, and the plan is plain data,
 // so the whole fault-injected simulation inherits the engine's
-// reproducibility. Servers draw from independent streams (seed offset by
-// server index), so adding a server never perturbs the others' schedules.
+// reproducibility. Server i draws from its own stream, PCG stream
+// (seed, i), so adding a server never perturbs the others' schedules.
 // With spec.Bursts armed, correlated multi-server crashes merge into the
 // same plan (see DrawOSSFaultsDetailed for their accounting).
 func DrawOSSFaults(spec OSSFaultSpec, seed int64) *sim.FaultPlan {
@@ -118,7 +118,7 @@ func DrawOSSFaults(spec OSSFaultSpec, seed int64) *sim.FaultPlan {
 }
 
 // DrawOSSFaultsDetailed is DrawOSSFaults plus the burst accounting. The
-// burst stream is drawn from its own generator (independent of every
+// bursts are drawn from a stream of their own (independent of every
 // per-server stream), each burst picks Size distinct members, and a
 // member crash merges into that server's independent schedule unless it
 // overlaps an existing outage — overlapping events are skipped (counted
@@ -138,10 +138,10 @@ func DrawOSSFaultsDetailed(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burst
 		down = 0
 	}
 	events := make([][]plannedEvent, spec.Servers)
-	var st stream // one register, reseeded per server (see stream.go)
+	var st stream // reseeded per server (see stream.go)
 	r := rand.New(&st)
 	for i := 0; i < spec.Servers; i++ {
-		st.reset(seed + int64(i))
+		st.reset(seed, uint64(i))
 		for t := d.Sample(r); t < spec.Horizon; t += d.Sample(r) {
 			events[i] = append(events[i], plannedEvent{at: sim.Time(t), down: down})
 			if down <= 0 {
@@ -154,10 +154,9 @@ func DrawOSSFaultsDetailed(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burst
 	}
 	var bs BurstStats
 	if spec.Bursts.MTBB > 0 {
-		// The burst stream's seed is decorrelated from the per-server
-		// streams (seed+i) by a fixed xor, so arming bursts never
+		// The burst draw reads its own stream, so arming bursts never
 		// perturbs the independent draw.
-		st.reset(seed ^ 0x6273747273) // "bstrs"
+		st.reset(seed, burstStream)
 		bs = drawBursts(spec, r, events)
 	}
 	plan := sim.NewFaultPlan()

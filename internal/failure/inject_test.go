@@ -2,6 +2,7 @@ package failure
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,15 @@ import (
 
 func testSpec() OSSFaultSpec {
 	return OSSFaultSpec{Servers: 4, MTBF: 100, Shape: 1, Downtime: 5, Horizon: 2000}
+}
+
+// rebuildFigureSpec is the rebuild figure's per-pod fault spec: 64
+// drives, accelerated permanent failures, correlated 3-drive bursts.
+func rebuildFigureSpec() OSSFaultSpec {
+	return OSSFaultSpec{
+		Servers: 64, MTBF: 30, Shape: 1, Downtime: 0, Horizon: 4,
+		Bursts: BurstSpec{MTBB: 2, Size: 3},
+	}
 }
 
 func TestDrawOSSFaultsDeterministic(t *testing.T) {
@@ -65,6 +75,31 @@ func TestDrawOSSFaultsRateTracksMTBF(t *testing.T) {
 	want := spec.Horizon / (spec.MTBF + spec.Downtime)
 	if f := float64(n) / want; f < 0.8 || f > 1.2 {
 		t.Fatalf("drew %d events, want about %.0f", n, want)
+	}
+}
+
+// TestDrawOSSFaultsCrashCountsAreBinomial: with bursts off, each of a
+// rebuild pod's 64 drives fails inside the 4 s horizon with probability
+// p = 1 − e^(−4/30), on its own, so a pod's crash count is binomial:
+// mean 64p = 7.99 and SD 2.64. Drives whose draws moved together would
+// spread the count wider or narrower; 4,000 pods, seeded as the figure
+// seeds them, put the SD within ±0.3 of the binomial one.
+func TestDrawOSSFaultsCrashCountsAreBinomial(t *testing.T) {
+	spec := rebuildFigureSpec()
+	spec.Bursts = BurstSpec{}
+	const pods = 4000
+	var sum, sumSq float64
+	for p := 0; p < pods; p++ {
+		n := float64(DrawOSSFaults(spec, 42+int64(p)*1_000_003).Len())
+		sum += n
+		sumSq += n * n
+	}
+	mean := sum / pods
+	sd := math.Sqrt(sumSq/pods - mean*mean)
+	t.Logf("crashes per pod over %d pods: mean %.2f, SD %.2f", pods, mean, sd)
+	if mean < 7.8 || mean > 8.2 || sd < 2.35 || sd > 2.95 {
+		t.Fatalf("crashes per pod: mean %.2f, SD %.2f; want mean in [7.8, 8.2] and SD in [2.35, 2.95] (binomial: 7.99, 2.64)",
+			mean, sd)
 	}
 }
 
@@ -159,4 +194,14 @@ func TestDrawOSSFaultsInvalidSpecPanics(t *testing.T) {
 		}
 	}()
 	DrawOSSFaults(OSSFaultSpec{}, 0)
+}
+
+// BenchmarkDrawOSSFaults draws one rebuild-figure pod's plan: 64
+// per-drive streams plus the burst stream.
+func BenchmarkDrawOSSFaults(b *testing.B) {
+	spec := rebuildFigureSpec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		DrawOSSFaultsDetailed(spec, 42+int64(i)*1_000_003)
+	}
 }

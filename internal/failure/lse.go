@@ -61,9 +61,9 @@ func (s LSESpec) validate() error {
 }
 
 // DrawLSE draws one deterministic corruption schedule per drive: the same
-// spec and seed always produce the same events, and each drive uses an
-// independent stream (seed offset by drive index), so adding a drive
-// never perturbs the others. Feed each slice to disk.NewCorruptor.
+// spec and seed always produce the same events, and drive i draws from
+// its own stream, PCG stream (seed, i), so adding a drive never perturbs
+// the others. Feed each slice to disk.NewCorruptor.
 func DrawLSE(spec LSESpec, seed int64) [][]disk.CorruptionEvent {
 	if err := spec.validate(); err != nil {
 		panic(err)
@@ -75,10 +75,10 @@ func DrawLSE(spec LSESpec, seed int64) [][]disk.CorruptionEvent {
 	scale := spec.MTBC / stats.Weibull{Shape: spec.Shape, Scale: 1}.Mean()
 	d := stats.Weibull{Shape: spec.Shape, Scale: scale}
 	out := make([][]disk.CorruptionEvent, spec.Disks)
-	var st stream // one register, reseeded per drive (see stream.go)
+	var st stream // reseeded per drive (see stream.go)
 	r := rand.New(&st)
 	for i := 0; i < spec.Disks; i++ {
-		st.reset(seed + int64(i))
+		st.reset(seed, uint64(i))
 		var evs []disk.CorruptionEvent
 		for t := d.Sample(r); t < spec.Horizon; t += d.Sample(r) {
 			ev := disk.CorruptionEvent{

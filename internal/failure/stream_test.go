@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -12,52 +13,75 @@ import (
 	"repro/internal/stats"
 )
 
-// streamSeeds covers math/rand's seed reduction edge cases (zero maps to
-// a fixed seed, negatives wrap, multiples of 2^31-1 reduce to zero) and
-// the seeds the rebuild figure actually uses: pod p's fault stream for
-// server i is seeded 42+p*1_000_003+i, its LSE stream (seed^0x15e)+i.
+// streamSeeds covers the edges of the int64 → uint64 seed conversion
+// and the seeds the figures draw with: rebuild pods 0 and 159
+// (42+p*1_000_003), the faults figure's 4242 and the integrity
+// figure's 77.
 var streamSeeds = []int64{
-	0, -1, 1, int32max, 2 * int32max, 1 << 40, math.MaxInt64, math.MinInt64,
-	42 + 0*1_000_003 + 0, 42 + 159*1_000_003 + 63, (42 + 37*1_000_003) ^ 0x15e + 5,
+	0, -1, math.MinInt64, math.MaxInt64,
+	42, 42 + 159*1_000_003, 4242, 77,
 }
 
-// TestStreamMatchesMathRand pins stream to math/rand's generator bit for
-// bit: every draw method the fault and LSE draws use, plus the raw
-// Uint64, over 1,300 values per seed (past two wraps of the 607-word
-// register, so recycled feedback words are covered too). One stream is
-// reused across every seed and method, which also proves reset leaves no
-// state behind.
-func TestStreamMatchesMathRand(t *testing.T) {
-	const draws = 1300
-	methods := []struct {
-		name string
-		draw func(r *rand.Rand) uint64
-	}{
-		{"Float64", func(r *rand.Rand) uint64 { return math.Float64bits(r.Float64()) }},
-		{"Int63n", func(r *rand.Rand) uint64 { return uint64(r.Int63n(1<<40 + 12345)) }},
-		{"Intn", func(r *rand.Rand) uint64 { return uint64(r.Intn(7)) }},
-		{"ExpFloat64", func(r *rand.Rand) uint64 { return math.Float64bits(r.ExpFloat64()) }},
-		{"NormFloat64", func(r *rand.Rand) uint64 { return math.Float64bits(r.NormFloat64()) }},
-		{"Uint64", func(r *rand.Rand) uint64 { return r.Uint64() }},
-	}
-	var st stream
-	got := rand.New(&st)
-	for _, seed := range streamSeeds {
-		for _, m := range methods {
-			want := rand.New(rand.NewSource(seed))
-			st.reset(seed)
-			for k := 0; k < draws; k++ {
-				if a, b := m.draw(got), m.draw(want); a != b {
-					t.Fatalf("seed %d %s draw %d: stream %#x, math/rand %#x", seed, m.name, k, a, b)
-				}
+// neighbourChi2 bins the pairs (k-th Float64 of drive i, k-th Float64 of
+// drive i+1) over drives 0..n on a 10×10 grid and returns each grid's χ²
+// against the uniform count, for draws k = 1, 2 and 3. rng(i) returns
+// drive i's generator, fresh. Independent drives give χ² ≈ 99 ± 14 (99
+// degrees of freedom); neighbours whose draws are correlated pile onto a
+// few cells.
+func neighbourChi2(n int, rng func(i int) *rand.Rand) [3]float64 {
+	const bins = 10
+	var counts [3][bins * bins]int
+	var prev [3]int
+	for i := 0; i <= n; i++ {
+		r := rng(i)
+		for k := range prev {
+			b := int(r.Float64() * bins)
+			if i > 0 {
+				counts[k][prev[k]*bins+b]++
 			}
+			prev[k] = b
+		}
+	}
+	want := float64(n) / (bins * bins)
+	var chi2 [3]float64
+	for k := range counts {
+		for _, c := range counts[k] {
+			d := float64(c) - want
+			chi2[k] += d * d / want
+		}
+	}
+	return chi2
+}
+
+// TestStreamNeighboursAreIndependent: the drives of one draw read
+// independent values. Adjacent drives' first three draws, over 200,000
+// drives, fill a 10×10 grid as uniformly as independent pairs do.
+func TestStreamNeighboursAreIndependent(t *testing.T) {
+	const seed, drives = 4242, 200_000
+	var st stream
+	r := rand.New(&st)
+	chi2 := neighbourChi2(drives, func(i int) *rand.Rand {
+		st.reset(seed, uint64(i))
+		return r
+	})
+	t.Logf("χ² of adjacent drives' draws 1-3: %.0f / %.0f / %.0f", chi2[0], chi2[1], chi2[2])
+	for k, c := range chi2 {
+		if c > 200 {
+			t.Errorf("draw %d: χ² of adjacent drives' pairs = %.0f, want ≤ 200 (independent: 99 ± 14)", k+1, c)
 		}
 	}
 }
 
-// drawOSSFaultsReference is DrawOSSFaultsDetailed as it was written
-// against math/rand, one rand.NewSource per server: the reference the
-// stream-backed draw must reproduce exactly.
+// fresh returns a new math/rand.Rand over a new PCG source seeded to
+// stream (seed, i): the plain way to draw drive i, with nothing shared.
+func fresh(seed int64, i uint64) *rand.Rand {
+	return rand.New(&stream{PCG: *randv2.NewPCG(uint64(seed), i)})
+}
+
+// drawOSSFaultsReference is DrawOSSFaultsDetailed with a fresh
+// math/rand.Rand and source per server and for the bursts. The draw
+// reuses one reseeded stream and one rand.Rand over it, so equal plans
+// show that reseeding leaves nothing behind from the previous server.
 func drawOSSFaultsReference(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, BurstStats) {
 	scale := spec.MTBF / stats.Weibull{Shape: spec.Shape, Scale: 1}.Mean()
 	d := stats.Weibull{Shape: spec.Shape, Scale: scale}
@@ -67,7 +91,7 @@ func drawOSSFaultsReference(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burs
 	}
 	events := make([][]plannedEvent, spec.Servers)
 	for i := 0; i < spec.Servers; i++ {
-		r := rand.New(rand.NewSource(seed + int64(i)))
+		r := fresh(seed, uint64(i))
 		for t := d.Sample(r); t < spec.Horizon; t += d.Sample(r) {
 			events[i] = append(events[i], plannedEvent{at: sim.Time(t), down: down})
 			if down <= 0 {
@@ -78,7 +102,7 @@ func drawOSSFaultsReference(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burs
 	}
 	var bs BurstStats
 	if spec.Bursts.MTBB > 0 {
-		bs = drawBursts(spec, rand.New(rand.NewSource(seed^0x6273747273)), events)
+		bs = drawBursts(spec, fresh(seed, burstStream), events)
 	}
 	plan := sim.NewFaultPlan()
 	for i := 0; i < spec.Servers; i++ {
@@ -87,15 +111,6 @@ func drawOSSFaultsReference(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burs
 		}
 	}
 	return plan, bs
-}
-
-// rebuildFigureSpec is the rebuild figure's per-pod fault spec: 64
-// drives, accelerated permanent failures, correlated 3-drive bursts.
-func rebuildFigureSpec() OSSFaultSpec {
-	return OSSFaultSpec{
-		Servers: 64, MTBF: 30, Shape: 1, Downtime: 0, Horizon: 4,
-		Bursts: BurstSpec{MTBB: 2, Size: 3},
-	}
 }
 
 func TestDrawOSSFaultsMatchesMathRandReference(t *testing.T) {
@@ -108,14 +123,15 @@ func TestDrawOSSFaultsMatchesMathRandReference(t *testing.T) {
 			plan, bs := DrawOSSFaultsDetailed(spec, seed)
 			want, wantBS := drawOSSFaultsReference(spec, seed)
 			if !reflect.DeepEqual(plan.Events(), want.Events()) || bs != wantBS {
-				t.Fatalf("spec %+v seed %d: stream draw differs from math/rand reference\n got %v %+v\nwant %v %+v",
+				t.Fatalf("spec %+v seed %d: draw differs from the fresh-source reference\n got %v %+v\nwant %v %+v",
 					spec, seed, plan.Events(), bs, want.Events(), wantBS)
 			}
 		}
 	}
 }
 
-// drawLSEReference is DrawLSE as it was written against math/rand.
+// drawLSEReference is DrawLSE with a fresh math/rand.Rand and source
+// per drive.
 func drawLSEReference(spec LSESpec, seed int64) [][]disk.CorruptionEvent {
 	const sector, maxTorn = 512, 8
 	sectors := spec.CapacityBytes / sector
@@ -126,7 +142,7 @@ func drawLSEReference(spec LSESpec, seed int64) [][]disk.CorruptionEvent {
 	d := stats.Weibull{Shape: spec.Shape, Scale: scale}
 	out := make([][]disk.CorruptionEvent, spec.Disks)
 	for i := 0; i < spec.Disks; i++ {
-		r := rand.New(rand.NewSource(seed + int64(i)))
+		r := fresh(seed, uint64(i))
 		var evs []disk.CorruptionEvent
 		for t := d.Sample(r); t < spec.Horizon; t += d.Sample(r) {
 			ev := disk.CorruptionEvent{
@@ -156,17 +172,7 @@ func TestDrawLSEMatchesMathRandReference(t *testing.T) {
 	spec.TornFraction = 0.4
 	for _, seed := range streamSeeds {
 		if got, want := DrawLSE(spec, seed), drawLSEReference(spec, seed); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: stream LSE draw differs from math/rand reference", seed)
+			t.Fatalf("seed %d: LSE draw differs from the fresh-source reference", seed)
 		}
-	}
-}
-
-// BenchmarkDrawOSSFaults draws one rebuild-figure pod's plan: 64
-// per-drive streams plus the burst stream.
-func BenchmarkDrawOSSFaults(b *testing.B) {
-	spec := rebuildFigureSpec()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		DrawOSSFaultsDetailed(spec, 42+int64(i)*1_000_003)
 	}
 }

@@ -319,8 +319,14 @@ func (c *Client) merge(p partitionID) {
 }
 
 // maybeSplit splits a partition that crossed the threshold, billing the
-// migration work to both the source and destination servers.
+// migration work to both the source and destination servers. p is the
+// partition the server located when the insert arrived; if another
+// insert split it while this one waited in the queue, it is not split
+// again.
 func (d *Dir) maybeSplit(p partitionID, owner int) {
+	if depth, _ := d.truth.get(p.Index); depth != p.Depth {
+		return
+	}
 	if d.load[p.Index] < d.cfg.SplitThreshold || p.Depth >= maxDepth {
 		return
 	}

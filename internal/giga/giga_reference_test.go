@@ -200,8 +200,13 @@ func (c *refClient) syncPenalty(done func()) {
 }
 
 // maybeSplit splits a partition that crossed the threshold, billing the
-// migration work to both the source and destination servers.
+// migration work to both the source and destination servers. A
+// partition split while the insert waited in the queue is not split
+// again.
 func (d *refDir) maybeSplit(p partitionID, owner int) {
+	if d.truth[p.Index] != p.Depth {
+		return
+	}
 	if d.load[p.Index] < d.cfg.SplitThreshold || p.Depth >= maxDepth {
 		return
 	}

@@ -121,6 +121,23 @@ func TestCreateStormCompletesAllFiles(t *testing.T) {
 	}
 }
 
+// TestEverySplitMakesAPartition: a split turns one partition into two,
+// so a directory that started as one partition holds Splits+1. At split
+// threshold 2 with 64 clients on 4 servers, partitions split while
+// inserts located before the split still wait in the server queues;
+// those inserts must not split them again.
+func TestEverySplitMakesAPartition(t *testing.T) {
+	for _, sync := range []bool{false, true} {
+		cfg := DefaultConfig(4)
+		cfg.SplitThreshold = 2
+		cfg.SyncInvalidate = sync
+		res := CreateStorm(cfg, 64, 4000)
+		if res.Splits != int64(res.Partitions)-1 {
+			t.Errorf("SyncInvalidate %v: %d splits for %d partitions, want partitions-1", sync, res.Splits, res.Partitions)
+		}
+	}
+}
+
 func TestThroughputScalesWithServers(t *testing.T) {
 	// Figure 7: near-linear create throughput scaling.
 	// Enough clients to keep the largest configuration server-bound.

@@ -176,8 +176,7 @@ type Registry struct {
 
 	// Opt-in analytics switches; see EnableOpTimers and EnableTimeSeries.
 	// Both default off, so a plain registry's snapshot has no quantile or
-	// series keys: the default shape TestFaultFreeRunMatchesPrePRGolden
-	// pins.
+	// series keys.
 	opTimers     bool
 	seriesWindow float64
 }
@@ -303,8 +302,7 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 
 	// Quantiles and Series exist only on analytics-enabled runs; omitempty
-	// leaves quantiles out of a default snapshot, whose shape
-	// TestFaultFreeRunMatchesPrePRGolden pins. Series feed the report's
+	// leaves quantiles out of a default snapshot. Series feed the report's
 	// sparklines and never serialize: WriteSeriesCSV is their one file.
 	Quantiles map[string]QuantileSnapshot   `json:"quantiles,omitempty"`
 	Series    map[string]TimeSeriesSnapshot `json:"-"`

@@ -26,8 +26,8 @@ import (
 // latent error can meet a read shrinks with the scrub interval — the
 // trade the integrity experiment in cmd/pdsirepro measures. With no
 // corruption injected the whole layer is inert: nil corruptors answer
-// without allocating, no integrity metrics are registered, and the event
-// trajectory is byte-identical to a build without it.
+// without allocating, the pfs.integrity.* counters stay at zero, and the
+// event trajectory is byte-identical to a build without it.
 
 // ErrCorruptData is returned by ReadOp completions when a checksum
 // mismatch cannot be repaired: the stripe unit belongs to no redundancy
@@ -62,8 +62,6 @@ func (fs *FS) IntegrityStats() IntegrityStats { return fs.tally.integrity }
 
 // InjectCorruption arms one drawn corruption schedule per server (see
 // failure.DrawLSE); schedules beyond the server count are rejected.
-// Arming registers the pfs.integrity.* metrics — they exist only on
-// corruption-injected runs, so a clean run's snapshot is untouched.
 func (fs *FS) InjectCorruption(events [][]disk.CorruptionEvent) error {
 	if len(events) > len(fs.servers) {
 		return fmt.Errorf("pfs: %d corruption schedules for %d servers", len(events), len(fs.servers))
@@ -76,7 +74,7 @@ func (fs *FS) InjectCorruption(events [][]disk.CorruptionEvent) error {
 		fs.servers[i].corr = disk.NewCorruptor(evs)
 		n += int64(len(evs))
 	}
-	fs.injected(n)
+	fs.tally.integrity.Injected += n
 	return nil
 }
 
@@ -87,9 +85,7 @@ func (fs *FS) InjectCorruption(events [][]disk.CorruptionEvent) error {
 // through the same stripe-unit placement the data path uses, so the rot
 // lands exactly where the drain's pieces would have; pieces whose stripe
 // units were never allocated are skipped (nothing stale exists there to
-// lie about). Returns the number of stripe-unit pieces marked. Like
-// InjectCorruption, a first marked piece arms the pfs.integrity.*
-// metrics lazily, so runs without corruption keep their snapshots.
+// lie about). Returns the number of stripe-unit pieces marked.
 func (fs *FS) CorruptExtent(name string, off, size int64) int {
 	st, ok := fs.files[name]
 	if !ok || size <= 0 || off < 0 {
@@ -117,28 +113,8 @@ func (fs *FS) CorruptExtent(name string, off, size int64) int {
 		})
 		n++
 	}
-	fs.injected(int64(n))
+	fs.tally.integrity.Injected += int64(n)
 	return n
-}
-
-// injected counts n armed corruption events. The first registers the
-// integrity instruments; keeping them out of instrument() leaves a run
-// without injected corruption with no pfs.integrity.* keys in its
-// snapshot: the default shape TestFaultFreeRunMatchesPrePRGolden pins.
-func (fs *FS) injected(n int64) {
-	if n == 0 {
-		return
-	}
-	st := &fs.tally.integrity
-	if reg := fs.eng.Metrics(); reg != nil && st.Injected == 0 {
-		publish(reg, fs.metric("pfs.integrity.injected"), &st.Injected)
-		publish(reg, fs.metric("pfs.integrity.detected"), &st.Detected)
-		publish(reg, fs.metric("pfs.integrity.repaired"), &st.Repaired)
-		publish(reg, fs.metric("pfs.integrity.unrecoverable"), &st.Unrecoverable)
-		publish(reg, fs.metric("pfs.integrity.silent_reads"), &st.SilentReads)
-		publish(reg, fs.metric("pfs.integrity.scrubbed_units"), &st.ScrubbedUnits)
-	}
-	st.Injected += n
 }
 
 // readCorrupted handles a read whose extent overlaps live corruption.

@@ -539,6 +539,12 @@ func (fs *FS) instrument() {
 	publish(reg, fs.metric("pfs.faults.failed_ops"), &t.faults.FailedOps)
 	publish(reg, fs.metric("pfs.faults.degraded_reads"), &t.faults.DegradedReads)
 	publish(reg, fs.metric("pfs.faults.lease_expiries"), &t.faults.LeaseExpiries)
+	publish(reg, fs.metric("pfs.integrity.injected"), &t.integrity.Injected)
+	publish(reg, fs.metric("pfs.integrity.detected"), &t.integrity.Detected)
+	publish(reg, fs.metric("pfs.integrity.repaired"), &t.integrity.Repaired)
+	publish(reg, fs.metric("pfs.integrity.unrecoverable"), &t.integrity.Unrecoverable)
+	publish(reg, fs.metric("pfs.integrity.silent_reads"), &t.integrity.SilentReads)
+	publish(reg, fs.metric("pfs.integrity.scrubbed_units"), &t.integrity.ScrubbedUnits)
 	for i, s := range fs.servers {
 		name := fs.metric(fmt.Sprintf("pfs.oss%02d", i))
 		s.nic.Instrument(name + ".nic")

@@ -46,8 +46,7 @@ type Cluster struct {
 	shards    []*Engine
 	lookahead Time
 
-	now   Time
-	depth int // high-water total pending at window boundaries
+	now Time
 
 	// Cross-shard sends staged during the current window, one slice per
 	// source shard so workers never share a write destination. keyseq
@@ -126,11 +125,12 @@ func (c *Cluster) Pending() int {
 // cluster-wide aggregates. The sim.events_* counters sum the shards'
 // tallies, so they do not depend on the shard count; the pending and clock
 // gauges and the events-pending series are cluster-level so the
-// snapshot shape does not depend on the shard count. sim.queue_depth_max
-// becomes the high-water mark of total pending events measured at
-// window boundaries — the only instant the total is well defined under
-// parallel execution. Clusters are not traced: shard workers would
-// append to one trace in scheduling order.
+// snapshot shape does not depend on the shard count. A cluster has no
+// sim.queue_depth_max: the total pending is defined only between
+// windows, so a high-water mark taken there misses every peak inside a
+// window (under infinite lookahead it is one census, at the start of the
+// run). Clusters are not traced: shard workers would append to one trace
+// in scheduling order.
 func (c *Cluster) Instrument(reg *obs.Registry) {
 	for _, sh := range c.shards {
 		sh.instrument(reg)
@@ -141,7 +141,6 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 	n := c.n
 	reg.CounterFunc("sim.cluster.sends", func() int64 { return n.sends })
 	reg.CounterFunc("sim.cluster.windows", func() int64 { return n.windows })
-	reg.GaugeFunc("sim.queue_depth_max", func() float64 { return float64(c.depth) })
 	reg.GaugeFunc("sim.pending", func() float64 { return float64(c.Pending()) })
 	reg.GaugeFunc("sim.now_s", func() float64 { return float64(c.now) })
 	c.smp.add(reg, "sim.events.pending", func() float64 { return float64(c.Pending()) })
@@ -285,18 +284,13 @@ func (c *Cluster) Run() Time {
 	for {
 		c.inject()
 
-		// Global minimum next-event time and the boundary census.
+		// Global minimum next-event time.
 		T := Infinity
 		any := false
-		total := 0
 		for _, sh := range c.shards {
-			total += sh.live
 			if t, ok := sh.nextAt(); ok && (!any || t < T) {
 				T, any = t, true
 			}
-		}
-		if total > c.depth {
-			c.depth = total
 		}
 		if !any {
 			break

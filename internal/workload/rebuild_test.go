@@ -128,13 +128,18 @@ func TestRunRebuildDataLossOpsTyped(t *testing.T) {
 // TestRunRebuildOpTimersSpanRetries: a foreground op's stage timer
 // spans all of its attempts, as the result's latency does, so the write
 // p99 the report shows is the result's and a retried write charges its
-// backoff.
+// backoff. The one-pod storm at seed 10 retries, and a retried write
+// succeeds.
 func TestRunRebuildOpTimersSpanRetries(t *testing.T) {
 	spec := rebuildSpec()
 	spec.Pods = 1
+	spec.Seed = 10
 	reg := obs.NewRegistry()
 	reg.EnableOpTimers()
 	res := RunRebuild(spec, reg)
+	if res.Retries == 0 {
+		t.Fatalf("the storm retried no op, so it tests nothing: %+v", res)
+	}
 	q := reg.Snapshot().Quantiles
 	if got := q["pfs.write.latency_s"].P99; got != res.WriteP99 {
 		t.Errorf("pfs.write.latency_s p99 = %v, want the result's WriteP99 %v", got, res.WriteP99)
