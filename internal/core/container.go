@@ -274,6 +274,10 @@ type Writer struct {
 	logID  int32
 	faults WriterFaultStats
 
+	// broken is the error of a failover that failed. The writer's logs
+	// may end in torn bytes, so every later append returns it.
+	broken error
+
 	// pending is the not-yet-flushed last entry when coalescing.
 	pending   *IndexEntry
 	mu        sync.Mutex
@@ -283,9 +287,7 @@ type Writer struct {
 
 	// frame and rec are the writer's own encode buffers, reused by every
 	// append because a backend copies what it is handed: frame holds the
-	// v2 data frame, rec one index record. A failover re-encodes its
-	// pending entry into a buffer of its own, since recovery may still
-	// be holding either of these to retry.
+	// v2 data frame, rec one index record.
 	frame []byte
 	rec   [indexFrameSize]byte
 }
@@ -341,37 +343,24 @@ func (w *Writer) WriteAt(buf []byte, off int64) (int, error) {
 	if off > math.MaxInt64-int64(len(buf)) {
 		return 0, fmt.Errorf("plfs: write of %d bytes at offset %d ends past the largest file offset", len(buf), off)
 	}
-	var payloadAt int64
+	// v1 appends the bytes bare; v2 appends one [len][payload][crc32c]
+	// frame per write, and the index entry names the payload start, so
+	// reads are frame-oblivious.
+	rec, hdr := buf, int64(0)
 	if w.c.version >= 2 {
-		// v2: one [len][payload][crc32c] frame per write; the index entry
-		// names the payload start, so reads are frame-oblivious.
 		w.frame = appendFrame(w.frame[:0], buf)
-		n, err := w.data.Write(w.frame)
-		if err != nil {
-			if err = w.recoverFramedAppendLocked(w.frame, n, err); err != nil {
-				return 0, err
-			}
-		}
-		payloadAt = w.dataOff + frameHeaderSize
-		w.dataOff += int64(len(w.frame))
-	} else {
-		n, err := w.data.Write(buf)
-		if err != nil {
-			// Retry in place, then fail over to a new log generation (see
-			// faults.go). Recovery adjusts dataOff for dropped bytes and
-			// generation resets, so the entry below stays truthful.
-			if n, err = w.recoverDataAppendLocked(buf, n, err); err != nil {
-				return 0, err
-			}
-		}
-		payloadAt = w.dataOff
-		w.dataOff += int64(len(buf))
+		rec, hdr = w.frame, frameHeaderSize
+	}
+	// Recovery may fail over to a new log generation (see faults.go);
+	// dataOff and logID then name where rec landed.
+	if err := w.appendLocked(&w.data, rec); err != nil {
+		return 0, err
 	}
 	entry := IndexEntry{
 		LogicalOffset: off,
 		Length:        int64(len(buf)),
 		Writer:        w.logID,
-		LogOffset:     payloadAt,
+		LogOffset:     w.dataOff - int64(len(rec)) + hdr,
 		Timestamp:     w.c.clock.Add(1),
 	}
 	w.nWrites++
@@ -398,24 +387,26 @@ func (w *Writer) WriteAt(buf []byte, off int64) (int, error) {
 }
 
 func (w *Writer) appendEntryLocked(e IndexEntry) error {
-	rec := encodeEntryRecord(&w.rec, e, w.c.version >= 2)
-	if _, err := w.index.Write(rec); err != nil {
-		if err = w.recoverIndexAppendLocked(rec, err); err != nil {
-			return err
-		}
+	if err := w.appendLocked(&w.index, encodeEntryRecord(&w.rec, e, w.c.version >= 2)); err != nil {
+		return err
 	}
 	w.nEntries++
 	w.c.cIndexEntries.Inc()
 	return nil
 }
 
+// flushPendingLocked appends the coalesced entry. It stays pending until
+// an append lands, so a Sync that returns nil has indexed every write
+// the writer acknowledged.
 func (w *Writer) flushPendingLocked() error {
 	if w.pending == nil {
 		return nil
 	}
-	e := *w.pending
+	if err := w.appendEntryLocked(*w.pending); err != nil {
+		return err
+	}
 	w.pending = nil
-	return w.appendEntryLocked(e)
+	return nil
 }
 
 // Sync flushes any coalesced-but-unwritten index entry.
@@ -575,47 +566,36 @@ func (c *Container) OpenReader() (*Reader, error) {
 	perLog := make([][]IndexEntry, len(refs))
 	files := make([]BackendFile, len(refs))
 	fscks := make([]*logFsck, len(refs))
-	if workers := c.opts.ingestWorkers(len(refs)); workers <= 1 {
-		for t, ref := range refs {
-			es, df, lf, err := c.ingestLog(ref)
-			if err != nil {
-				closeAll(files)
-				return nil, err
-			}
-			perLog[t], files[t], fscks[t] = es, df, lf
-		}
-	} else {
-		var (
-			nextTask atomic.Int64
-			failed   atomic.Bool
-			errOnce  sync.Once
-			firstErr error
-			wg       sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !failed.Load() {
-					t := int(nextTask.Add(1)) - 1
-					if t >= len(refs) {
-						return
-					}
-					es, df, lf, err := c.ingestLog(refs[t])
-					if err != nil {
-						errOnce.Do(func() { firstErr = err })
-						failed.Store(true)
-						return
-					}
-					perLog[t], files[t], fscks[t] = es, df, lf
+	var (
+		nextTask atomic.Int64
+		failed   atomic.Bool
+		errOnce  sync.Once
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := c.opts.ingestWorkers(len(refs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				t := int(nextTask.Add(1)) - 1
+				if t >= len(refs) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			closeAll(files)
-			return nil, firstErr
-		}
+				es, df, lf, err := c.ingestLog(refs[t])
+				if err != nil {
+					errOnce.Do(func() { firstErr = err })
+					failed.Store(true)
+					return
+				}
+				perLog[t], files[t], fscks[t] = es, df, lf
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		closeAll(files)
+		return nil, firstErr
 	}
 
 	total := 0

@@ -9,7 +9,7 @@ import (
 // This file is PLFS's side of fault tolerance: what a writer does when the
 // backing store starts failing under it. The log-structured layout makes
 // recovery unusually cheap — a writer owns its logs outright, so after a
-// persistent append error it simply abandons them and opens a fresh
+// persistent or torn append it simply abandons them and opens a fresh
 // *generation* of data+index logs (a failover), losing nothing already
 // durable: index entries carry the originating log's id in their Writer
 // field, so one writer's logical extents may span generations and the
@@ -24,19 +24,30 @@ import (
 var ErrTruncatedLog = errors.New("plfs: data log truncated")
 
 // genShift packs a writer's failover generation into the IndexEntry
-// Writer field: log id = writer id + generation<<genShift. Writer ids
-// must stay below 1<<genShift when retries are enabled.
+// Writer field: log id = writer id + generation<<genShift. A writer
+// whose id is 1<<genShift or more cannot fail over.
 const genShift = 20
 
 // logKey derives the on-backend log id for a writer generation.
 func logKey(id int32, gen int32) int32 { return id + gen<<genShift }
 
-// RetryPolicy tunes a Writer's handling of backend append errors. The
-// zero value disables retries: the first error surfaces to the caller,
-// preserving the pre-fault-layer behaviour.
+// RetryPolicy tunes a Writer's handling of backend append errors. Every
+// append, data or index, in either format, follows one rule: an attempt
+// that wrote nothing is retried in place up to MaxRetries times, after
+// which the writer fails over to a fresh generation of logs and appends
+// once more; an attempt that wrote part of its record ends the
+// generation, and the writer fails over before anything else lands after
+// the torn bytes. A writer whose failover fails returns that error from
+// every later append.
+//
+// The zero value disables retries: an append makes one attempt and its
+// error surfaces to the caller. A torn append still fails over under the
+// zero policy, so the writer's later appends land on fresh logs at
+// truthful offsets.
 type RetryPolicy struct {
-	// MaxRetries bounds in-place retries of a failed append before the
-	// writer fails over to a fresh generation of logs.
+	// MaxRetries bounds in-place retries of an append that wrote
+	// nothing; once they are spent the writer fails over to a fresh
+	// generation of logs and appends once more.
 	MaxRetries int
 
 	// BaseBackoff is the delay before the first retry; each subsequent
@@ -51,10 +62,10 @@ type RetryPolicy struct {
 	// Sleep, when non-nil, is invoked with each backoff delay.
 	Sleep func(time.Duration)
 
-	// Appends are assumed atomic per record at the backend: a failed
-	// data-log Write may report partially appended bytes (they become
-	// dropped, never-indexed garbage and are accounted as such), but a
-	// torn index record is not repaired — it surfaces at read time
+	// Index appends are assumed atomic per record at the backend: a
+	// failed data-log Write may report partially appended bytes (they
+	// become dropped, never-indexed garbage and are accounted as such),
+	// but a torn index record is not repaired — it surfaces at read time
 	// through readIndexLog's corruption checks.
 }
 
@@ -66,12 +77,13 @@ type WriterFaultStats struct {
 	// Retries counts in-place re-appends after a backend error.
 	Retries int64
 
-	// Failovers counts generation switches after persistent errors.
+	// Failovers counts generation switches after torn appends and
+	// persistent errors.
 	Failovers int64
 
-	// DroppedBytes counts data-log bytes appended by failed writes and
-	// abandoned: the index never references them, so reads stay correct,
-	// but later entries' log offsets account for them.
+	// DroppedBytes counts data-log bytes that torn appends left behind
+	// in abandoned generations: the index never references them, so
+	// reads stay correct.
 	DroppedBytes int64
 
 	// Backoff is the total backoff the policy's schedule imposed.
@@ -92,10 +104,12 @@ func (w *Writer) Generation() int32 {
 	return w.gen
 }
 
-// backoffLocked charges one step of the capped exponential schedule and
-// returns the next delay.
+// backoffLocked counts one in-place retry, charges its delay from the
+// capped exponential schedule and returns the next delay.
 func (w *Writer) backoffLocked(delay time.Duration) time.Duration {
 	pol := w.c.opts.Retry
+	w.faults.Retries++
+	w.c.cRetries.Inc()
 	w.faults.Backoff += delay
 	if pol.Sleep != nil && delay > 0 {
 		pol.Sleep(delay)
@@ -111,83 +125,59 @@ func (w *Writer) backoffLocked(delay time.Duration) time.Duration {
 	return next
 }
 
-// dropLocked accounts bytes a failed append left in the data log. They
-// advance the log offset — the next entry must not claim them — but no
-// index entry will ever reference them.
-func (w *Writer) dropLocked(n int) {
-	if n <= 0 {
-		return
+// appendLocked appends rec whole to the current generation's data log
+// (log == &w.data) or index log (log == &w.index): the one append path
+// of both logs and both formats, under RetryPolicy's rule. It makes at
+// most MaxRetries+2 attempts (one under the zero policy) and returns the
+// last attempt's error. Bytes a torn attempt leaves in a data log count
+// as DroppedBytes. A failover that fails breaks the writer: the error is
+// kept and returned by every later append. A data append that lands
+// advances dataOff past rec.
+func (w *Writer) appendLocked(log *BackendFile, rec []byte) error {
+	if w.broken != nil {
+		return w.broken
 	}
-	w.dataOff += int64(n)
-	w.faults.DroppedBytes += int64(n)
-	w.c.cDropped.Add(int64(n))
-}
-
-// recoverDataAppendLocked retries a failed data-log append per the retry
-// policy and, when the error persists, fails over to a new generation and
-// appends there. Returns the byte count of the successful append.
-func (w *Writer) recoverDataAppendLocked(buf []byte, wrote int, err error) (int, error) {
 	pol := w.c.opts.Retry
-	if !pol.enabled() {
-		return wrote, err
-	}
-	w.dropLocked(wrote)
-	delay := pol.BaseBackoff
-	for attempt := 0; attempt < pol.MaxRetries; attempt++ {
-		delay = w.backoffLocked(delay)
-		w.faults.Retries++
-		w.c.cRetries.Inc()
-		n, rerr := w.data.Write(buf)
-		if rerr == nil {
-			return n, nil
-		}
-		w.dropLocked(n)
-		err = rerr
-	}
-	if ferr := w.failoverLocked(); ferr != nil {
-		return 0, fmt.Errorf("plfs: writer %d failover after %v: %w", w.id, err, ferr)
-	}
-	n, rerr := w.data.Write(buf)
-	if rerr != nil {
-		w.dropLocked(n)
-		return 0, fmt.Errorf("plfs: writer %d gen %d data append: %w", w.id, w.gen, rerr)
-	}
-	return n, nil
-}
-
-// recoverIndexAppendLocked is recoverDataAppendLocked for the index log.
-// A persistent index error also forces a failover — the data already
-// written stays readable because the re-appended entry still names the
-// generation that holds it.
-func (w *Writer) recoverIndexAppendLocked(rec []byte, err error) error {
-	pol := w.c.opts.Retry
-	if !pol.enabled() {
-		return err
+	attempts := 1
+	if pol.enabled() {
+		attempts = pol.MaxRetries + 2
 	}
 	delay := pol.BaseBackoff
-	for attempt := 0; attempt < pol.MaxRetries; attempt++ {
-		delay = w.backoffLocked(delay)
-		w.faults.Retries++
-		w.c.cRetries.Inc()
-		if _, rerr := w.index.Write(rec); rerr == nil {
+	for attempt := 1; ; attempt++ {
+		n, err := (*log).Write(rec)
+		if err == nil {
+			if log == &w.data {
+				w.dataOff += int64(len(rec))
+			}
 			return nil
-		} else {
-			err = rerr
+		}
+		if n == 0 && attempt <= pol.MaxRetries {
+			delay = w.backoffLocked(delay)
+			continue
+		}
+		last := attempt == attempts
+		if n > 0 || !last {
+			if log == &w.data {
+				w.dataOff += int64(n)
+				w.faults.DroppedBytes += int64(n)
+				w.c.cDropped.Add(int64(n))
+			}
+			if ferr := w.failoverLocked(); ferr != nil {
+				w.broken = fmt.Errorf("plfs: writer %d failover after %w: %w", w.id, err, ferr)
+				return w.broken
+			}
+		}
+		if last {
+			return err
 		}
 	}
-	if ferr := w.failoverLocked(); ferr != nil {
-		return fmt.Errorf("plfs: writer %d failover after %v: %w", w.id, err, ferr)
-	}
-	if _, rerr := w.index.Write(rec); rerr != nil {
-		return fmt.Errorf("plfs: writer %d gen %d index append: %w", w.id, w.gen, rerr)
-	}
-	return nil
 }
 
 // failoverLocked abandons the current generation's logs and opens fresh
-// ones under the derived log id. Any coalesced-but-unflushed entry is
-// appended to the new index log first (it still names the old
-// generation's data log, which remains readable on the backend).
+// ones under the derived log id. The old logs stay on the backend for
+// the reader: entries already appended, and a coalesced entry still
+// pending, keep naming the old data log, and a later flush appends the
+// pending one to the new index log like any other entry.
 func (w *Writer) failoverLocked() error {
 	if w.id >= 1<<genShift {
 		return fmt.Errorf("plfs: writer id %d too large for failover generations", w.id)
@@ -209,67 +199,20 @@ func (w *Writer) failoverLocked() error {
 	//lint:allow errflow -- dead handles after a simulated crash; nothing to report to
 	w.data.Close()
 	w.index.Close() //lint:allow errflow -- dead handles after a simulated crash; nothing to report to
-	pending := w.pending
-	w.pending = nil
 	w.data, w.index = data, index
 	w.dataOff = 0
 	w.gen = gen
 	w.logID = key
 	w.faults.Failovers++
 	w.c.cFailovers.Inc()
-	if pending != nil {
-		// Not w.rec or w.frame: the append being recovered may still hold
-		// either to retry once the new generation is open.
-		rec := encodeEntryRecord(new([indexFrameSize]byte), *pending, w.c.version >= 2)
-		if _, err := w.index.Write(rec); err != nil {
-			return fmt.Errorf("plfs: writer %d gen %d pending entry: %w", w.id, gen, err)
-		}
-		w.nEntries++
-		w.c.cIndexEntries.Inc()
-	}
-	return nil
-}
-
-// recoverFramedAppendLocked retries a failed framed (v2) data-log append.
-// A frame is only usable if it lands whole: once the backend admits to a
-// partial append, retrying in place would interleave fragments of two
-// frame copies, so the writer accounts the torn bytes (plfsck truncates
-// or ignores them on a later open), fails over to a fresh generation,
-// and appends the frame there. Only clean zero-byte failures are retried
-// in place.
-func (w *Writer) recoverFramedAppendLocked(frame []byte, wrote int, err error) error {
-	pol := w.c.opts.Retry
-	if !pol.enabled() {
-		return err
-	}
-	delay := pol.BaseBackoff
-	for attempt := 0; wrote == 0 && attempt < pol.MaxRetries; attempt++ {
-		delay = w.backoffLocked(delay)
-		w.faults.Retries++
-		w.c.cRetries.Inc()
-		n, rerr := w.data.Write(frame)
-		if rerr == nil {
-			return nil
-		}
-		wrote, err = n, rerr
-	}
-	w.dropLocked(wrote)
-	if ferr := w.failoverLocked(); ferr != nil {
-		return fmt.Errorf("plfs: writer %d failover after %v: %w", w.id, err, ferr)
-	}
-	n, rerr := w.data.Write(frame)
-	if rerr != nil {
-		w.dropLocked(n)
-		return fmt.Errorf("plfs: writer %d gen %d data append: %w", w.id, w.gen, rerr)
-	}
 	return nil
 }
 
 // FaultyBackend wraps a Backend and fails a scripted number of appends —
 // the deterministic stand-in for a storage system dropping out from under
-// a writer. Failures are whole-operation for index-record-sized appends
-// and may be partial for larger ones (PartialBytes), exercising the
-// dropped-extent accounting.
+// a writer. Failures are whole-operation for appends no longer than an
+// index record and may be partial for longer ones (PartialBytes),
+// exercising the dropped-extent accounting.
 type FaultyBackend struct {
 	Backend
 
@@ -277,8 +220,9 @@ type FaultyBackend struct {
 	FailNextWrites int
 
 	// PartialBytes, when > 0, makes each failed Write first append that
-	// many bytes of the payload (only when the payload is larger, so
-	// index records never tear).
+	// many bytes of the payload — only when the payload is larger and
+	// longer than indexFrameSize, the longest index record of either
+	// format, so index records never tear.
 	PartialBytes int
 
 	// FailCreates makes Create fail while positive (blocks failover).
@@ -327,7 +271,7 @@ func (f *faultyFile) Write(p []byte) (int, error) {
 		f.b.FailNextWrites--
 		f.b.Failures++
 		n := 0
-		if pb := f.b.PartialBytes; pb > 0 && pb < len(p) {
+		if pb := f.b.PartialBytes; pb > 0 && pb < len(p) && len(p) > indexFrameSize {
 			n, _ = f.BackendFile.Write(p[:pb])
 		}
 		return n, errInjected

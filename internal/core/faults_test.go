@@ -286,3 +286,126 @@ func TestRetriesVisibleInMetricsRegistry(t *testing.T) {
 		t.Fatalf("plfs.write.failovers = %d, want 1", s.Counters["plfs.write.failovers"])
 	}
 }
+
+// TestTornAppendWithoutRetriesKeepsLaterWrites tears a data append under
+// the zero retry policy. The torn append's error surfaces, and the write
+// after it must read back exactly: a torn append ends the generation
+// under every policy, so the later write lands on fresh logs at a
+// truthful offset instead of after bytes no entry accounts for.
+func TestTornAppendWithoutRetriesKeepsLaterWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		framed, verify bool
+	}{{"v1", false, false}, {"v2", true, false}, {"v2_verify", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mb := NewMemBackend()
+			fb := NewFaultyBackend(mb)
+			c, err := CreateContainer(fb, "/c", Options{NumHostdirs: 1, Framed: tc.framed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := c.OpenWriter(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b, d := bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 100), bytes.Repeat([]byte{3}, 100)
+			if _, err := w.WriteAt(a, 0); err != nil {
+				t.Fatal(err)
+			}
+			fb.FailNextWrites, fb.PartialBytes = 1, 10
+			if _, err := w.WriteAt(b, 100); !errors.Is(err, errInjected) {
+				t.Fatalf("torn append: err = %v, want the injected error", err)
+			}
+			if _, err := w.WriteAt(d, 200); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c2, err := OpenContainer(mb, "/c", Options{NumHostdirs: 1, VerifyOnOpen: tc.verify})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := c2.OpenReader()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for _, x := range []struct {
+				off  int64
+				want []byte
+			}{{0, a}, {200, d}} {
+				got := make([]byte, len(x.want))
+				if _, err := r.ReadAt(got, x.off); err != nil && err != io.EOF {
+					t.Fatalf("read at %d: %v", x.off, err)
+				}
+				if !bytes.Equal(got, x.want) {
+					t.Fatalf("read at %d differs from the acknowledged write", x.off)
+				}
+			}
+			if st := w.FaultStats(); st.DroppedBytes != 10 || st.Failovers != 1 {
+				t.Fatalf("fault stats %+v, want 10 dropped bytes and one failover", st)
+			}
+		})
+	}
+}
+
+// TestFailedFailoverRefusesLaterAppends tears a framed data append while
+// the failover it forces cannot create its logs. The old data log then
+// ends in a torn frame, so the writer must refuse every later append
+// with the failover's error rather than land (and acknowledge) a frame
+// after the torn one, which a VerifyOnOpen pass would truncate away.
+func TestFailedFailoverRefusesLaterAppends(t *testing.T) {
+	mb := NewMemBackend()
+	fb := NewFaultyBackend(mb)
+	c, err := CreateContainer(fb, "/c", Options{NumHostdirs: 1, Framed: true, Retry: RetryPolicy{MaxRetries: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.OpenWriter(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := bytes.Repeat([]byte{1}, 100)
+	if _, err := w.WriteAt(a, 0); err != nil {
+		t.Fatal(err)
+	}
+	fb.FailNextWrites, fb.PartialBytes, fb.FailCreates = 1, 10, 1
+	if _, err := w.WriteAt(bytes.Repeat([]byte{2}, 100), 100); !errors.Is(err, errInjected) {
+		t.Fatalf("torn append with a failed failover: err = %v, want the injected error", err)
+	}
+	writes := fb.Writes
+	for i := 0; i < 2; i++ {
+		if _, err := w.WriteAt(bytes.Repeat([]byte{3}, 100), 200); !errors.Is(err, errInjected) {
+			t.Fatalf("append %d after the failed failover: err = %v, want the failover's error", i, err)
+		}
+	}
+	if fb.Writes != writes {
+		t.Fatalf("a broken writer made %d more appends, want none", fb.Writes-writes)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := OpenContainer(mb, "/c", Options{NumHostdirs: 1, VerifyOnOpen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c2.OpenReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if rep := r.FsckReport(); rep.TornBytes != 10 || rep.QuarantinedExtents != 0 {
+		t.Fatalf("fsck %+v, want the 10 torn bytes only", *rep)
+	}
+	if r.Size() != int64(len(a)) {
+		t.Fatalf("size = %d, want %d: only the write before the tear was acknowledged", r.Size(), len(a))
+	}
+	got := make([]byte, len(a))
+	if _, err := r.ReadAt(got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, a) {
+		t.Fatal("the write before the tear reads back other bytes")
+	}
+}

@@ -117,6 +117,10 @@ func DrawOSSFaults(spec OSSFaultSpec, seed int64) *sim.FaultPlan {
 	return plan
 }
 
+// burstStream is the stream number of the burst draw. Server indices
+// are non-negative ints, so no server reads it.
+const burstStream = 1<<64 - 1
+
 // DrawOSSFaultsDetailed is DrawOSSFaults plus the burst accounting. The
 // bursts are drawn from a stream of their own (independent of every
 // per-server stream), each burst picks Size distinct members, and a
@@ -138,10 +142,10 @@ func DrawOSSFaultsDetailed(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burst
 		down = 0
 	}
 	events := make([][]plannedEvent, spec.Servers)
-	var st stream // reseeded per server (see stream.go)
+	var st stats.Stream // reseeded per server
 	r := rand.New(&st)
 	for i := 0; i < spec.Servers; i++ {
-		st.reset(seed, uint64(i))
+		st.Reset(seed, uint64(i))
 		for t := d.Sample(r); t < spec.Horizon; t += d.Sample(r) {
 			events[i] = append(events[i], plannedEvent{at: sim.Time(t), down: down})
 			if down <= 0 {
@@ -156,7 +160,7 @@ func DrawOSSFaultsDetailed(spec OSSFaultSpec, seed int64) (*sim.FaultPlan, Burst
 	if spec.Bursts.MTBB > 0 {
 		// The burst draw reads its own stream, so arming bursts never
 		// perturbs the independent draw.
-		st.reset(seed, burstStream)
+		st.Reset(seed, burstStream)
 		bs = drawBursts(spec, r, events)
 	}
 	plan := sim.NewFaultPlan()

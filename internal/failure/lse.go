@@ -75,10 +75,10 @@ func DrawLSE(spec LSESpec, seed int64) [][]disk.CorruptionEvent {
 	scale := spec.MTBC / stats.Weibull{Shape: spec.Shape, Scale: 1}.Mean()
 	d := stats.Weibull{Shape: spec.Shape, Scale: scale}
 	out := make([][]disk.CorruptionEvent, spec.Disks)
-	var st stream // reseeded per drive (see stream.go)
+	var st stats.Stream // reseeded per drive
 	r := rand.New(&st)
 	for i := 0; i < spec.Disks; i++ {
-		st.reset(seed, uint64(i))
+		st.Reset(seed, uint64(i))
 		var evs []disk.CorruptionEvent
 		for t := d.Sample(r); t < spec.Horizon; t += d.Sample(r) {
 			ev := disk.CorruptionEvent{

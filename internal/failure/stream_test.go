@@ -22,60 +22,10 @@ var streamSeeds = []int64{
 	42, 42 + 159*1_000_003, 4242, 77,
 }
 
-// neighbourChi2 bins the pairs (k-th Float64 of drive i, k-th Float64 of
-// drive i+1) over drives 0..n on a 10×10 grid and returns each grid's χ²
-// against the uniform count, for draws k = 1, 2 and 3. rng(i) returns
-// drive i's generator, fresh. Independent drives give χ² ≈ 99 ± 14 (99
-// degrees of freedom); neighbours whose draws are correlated pile onto a
-// few cells.
-func neighbourChi2(n int, rng func(i int) *rand.Rand) [3]float64 {
-	const bins = 10
-	var counts [3][bins * bins]int
-	var prev [3]int
-	for i := 0; i <= n; i++ {
-		r := rng(i)
-		for k := range prev {
-			b := int(r.Float64() * bins)
-			if i > 0 {
-				counts[k][prev[k]*bins+b]++
-			}
-			prev[k] = b
-		}
-	}
-	want := float64(n) / (bins * bins)
-	var chi2 [3]float64
-	for k := range counts {
-		for _, c := range counts[k] {
-			d := float64(c) - want
-			chi2[k] += d * d / want
-		}
-	}
-	return chi2
-}
-
-// TestStreamNeighboursAreIndependent: the drives of one draw read
-// independent values. Adjacent drives' first three draws, over 200,000
-// drives, fill a 10×10 grid as uniformly as independent pairs do.
-func TestStreamNeighboursAreIndependent(t *testing.T) {
-	const seed, drives = 4242, 200_000
-	var st stream
-	r := rand.New(&st)
-	chi2 := neighbourChi2(drives, func(i int) *rand.Rand {
-		st.reset(seed, uint64(i))
-		return r
-	})
-	t.Logf("χ² of adjacent drives' draws 1-3: %.0f / %.0f / %.0f", chi2[0], chi2[1], chi2[2])
-	for k, c := range chi2 {
-		if c > 200 {
-			t.Errorf("draw %d: χ² of adjacent drives' pairs = %.0f, want ≤ 200 (independent: 99 ± 14)", k+1, c)
-		}
-	}
-}
-
 // fresh returns a new math/rand.Rand over a new PCG source seeded to
 // stream (seed, i): the plain way to draw drive i, with nothing shared.
 func fresh(seed int64, i uint64) *rand.Rand {
-	return rand.New(&stream{PCG: *randv2.NewPCG(uint64(seed), i)})
+	return rand.New(&stats.Stream{PCG: *randv2.NewPCG(uint64(seed), i)})
 }
 
 // drawOSSFaultsReference is DrawOSSFaultsDetailed with a fresh

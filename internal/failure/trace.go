@@ -35,12 +35,15 @@ func (c ClusterSpec) Chips() int { return c.Nodes * c.ChipsPerNode }
 
 // GenerateTrace produces years' worth of interrupt events for a cluster.
 // Interarrivals are Weibull with the requested shape, scaled so the mean
-// rate equals Chips * PerChipRate per year.
+// rate equals Chips * PerChipRate per year. The draw reads PCG stream
+// (seed, 0), so traces generated with adjacent seeds are independent.
 func GenerateTrace(spec ClusterSpec, years float64, seed int64) []Event {
 	if spec.Nodes < 1 || spec.ChipsPerNode < 1 || spec.PerChipRate <= 0 || spec.Shape <= 0 {
 		panic(fmt.Sprintf("failure: invalid cluster spec %+v", spec))
 	}
-	r := rand.New(rand.NewSource(seed))
+	var st stats.Stream
+	st.Seed(seed)
+	r := rand.New(&st)
 	ratePerSec := spec.PerChipRate * float64(spec.Chips()) / SecondsPerYear
 	meanGap := 1 / ratePerSec
 	// Weibull with requested shape and mean == meanGap.

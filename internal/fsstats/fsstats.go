@@ -60,12 +60,15 @@ func ElevenSystems(filesPerSystem int) []SystemSpec {
 	}
 }
 
-// Generate draws the population's file sizes.
+// Generate draws the population's file sizes from PCG stream (seed, 0),
+// so populations generated with adjacent seeds are independent.
 func Generate(spec SystemSpec, seed int64) []int64 {
 	if spec.Files < 1 || spec.Sizes == nil {
 		panic(fmt.Sprintf("fsstats: invalid spec %+v", spec))
 	}
-	r := rand.New(rand.NewSource(seed))
+	var st stats.Stream
+	st.Seed(seed)
+	r := rand.New(&st)
 	sizes := make([]int64, spec.Files)
 	for i := range sizes {
 		s := spec.Sizes.Sample(r)
